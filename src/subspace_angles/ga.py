@@ -108,17 +108,44 @@ def basis_blade_product(mask_a: int, mask_b: int, sig: Signature) -> tuple[int, 
     return mask_a ^ mask_b, (-1 if swaps & 1 else 1)
 
 
+@lru_cache(maxsize=None)
+def _parity_signs() -> np.ndarray:
+    """(-1)^popcount(m) for every 12-bit mask m (4096 floats, 32 KB)."""
+    s = np.where(_grades(MAX_DIMENSION) % 2 == 1, -1.0, 1.0)
+    s.setflags(write=False)
+    return s
+
+
+@lru_cache(maxsize=None)
+def _swap_masks(sig: Signature) -> np.ndarray:
+    """Per-mask swap mask H'[a]: popcount(H'[a] & b) has the parity of the
+    sign of e_a e_b (Dorst, Fontijne & Mann, Geometric Algebra for Computer
+    Science, ch. 19, the bitmap product sign).
+
+    Reordering e_a e_b takes sum over j in b of popcount(a >> (j+1))
+    swaps, so bit j of H[a] is set when an odd number of a's vectors lie
+    above j; each shared negative-square vector flips the sign once more,
+    hence H'[a] = H[a] ^ (a & negative_mask). One int64 per mask: 2^n
+    entries, at most 32 KB per signature.
+    """
+    masks = np.arange(sig.size, dtype=np.int64)
+    h = masks >> 1
+    # suffix XOR: bit j ends up as the parity of bits j+1..j+16 of the mask
+    for shift in (1, 2, 4, 8):
+        h ^= h >> shift
+    h ^= masks & sig.negative_mask
+    h.setflags(write=False)
+    return h
+
+
 def _sign_matrix(ai: np.ndarray, bi: np.ndarray, sig: Signature) -> np.ndarray:
-    """Vectorized basis_blade_product signs for index arrays ai x bi."""
-    pc = _grades(MAX_DIMENSION)
-    A = ai[:, None]
-    B = bi[None, :]
-    swaps = pc[(A & B) & sig.negative_mask].copy()
-    shifted = A >> 1
-    while shifted.any():
-        swaps += pc[shifted & B]
-        shifted = shifted >> 1
-    return np.where(swaps & 1, -1.0, 1.0)
+    """Vectorized basis_blade_product signs for index arrays ai x bi.
+
+    One AND and one gather: the sign of e_a e_b is (-1)^popcount(H'[a] & b)
+    with H' the swap-mask table of _swap_masks. Memory is O(2^n) per
+    signature plus the 4096-entry parity table, never a 2^n x 2^n table.
+    """
+    return _parity_signs()[_swap_masks(sig)[ai][:, None] & bi[None, :]]
 
 
 def mask_from_name(name: str, n: int) -> int:
@@ -223,7 +250,7 @@ class Multivector:
         """Grades with any coefficient of magnitude above tol."""
         g = _grades(self.sig.n)
         present = np.abs(self.coeffs) > tol
-        return sorted(set(int(k) for k in g[present]))
+        return np.flatnonzero(np.bincount(g[present])).tolist()
 
     def max_grade(self) -> int:
         grs = self.grades()
@@ -275,17 +302,20 @@ class Multivector:
         """Shared kernel: accumulate sign * a_i * b_j into mask i^j.
 
         keep(ai, bi) -> bool matrix selects which basis pairs contribute
-        (None keeps all, giving the geometric product).
+        (None keeps all, giving the geometric product). np.bincount adds
+        the terms in row-major (i, j) order, one pass, so the rounding is
+        that of a plain loop over i then j.
         """
         self._check_sig(other)
         ai = np.flatnonzero(self.coeffs)
         bi = np.flatnonzero(other.coeffs)
-        out = np.zeros(self.sig.size)
-        if ai.size and bi.size:
-            vals = _sign_matrix(ai, bi, self.sig) * np.outer(self.coeffs[ai], other.coeffs[bi])
-            if keep is not None:
-                vals = vals * keep(ai[:, None], bi[None, :])
-            np.add.at(out, np.bitwise_xor.outer(ai, bi), vals)
+        if not (ai.size and bi.size):
+            return Multivector.zero(self.sig)
+        vals = _sign_matrix(ai, bi, self.sig) * np.outer(self.coeffs[ai], other.coeffs[bi])
+        if keep is not None:
+            vals = vals * keep(ai[:, None], bi[None, :])
+        out = np.bincount(np.bitwise_xor.outer(ai, bi).ravel(),
+                          weights=vals.ravel(), minlength=self.sig.size)
         return Multivector(self.sig, out, _copy=False)
 
     def geometric_product(self, other: "Multivector") -> "Multivector":

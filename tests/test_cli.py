@@ -171,10 +171,15 @@ class TestProcessExitStatus:
     """The documented codes must reach the operating system."""
 
     def _run(self, *argv):
+        import os
         import subprocess
         import sys
+        # the child imports the same package as this process, installed or not
+        src = str(Path(cf.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "subspace_angles.cli", *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
 
     def test_success(self):
         proc = self._run("run", str(DATA / "identical_planes.json"))

@@ -91,6 +91,28 @@ class TestBasisBladeProduct:
                 for j, b in enumerate(bi):
                     assert mat[i, j] == basis_blade_product(int(a), int(b), sig)[1]
 
+    @pytest.mark.parametrize("p,q", [(6, 0), (3, 3), (0, 6)])
+    def test_vectorized_signs_all_pairs_n6(self, p, q):
+        sig = Signature(p, q)
+        masks = np.arange(sig.size)
+        mat = _sign_matrix(masks, masks, sig)
+        expected = [[basis_blade_product(a, b, sig)[1] for b in range(sig.size)]
+                    for a in range(sig.size)]
+        assert np.array_equal(mat, expected)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_vectorized_signs_high_bits(self, n):
+        # random masks reach bits 6..11 of the swap-mask table
+        rng = np.random.default_rng(100 + n)
+        for q in (0, 1, 2):
+            sig = Signature(n - q, q)
+            ai = rng.integers(0, sig.size, 200)
+            bi = rng.integers(0, sig.size, 200)
+            mat = _sign_matrix(ai, bi, sig)
+            expected = [[basis_blade_product(a, b, sig)[1] for b in bi.tolist()]
+                        for a in ai.tolist()]
+            assert np.array_equal(mat, expected), (n, q)
+
 
 class TestGeometricProduct:
     def test_parallel_vectors(self):
@@ -141,6 +163,44 @@ class TestGeometricProduct:
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatchError):
             E1 * Multivector.vector(Signature(2), [1.0, 0.0])
+
+
+def naive_product(a, b, keep):
+    """out[i ^ j] += sign * a_i * b_j over the supports in row-major (i, j) order."""
+    out = [0.0] * a.sig.size
+    for i in np.flatnonzero(a.coeffs).tolist():
+        for j in np.flatnonzero(b.coeffs).tolist():
+            if keep(i, j):
+                mask, sign = basis_blade_product(i, j, a.sig)
+                out[mask] += sign * float(a.coeffs[i]) * float(b.coeffs[j])
+    return np.array(out)
+
+
+class TestScatterOrder:
+    """Products add their terms in row-major order, so they round exactly
+    like a plain double loop; compare bytes so the sign of zero counts."""
+
+    KEEPS = {
+        "__mul__": lambda i, j: True,
+        "outer": lambda i, j: (i & j) == 0,
+        "left_contraction": lambda i, j: (i & j) == i,
+    }
+
+    @pytest.mark.parametrize("op", sorted(KEEPS))
+    def test_products_match_naive_loop_bytes(self, op):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            q = int(rng.integers(0, n + 1))
+            sig = Signature(n - q, q)
+            operands = []
+            for _ in range(2):
+                c = rng.standard_normal(sig.size) * 10.0 ** rng.integers(-6, 7, sig.size)
+                c[rng.random(sig.size) < 0.5] = 0.0
+                operands.append(Multivector(sig, c))
+            a, b = operands
+            got = getattr(a, op)(b).coeffs
+            assert got.tobytes() == naive_product(a, b, self.KEEPS[op]).tobytes()
 
 
 class TestOuterProduct:
