@@ -59,13 +59,12 @@ class Blade:
         scale = mv.coeff_norm()
         if scale == 0.0:
             raise NotABladeError("zero multivector")
-        parts = {k: mv.grade(k) for k in mv.grades()}
-        norms = {k: p.coeff_norm() for k, p in parts.items()}
+        norms = mv.grade_norms()
         k_dom = max(norms, key=norms.get)
         off = np.sqrt(sum(v * v for g, v in norms.items() if g != k_dom))
         if off > tol * scale:
             raise NotABladeError(f"not of pure grade: grades {sorted(norms)}")
-        clean = parts[k_dom]
+        clean = mv.grade(k_dom)
         _check_simple(clean, tol)
         if k_dom > 0:
             orthogonal_factorization(cls(clean, k_dom, clean.norm()), tol=tol)

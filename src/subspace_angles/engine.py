@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import (
     NotABladeError,
     SignatureMismatchError,
 )
-from .ga import Multivector
+from .ga import Multivector, Signature
 
 # A graded part of the normalized product counts as zero below this norm.
 GRADE_ZERO_TOL = 1e-9
@@ -116,23 +117,44 @@ def product_spectrum(a: Blade, b: Blade) -> ProductSpectrum:
     return ProductSpectrum(parts=parts, norms={k: p.coeff_norm() for k, p in parts.items()})
 
 
+@lru_cache(maxsize=None)
+def _bivector_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs i < j of R^n and the masks of their basis bivectors e_i ^ e_j."""
+    i, j = np.triu_indices(n, 1)
+    masks = (1 << i) | (1 << j)
+    for arr in (i, j, masks):
+        arr.setflags(write=False)
+    return i, j, masks
+
+
 def _bivector_matrix(f: Multivector) -> np.ndarray:
     """Antisymmetric n x n array paired with a bivector's coefficients."""
     n = f.sig.n
+    i, j, masks = _bivector_layout(n)
+    c = f.coeffs[masks]
     mat = np.zeros((n, n))
-    for m in f.support():
-        m = int(m)
-        i = (m & -m).bit_length() - 1
-        j = (m ^ (1 << i)).bit_length() - 1
-        mat[i, j] = f.coeffs[m]
-        mat[j, i] = -f.coeffs[m]
+    # + 0.0 and 0.0 - c make every zero entry +0.0, whatever the sign of a zero coefficient
+    mat[i, j] = c + 0.0
+    mat[j, i] = 0.0 - c
     return mat
+
+
+def _wedge(sig: Signature, u: np.ndarray, v: np.ndarray) -> Multivector:
+    """u ^ v in closed form, with the bytes of vector(u).outer(vector(v)).
+
+    The kernel adds u_i v_j and then -u_j v_i into a bin that starts at
+    +0.0 (terms with a zero factor are left out); (u_i v_j - u_j v_i) + 0.0
+    rounds the same way and gives the same signed zeros.
+    """
+    i, j, masks = _bivector_layout(sig.n)
+    c = np.zeros(sig.size)
+    c[masks] = (u[i] * v[j] - u[j] * v[i]) + 0.0
+    return Multivector(sig, c, _copy=False)
 
 
 def _plane_from_pair(f: Multivector, u: np.ndarray, v: np.ndarray) -> tuple[float, Multivector]:
     """Unit simple bivector of span{u, v}, oriented so f's coefficient is >= 0."""
-    sig = f.sig
-    plane = Multivector.vector(sig, u).outer(Multivector.vector(sig, v))
+    plane = _wedge(f.sig, u, v)
     plane = plane / plane.coeff_norm()
     coeff = f.scalar_product(plane.reverse())
     if coeff < 0.0:
@@ -177,6 +199,10 @@ def _split_with_flag(f: Multivector, coeff_floor: float | None = None):
     equal_flag = False
     n = f.sig.n
     for _round in range(n // 2 + 1):
+        # lam_max <= |remaining|_F^2 / 2 (eigenvalues come in pairs), so this
+        # round would break below without needing eigh
+        if float(np.sum(remaining * remaining)) <= 0.5 * coeff_floor * coeff_floor:
+            break
         smat = remaining @ remaining.T
         w, vecs = np.linalg.eigh(smat)
         lam_max = float(w[-1])
@@ -268,7 +294,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = GRADE_ZERO_TOL) -> 
     r = b.grade
 
     m = a.unit() * b.unit().reverse()
-    norms = {k: p.coeff_norm() for k, p in m.graded_parts().items()}
+    norms = m.grade_norms()
     present = _classify_grades(norms, grade_tol)
 
     lowest = present[0]
@@ -281,9 +307,9 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = GRADE_ZERO_TOL) -> 
 
     lowest_part = m.grade(lowest)
     lowest_unit = lowest_part / c_int
-    # divide M by its lowest-grade part (blade inverse = reverse / |.|^2)
-    divided = m * lowest_part.reverse() / (c_int * c_int)
-    pairs, equal_flag = _split_with_flag(divided.grade(2))
+    # bivector part of M divided by its lowest-grade part (blade inverse = reverse / |.|^2)
+    divided = m.grade_product(lowest_part.reverse(), 2) / (c_int * c_int)
+    pairs, equal_flag = _split_with_flag(divided)
 
     interior: list[tuple[float, Multivector]] = []
     for beta, plane in pairs:
@@ -297,10 +323,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = GRADE_ZERO_TOL) -> 
     angles += [0.0] * (r - t - len(interior))
     planes = tuple(plane for _, plane in interior)
 
-    rebuilt = Multivector.scalar(m.sig, 1.0)
-    for theta, plane in interior:
-        rebuilt = rebuilt * (Multivector.scalar(m.sig, math.cos(theta)) + plane * math.sin(theta))
-    rebuilt = rebuilt * lowest_unit
+    rebuilt = _rotor_chain(1.0, angles[t:], planes, lowest_unit)
     residual = (rebuilt - m).coeff_norm()
 
     return AngleReport(
@@ -326,8 +349,14 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     A reverse(B), with A the larger-grade operand of relative_angle,
     up to the report's residual.
     """
-    sig = report.lowest_blade.sig
-    out = Multivector.scalar(sig, norm_a * norm_b)
-    for theta, plane in zip(report.angles[report.t:], report.planes):
+    return _rotor_chain(norm_a * norm_b, report.angles[report.t:], report.planes,
+                        report.lowest_blade)
+
+
+def _rotor_chain(scale: float, angles, planes, lowest_blade: Multivector) -> Multivector:
+    """scale (c_1 + i_1 s_1)...(c_k + i_k s_k) lowest_blade, one factor per plane."""
+    sig = lowest_blade.sig
+    out = Multivector.scalar(sig, scale)
+    for theta, plane in zip(angles, planes):
         out = out * (Multivector.scalar(sig, math.cos(theta)) + plane * math.sin(theta))
-    return out * report.lowest_blade
+    return out * lowest_blade

@@ -66,6 +66,14 @@ def _grades(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _vector_masks(n: int) -> np.ndarray:
+    """Masks 1 << i of the n basis vectors, in index order."""
+    m = np.left_shift(1, np.arange(n, dtype=np.int64))
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=None)
 def _reverse_signs(n: int) -> np.ndarray:
     """(-1)^(k(k-1)/2) per mask, k the mask grade."""
     g = _grades(n)
@@ -138,14 +146,14 @@ def _swap_masks(sig: Signature) -> np.ndarray:
     return h
 
 
-def _sign_matrix(ai: np.ndarray, bi: np.ndarray, sig: Signature) -> np.ndarray:
-    """Vectorized basis_blade_product signs for index arrays ai x bi.
+def _signs(ai: np.ndarray, bi: np.ndarray, sig: Signature) -> np.ndarray:
+    """Vectorized basis_blade_product signs for broadcastable index arrays.
 
     One AND and one gather: the sign of e_a e_b is (-1)^popcount(H'[a] & b)
     with H' the swap-mask table of _swap_masks. Memory is O(2^n) per
     signature plus the 4096-entry parity table, never a 2^n x 2^n table.
     """
-    return _parity_signs()[_swap_masks(sig)[ai][:, None] & bi[None, :]]
+    return _parity_signs()[_swap_masks(sig)[ai] & bi]
 
 
 def mask_from_name(name: str, n: int) -> int:
@@ -193,7 +201,7 @@ class Multivector:
         arr = np.array(coeffs, dtype=float, copy=_copy)
         if arr.shape != (sig.size,):
             raise ValueError(f"need {sig.size} coefficients, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "sig", sig)
@@ -220,8 +228,7 @@ class Multivector:
         if coords.shape != (sig.n,):
             raise ValueError(f"need {sig.n} coordinates, got {coords.shape}")
         c = np.zeros(sig.size)
-        for i in range(sig.n):
-            c[1 << i] = coords[i]
+        c[_vector_masks(sig.n)] = coords
         return cls(sig, c, _copy=False)
 
     @classmethod
@@ -238,19 +245,19 @@ class Multivector:
 
     def vector_coords(self) -> np.ndarray:
         """Grade-1 coefficients as an n-array."""
-        return np.array([self.coeffs[1 << i] for i in range(self.sig.n)])
+        return self.coeffs[_vector_masks(self.sig.n)]
 
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
 
     def support(self) -> np.ndarray:
-        return np.flatnonzero(self.coeffs)
+        return self.coeffs.nonzero()[0]
 
     def grades(self, tol: float = 0.0) -> list[int]:
         """Grades with any coefficient of magnitude above tol."""
         g = _grades(self.sig.n)
         present = np.abs(self.coeffs) > tol
-        return np.flatnonzero(np.bincount(g[present])).tolist()
+        return np.bincount(g[present]).nonzero()[0].tolist()
 
     def max_grade(self) -> int:
         grs = self.grades()
@@ -259,6 +266,15 @@ class Multivector:
     def coeff_norm(self) -> float:
         """Plain 2-norm of the coefficient vector (metric-independent)."""
         return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
+
+    def grade_norms(self) -> dict[int, float]:
+        """Map grade -> grade(k).coeff_norm(), without building the parts."""
+        g = _grades(self.sig.n)
+        norms = {}
+        for k in self.grades():
+            part = np.where(g == k, self.coeffs, 0.0)
+            norms[k] = float(np.sqrt(np.dot(part, part)))
+        return norms
 
     # ---- linear structure ----------------------------------------------
 
@@ -302,20 +318,23 @@ class Multivector:
         """Shared kernel: accumulate sign * a_i * b_j into mask i^j.
 
         keep(ai, bi) -> bool matrix selects which basis pairs contribute
-        (None keeps all, giving the geometric product). np.bincount adds
-        the terms in row-major (i, j) order, one pass, so the rounding is
-        that of a plain loop over i then j.
+        (None keeps all, giving the geometric product); only the selected
+        pairs are computed. np.bincount adds the terms in row-major (i, j)
+        order, one pass, so the rounding is that of a plain loop over i
+        then j, and a bin never holds -0.0, so leaving a term out gives
+        the same bytes as adding it as +-0.0.
         """
         self._check_sig(other)
-        ai = np.flatnonzero(self.coeffs)
-        bi = np.flatnonzero(other.coeffs)
-        if not (ai.size and bi.size):
-            return Multivector.zero(self.sig)
-        vals = _sign_matrix(ai, bi, self.sig) * np.outer(self.coeffs[ai], other.coeffs[bi])
+        a = self.coeffs.nonzero()[0][:, None]
+        b = other.coeffs.nonzero()[0][None, :]
         if keep is not None:
-            vals = vals * keep(ai[:, None], bi[None, :])
-        out = np.bincount(np.bitwise_xor.outer(ai, bi).ravel(),
-                          weights=vals.ravel(), minlength=self.sig.size)
+            rows, cols = np.nonzero(keep(a, b))
+            a, b = a[rows, 0], b[0, cols]
+        vals = _signs(a, b, self.sig) * (self.coeffs[a] * other.coeffs[b])
+        if not vals.size:
+            # bincount of nothing is int64, which the constructor refuses
+            return Multivector.zero(self.sig)
+        out = np.bincount((a ^ b).ravel(), weights=vals.ravel(), minlength=self.sig.size)
         return Multivector(self.sig, out, _copy=False)
 
     def geometric_product(self, other: "Multivector") -> "Multivector":
@@ -345,6 +364,12 @@ class Multivector:
     def left_contraction(self, other: "Multivector") -> "Multivector":
         """a lc b: per-grade selection <a_r b_s>_{s-r}, zero for r > s."""
         return self._product(other, keep=lambda a, b: (a & b) == a)
+
+    def grade_product(self, other: "Multivector", k: int) -> "Multivector":
+        """Grade-k part of the geometric product: the bytes of (a * b).grade(k),
+        computing only the terms that land in grade k."""
+        g = _grades(self.sig.n)
+        return self._product(other, keep=lambda a, b: g[a ^ b] == k)
 
     def scalar_product(self, other: "Multivector") -> float:
         """Scalar part of the geometric product, computed directly."""
@@ -393,7 +418,7 @@ class Multivector:
         return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
 
     def __repr__(self):
-        idx = np.flatnonzero(self.coeffs)
+        idx = self.coeffs.nonzero()[0]
         if idx.size == 0:
             return "0"
         terms = [f"{self.coeffs[m]:g}*{name_from_mask(int(m))}" for m in idx]

@@ -8,6 +8,7 @@ from conftest import random_blade, random_rotor
 from subspace_angles.blades import Blade, blade_from_spanning_vectors
 from subspace_angles.engine import (
     _classify_grades,
+    _split_with_flag,
     bivector_split,
     cos_total,
     product_spectrum,
@@ -180,6 +181,57 @@ class TestBivectorSplit:
         assert parts[0][0] == pytest.approx(1e4, rel=1e-10)
         assert parts[1][0] == pytest.approx(1e-3, rel=1e-8)
 
+
+class TestSplitEarlyExit:
+    """A round whose remainder has |R|_F^2 <= floor^2 / 2 stops without eigh
+    (lam_max <= |R|_F^2 / 2); the planes and the flag are what the round's
+    eigh would have led to. Diagonal -F^2 keeps these cases exact."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return eigh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    @staticmethod
+    def _bytes(pairs):
+        # + 0.0: the sign of a zero follows the sign LAPACK gives an eigenvector
+        return [(beta, (plane.coeffs + 0.0).tobytes()) for beta, plane in pairs]
+
+    def test_zero_bivector_skips_eigh(self, eigh_calls):
+        zero = Multivector.zero(Signature(4))
+        assert _split_with_flag(zero) == ([], False)
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("coeff,rounds", [
+        (1e-14, 1),    # remainder 1e-14 e34 is below the floor 2e-12 after round 1
+        (3e-12, 2),    # 3e-12 e34 clears it and is extracted in round 2
+    ])
+    def test_remainder_below_floor_after_round_one(self, eigh_calls, coeff, rounds):
+        sig = Signature(4)
+        e = basis_vectors(sig)
+        f = (e[0] ^ e[1]) * 2.0 + (e[2] ^ e[3]) * coeff
+        want = [(2.0, (e[0] ^ e[1]).coeffs.tobytes())]
+        if rounds == 2:
+            want.append((coeff, (e[2] ^ e[3]).coeffs.tobytes()))
+        pairs, flag = _split_with_flag(f)
+        assert (self._bytes(pairs), flag) == (want, False)
+        assert len(eigh_calls) == rounds
+        assert self._bytes(bivector_split(f)) == want
+
+    def test_negative_coefficient_plane(self, eigh_calls):
+        sig = Signature(4)
+        e = basis_vectors(sig)
+        f = (e[0] ^ e[2]) * -5.0 + (e[1] ^ e[3]) * 1e-13
+        pairs, flag = _split_with_flag(f)
+        assert (self._bytes(pairs), flag) == ([(5.0, ((e[0] ^ e[2]).coeffs * -1.0 + 0.0).tobytes())], False)
+        assert len(eigh_calls) == 1
 
 class TestRelativeAngle:
     def test_identical_blades(self):

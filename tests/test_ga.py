@@ -9,7 +9,7 @@ from subspace_angles.errors import NegativeSquareError, SignatureMismatchError
 from subspace_angles.ga import (
     Multivector,
     Signature,
-    _sign_matrix,
+    _signs,
     basis_blade_product,
     basis_vectors,
     mask_from_name,
@@ -86,7 +86,7 @@ class TestBasisBladeProduct:
             sig = Signature(p, q)
             ai = rng.integers(0, sig.size, 40)
             bi = rng.integers(0, sig.size, 40)
-            mat = _sign_matrix(ai, bi, sig)
+            mat = _signs(ai[:, None], bi[None, :], sig)
             for i, a in enumerate(ai):
                 for j, b in enumerate(bi):
                     assert mat[i, j] == basis_blade_product(int(a), int(b), sig)[1]
@@ -95,7 +95,7 @@ class TestBasisBladeProduct:
     def test_vectorized_signs_all_pairs_n6(self, p, q):
         sig = Signature(p, q)
         masks = np.arange(sig.size)
-        mat = _sign_matrix(masks, masks, sig)
+        mat = _signs(masks[:, None], masks[None, :], sig)
         expected = [[basis_blade_product(a, b, sig)[1] for b in range(sig.size)]
                     for a in range(sig.size)]
         assert np.array_equal(mat, expected)
@@ -108,7 +108,7 @@ class TestBasisBladeProduct:
             sig = Signature(n - q, q)
             ai = rng.integers(0, sig.size, 200)
             bi = rng.integers(0, sig.size, 200)
-            mat = _sign_matrix(ai, bi, sig)
+            mat = _signs(ai[:, None], bi[None, :], sig)
             expected = [[basis_blade_product(a, b, sig)[1] for b in bi.tolist()]
                         for a in ai.tolist()]
             assert np.array_equal(mat, expected), (n, q)
@@ -201,6 +201,64 @@ class TestScatterOrder:
             a, b = operands
             got = getattr(a, op)(b).coeffs
             assert got.tobytes() == naive_product(a, b, self.KEEPS[op]).tobytes()
+
+
+def mixed_operand(rng, sig):
+    """Mixed-grade coefficients over many scales, with exact and negative zeros."""
+    c = rng.standard_normal(sig.size) * 10.0 ** rng.integers(-6, 7, sig.size)
+    c[rng.random(sig.size) < 0.4] = 0.0
+    c[rng.random(sig.size) < 0.1] = -0.0
+    return Multivector(sig, c)
+
+
+class TestGradeProduct:
+    """grade_product computes only the terms landing in grade k, and must
+    keep the bytes of the full product's grade-k projection."""
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_matches_full_product_grade_bytes(self, q):
+        rng = np.random.default_rng(40 + q)
+        for n in range(max(q, 1), 9):
+            sig = Signature(n - q, q)
+            for _ in range(6):
+                a, b = mixed_operand(rng, sig), mixed_operand(rng, sig)
+                for k in range(n + 1):
+                    got = a.grade_product(b, k).coeffs
+                    assert got.tobytes() == (a * b).grade(k).coeffs.tobytes(), (n, q, k)
+
+    def test_empty_selection_is_float_zero(self):
+        # no pair of two vectors lands in grade 3, and no term survives e1 ^ e1
+        for mv in (E1.grade_product(E2, 3), E1 ^ E1):
+            assert mv.coeffs.dtype == np.float64
+            assert mv.coeffs.tobytes() == np.zeros(SIG3.size).tobytes()
+
+    def test_overflowing_terms_still_raise(self):
+        # products build their results through the checked constructor too
+        big = Multivector.vector(SIG3, [1e200, 1e200, 0.0])
+        other = Multivector.vector(SIG3, [0.0, 1e200, 1e200])
+        products = [lambda: big * other, lambda: big.outer(other),
+                    lambda: big.left_contraction(other), lambda: big.grade_product(other, 2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for product in products:
+                with pytest.raises(ValueError, match="finite"):
+                    product()
+
+
+class TestClosedFormWedge:
+    def test_matches_kernel_outer_bytes(self):
+        from subspace_angles.engine import _wedge
+
+        rng = np.random.default_rng(41)
+        specials = [0.0, -0.0, 1e-200, -1e-200]
+        for n in range(1, 9):
+            sig = Signature(n)
+            for _ in range(40):
+                u, v = rng.standard_normal((2, n))
+                for w in (u, v):
+                    hit = rng.random(n) < 0.4
+                    w[hit] = rng.choice(specials, hit.sum())
+                want = Multivector.vector(sig, u).outer(Multivector.vector(sig, v))
+                assert _wedge(sig, u, v).coeffs.tobytes() == want.coeffs.tobytes(), (u, v)
 
 
 class TestOuterProduct:

@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""One SHA-256 per (workload, seed) over everything the package reports.
+
+Run from the repository root:
+
+    python3 tools/report_digest.py                      # ./src, seeds 1..3
+    python3 tools/report_digest.py --seeds 1 2 3 9 --src /path/to/other/src --src src
+
+The inputs are the benchmark's, imported from perfbench/inputs.py:
+
+* corpus_small, wide_dense: per pair, both blades (coefficient bytes,
+  grade, magnitude), every field of the `relative_angle` report
+  (plane and lowest-blade coefficient bytes included) and the oracle's
+  principal pairs; a raising call contributes its exception repr.
+* cli_batch: per problem file, the `angles run --oracle` JSON text (or
+  the exception repr), then the `angles selftest --seed <seed>` summary.
+
+Two package versions whose digests agree therefore agree bit for bit on
+every report of those inputs.  With several --src directories each one
+is hashed in a fresh process, the digests are printed side by side,
+and the exit status is 1 when any row differs.
+"""
+
+import os
+
+# One BLAS thread, as in the benchmark, so eigh and matmul round the same way.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import struct  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("corpus_small", "wide_dense", "cli_batch")
+
+
+def feed(h, value) -> None:
+    """Add an unambiguous byte encoding of value to the hash h."""
+    if isinstance(value, BaseException):
+        h.update(b"E" + repr(value).encode())
+    elif hasattr(value, "coeffs") and hasattr(value, "sig"):          # Multivector
+        h.update(b"M" + repr(value.sig).encode() + value.coeffs.tobytes())
+    elif dataclasses.is_dataclass(value):
+        h.update(b"D" + type(value).__name__.encode())
+        for field in dataclasses.fields(value):
+            h.update(field.name.encode())
+            feed(h, getattr(value, field.name))
+    elif isinstance(value, np.ndarray):
+        h.update(b"A" + value.dtype.str.encode() + repr(value.shape).encode() + value.tobytes())
+    elif isinstance(value, (float, np.floating)):
+        h.update(b"F" + struct.pack("<d", float(value)))
+    elif isinstance(value, (tuple, list)):
+        h.update(b"L" + str(len(value)).encode())
+        for item in value:
+            feed(h, item)
+    elif isinstance(value, dict):
+        h.update(b"P" + str(len(value)).encode())
+        for key in sorted(value):
+            feed(h, key)
+            feed(h, value[key])
+    else:                                                              # int, bool, str, None
+        h.update(b"R" + repr(value).encode())
+
+
+def attempt(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # a raising call is part of what is hashed
+        return exc
+
+
+def library_digest(sa, pairs) -> str:
+    h = hashlib.sha256()
+    for pair in pairs:
+        blades = [attempt(sa.blade_from_spanning_vectors, rows) for rows in (pair.a_rows, pair.b_rows)]
+        feed(h, blades)
+        if not any(isinstance(b, Exception) for b in blades):
+            feed(h, attempt(sa.relative_angle, *blades))
+        feed(h, attempt(lambda: sa.principal_angles(sa.orthonormal_basis(pair.a_rows),
+                                                    sa.orthonormal_basis(pair.b_rows))))
+    return h.hexdigest()
+
+
+def cli_digest(inputs, seed: int) -> str:
+    from subspace_angles.cli import render_json
+    from subspace_angles.problems import parse_problem, run_problem, selftest
+
+    h = hashlib.sha256()
+    for mode, problems in (("euclidean", inputs.euclidean_problems(seed)),
+                           ("conformal", inputs.conformal_problems(seed))):
+        for problem in problems:
+            doc = attempt(lambda: render_json(run_problem(
+                parse_problem(json.dumps(problem.doc), mode=mode), oracle_enabled=True)))
+            feed(h, doc)
+    feed(h, attempt(selftest, seed=seed))
+    return h.hexdigest()
+
+
+def digests(src: str, workloads, seeds) -> list[tuple[str, int, str]]:
+    sys.path.insert(0, str(Path(src).resolve()))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs
+    import subspace_angles as sa
+
+    out = []
+    for workload in workloads:
+        for seed in seeds:
+            if workload == "cli_batch":
+                digest = cli_digest(inputs, seed)
+            else:
+                digest = library_digest(sa, getattr(inputs, workload)(seed))
+            out.append((workload, seed, digest))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append",
+                        help="directory holding subspace_angles (repeatable; default ./src)")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    srcs = args.src or [str(ROOT / "src")]
+
+    if len(srcs) == 1:
+        for workload, seed, digest in digests(srcs[0], args.workloads, args.seeds):
+            print(f"{workload} {seed} {digest}")
+        return 0
+
+    columns = []
+    for src in srcs:
+        proc = subprocess.run([sys.executable, __file__, "--src", src,
+                               "--workloads", *args.workloads,
+                               "--seeds", *map(str, args.seeds)],
+                              capture_output=True, text=True, check=True)
+        columns.append([line.split() for line in proc.stdout.splitlines()])
+    differ = 0
+    for rows in zip(*columns):
+        same = len({row[2] for row in rows}) == 1
+        differ += not same
+        print(rows[0][0], rows[0][1], *(row[2][:16] for row in rows), "same" if same else "DIFFER")
+    print("identical" if differ == 0 else f"{differ} digests differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
