@@ -16,21 +16,12 @@ from .blades import (
     subspace_membership,
 )
 from .conformal import ConformalObject, conformal_relative_angle, to_offset_flat
-from .engine import (
-    AngleReport,
-    ProductSpectrum,
-    bivector_split,
-    cos_total,
-    product_spectrum,
-    relative_angle,
-    rotor_reconstruction,
-)
+from .engine import AngleReport, bivector_split, relative_angle, rotor_reconstruction
 from .errors import (
     AmbiguousRankError,
     CarrierError,
     DegenerateSpanError,
     GaError,
-    GradeMismatchError,
     NegativeSquareError,
     NonEuclideanError,
     NotABladeError,
@@ -38,13 +29,7 @@ from .errors import (
     SignatureMismatchError,
 )
 from .ga import Multivector, Signature, basis_blade_product, basis_vectors
-from .oracle import (
-    PrincipalPairs,
-    intersection_dimension,
-    orthonormal_basis,
-    principal_angles,
-    svd_small,
-)
+from .oracle import PrincipalPairs, orthonormal_basis, principal_angles, rank_counts, svd_small
 from .problems import SubspaceProblem, parse_problem, run_problem
 
 __version__ = "0.1.0"
@@ -57,7 +42,6 @@ __all__ = [
     "ConformalObject",
     "DegenerateSpanError",
     "GaError",
-    "GradeMismatchError",
     "Multivector",
     "NegativeSquareError",
     "NonEuclideanError",
@@ -65,7 +49,6 @@ __all__ = [
     "OrthogonalFactorization",
     "PrincipalPairs",
     "ProblemFormatError",
-    "ProductSpectrum",
     "Signature",
     "SignatureMismatchError",
     "SubspaceProblem",
@@ -74,14 +57,12 @@ __all__ = [
     "bivector_split",
     "blade_from_spanning_vectors",
     "conformal_relative_angle",
-    "cos_total",
-    "intersection_dimension",
     "is_blade",
     "orthogonal_factorization",
     "orthonormal_basis",
     "parse_problem",
     "principal_angles",
-    "product_spectrum",
+    "rank_counts",
     "relative_angle",
     "rotor_reconstruction",
     "run_problem",

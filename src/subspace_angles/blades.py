@@ -54,7 +54,7 @@ class Blade:
         return self.mv / self.magnitude
 
     @classmethod
-    def from_multivector(cls, mv: Multivector, tol: float = BLADE_TOL) -> "Blade":
+    def from_multivector(cls, mv: Multivector) -> "Blade":
         """Validate and wrap; strips off-grade numerical dust first."""
         scale = mv.coeff_norm()
         if scale == 0.0:
@@ -62,21 +62,22 @@ class Blade:
         norms = mv.grade_norms()
         k_dom = max(norms, key=norms.get)
         off = np.sqrt(sum(v * v for g, v in norms.items() if g != k_dom))
-        if off > tol * scale:
+        if off > BLADE_TOL * scale:
             raise NotABladeError(f"not of pure grade: grades {sorted(norms)}")
         clean = mv.grade(k_dom)
-        _check_simple(clean, tol)
+        _check_simple(clean)
+        blade = cls(clean, k_dom, clean.norm())
         if k_dom > 0:
-            orthogonal_factorization(cls(clean, k_dom, clean.norm()), tol=tol)
-        return cls(clean, k_dom, clean.norm())
+            orthogonal_factorization(blade)
+        return blade
 
 
-def _check_simple(mv: Multivector, tol: float):
+def _check_simple(mv: Multivector):
     """mv * reverse(mv) must be scalar for a simple k-vector."""
     sq = mv * mv.reverse()
     scale = mv.coeff_norm() ** 2
     nonscalar = sq - Multivector.scalar(mv.sig, sq.scalar_part())
-    if nonscalar.coeff_norm() > tol * max(scale, 1e-300):
+    if nonscalar.coeff_norm() > BLADE_TOL * max(scale, 1e-300):
         raise NotABladeError("x * reverse(x) has non-scalar part")
 
 
@@ -134,7 +135,7 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
     return np.array(basis)
 
 
-def orthogonal_factorization(b: Blade, tol: float = BLADE_TOL) -> OrthogonalFactorization:
+def orthogonal_factorization(b: Blade) -> OrthogonalFactorization:
     """Factor a blade into magnitude times orthonormal vectors.
 
     Works by projecting the basis vectors of R^n into the blade's
@@ -183,21 +184,21 @@ def orthogonal_factorization(b: Blade, tol: float = BLADE_TOL) -> OrthogonalFact
         fmvs[-1] = -fmvs[-1]
         rebuilt = -rebuilt
 
-    if not rebuilt.approx_eq(unit, tol * max(1.0, b.magnitude)):
+    if not rebuilt.approx_eq(unit, BLADE_TOL * max(1.0, b.magnitude)):
         raise NotABladeError("orthogonal factors do not reproduce the input")
     return OrthogonalFactorization(b.magnitude, tuple(fmvs))
 
 
-def is_blade(mv: Multivector, tol: float = BLADE_TOL) -> bool:
+def is_blade(mv: Multivector) -> bool:
     """True iff mv is pure-grade, squares to a scalar and factors cleanly."""
     try:
-        Blade.from_multivector(mv, tol=tol)
+        Blade.from_multivector(mv)
     except NotABladeError:
         return False
     return True
 
 
-def subspace_membership(x: Multivector, b: Blade, tol: float = BLADE_TOL) -> bool:
-    """x lies in the blade's subspace iff |x ^ b| <= tol |x| |b|."""
+def subspace_membership(x: Multivector, b: Blade) -> bool:
+    """x lies in the blade's subspace iff |x ^ b| <= BLADE_TOL |x| |b|."""
     wedge = x.outer(b.mv)
-    return wedge.coeff_norm() <= tol * x.coeff_norm() * b.mv.coeff_norm()
+    return wedge.coeff_norm() <= BLADE_TOL * x.coeff_norm() * b.mv.coeff_norm()

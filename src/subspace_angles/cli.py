@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import AmbiguousRankError, DegenerateSpanError, GaError, ProblemFormatError
-from .problems import parse_problem, run_problem, selftest
+from .problems import _expect_tolerance, parse_problem, run_problem, selftest
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true",
                      help="cross-check with the matrix-decomposition route")
     run.add_argument("--tolerance", type=float, default=None,
-                     help="override the grade-part zero tolerance")
+                     help="override the grade-part zero tolerance, in (0, 1)")
     run.add_argument("--format", choices=("json", "text"), default="json")
     run.add_argument("--mode", choices=("euclidean", "conformal"), default="euclidean")
 
@@ -83,6 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args, out, err) -> int:
+    if args.tolerance is not None:
+        try:
+            _expect_tolerance(args.tolerance, "--tolerance")
+        except ProblemFormatError as exc:
+            print(f"angles run: {exc}", file=err)
+            return EXIT_PARSE
     first = True
     for path in args.files:
         try:

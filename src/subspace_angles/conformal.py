@@ -120,19 +120,19 @@ class ConformalObject:
     kind: str
 
     @classmethod
-    def from_multivector(cls, mv: Multivector, tol: float = ROUND_TOL) -> "ConformalObject":
+    def from_multivector(cls, mv: Multivector) -> "ConformalObject":
         base_dimension(mv.sig)  # validates the signature shape
         scale = mv.coeff_norm()
         if scale == 0.0:
             raise NotABladeError("zero conformal object")
-        grades = mv.grades(tol=tol * scale)
+        grades = mv.grades(tol=ROUND_TOL * scale)
         if len(grades) != 1:
             raise NotABladeError(f"conformal object must be pure grade, got {grades}")
         clean = mv.grade(grades[0])
         # simplicity: x reverse(x) must be scalar (null blades square to 0)
         sq = clean * clean.reverse()
         off = (sq - Multivector.scalar(mv.sig, sq.scalar_part())).coeff_norm()
-        if off > tol * scale * scale:
+        if off > ROUND_TOL * scale * scale:
             raise NotABladeError("conformal object is not a blade")
         wedge = clean.outer(e_infinity(mv.sig))
         kind = "round" if wedge.coeff_norm() > ROUND_TOL * scale else "flat"
@@ -146,7 +146,7 @@ def to_offset_flat(x: ConformalObject) -> ConformalObject:
     return ConformalObject(x.mv.outer(e_infinity(x.mv.sig)), "flat")
 
 
-def euclidean_carrier(x: ConformalObject, tol: float = CARRIER_TOL) -> Blade:
+def euclidean_carrier(x: ConformalObject) -> Blade:
     """Carrier direction blade of an object, as a Blade over Cl(n,0).
 
     Contracts the offset flat with E = e_o ^ e_inf and re-reads the
@@ -166,7 +166,7 @@ def euclidean_carrier(x: ConformalObject, tol: float = CARRIER_TOL) -> Blade:
     euclid = carrier.coeffs[: 1 << n]
     tail = carrier.coeffs[1 << n:]
     leak = float(np.sqrt(tail @ tail))
-    if leak > tol * scale:
+    if leak > CARRIER_TOL * scale:
         raise CarrierError(f"carrier has non-Euclidean components ({leak:.2e})")
     mv = Multivector(Signature(n), euclid)
     return Blade.from_multivector(mv)

@@ -28,20 +28,14 @@ from functools import lru_cache
 import numpy as np
 
 from .blades import Blade
-from .errors import (
-    AmbiguousRankError,
-    GradeMismatchError,
-    NonEuclideanError,
-    NotABladeError,
-    SignatureMismatchError,
-)
+from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
 from .ga import Multivector, Signature
 
 # A graded part of the normalized product counts as zero below this norm.
 GRADE_ZERO_TOL = 1e-9
 
 # A principal angle counts as zero when its cosine is >= 1 - this value;
-# matches the oracle's intersection tolerance so both routes classify
+# matches the rule of oracle.rank_counts so both routes classify
 # borderline angles the same way.
 ZERO_ANGLE_COS_TOL = 1e-9
 ZERO_ANGLE_MAX = math.acos(1.0 - ZERO_ANGLE_COS_TOL)
@@ -64,12 +58,14 @@ class AngleReport:
     angles holds all r = min(grade) principal angles in descending
     order: the t right angles first (exactly pi/2), then the interior
     angles, then the s zero angles. planes pairs one unit principal
-    bivector with each strictly interior angle, i.e. with
-    angles[t : t + len(planes)]. lowest_blade is the unit lowest-grade
-    part of the normalized product; it carries the perpendicular
-    principal planes (and, for blades of different grade, the extra
-    dimensions of the larger blade) and is what rotor reconstruction
-    multiplies the interior rotors by.
+    bivector with each angle the bivector split extracted, i.e. with
+    angles[t : t + len(planes)]. Those can include angles at or below
+    ZERO_ANGLE_MAX that s counts as zero, so s + t + len(planes) may
+    exceed r. lowest_blade is the unit lowest-grade part of the
+    normalized product; it carries the perpendicular principal planes
+    (and, for blades of different grade, the extra dimensions of the
+    larger blade) and is what rotor reconstruction multiplies the
+    interior rotors by.
     """
 
     s: int
@@ -83,38 +79,6 @@ class AngleReport:
     residual: float
     has_equal_angles: bool
     lowest_blade: Multivector
-
-
-@dataclass(frozen=True)
-class ProductSpectrum:
-    """Graded parts of A reverse(B) with their norms."""
-
-    parts: dict[int, Multivector]
-    norms: dict[int, float]
-
-
-def cos_total(a: Blade, b: Blade) -> float:
-    """Total-angle cosine <A reverse(B)>_0 / (|A||B|), for equal grades.
-
-    Signed by the relative orientation of the blades; its absolute value
-    is the product of all principal-angle cosines.
-    """
-    if a.sig != b.sig:
-        raise SignatureMismatchError(f"{a.sig} vs {b.sig}")
-    if a.grade != b.grade:
-        raise GradeMismatchError(f"grades {a.grade} and {b.grade}")
-    if a.magnitude == 0.0 or b.magnitude == 0.0:
-        raise NotABladeError("zero blade")
-    return a.mv.scalar_product(b.mv.reverse()) / (a.magnitude * b.magnitude)
-
-
-def product_spectrum(a: Blade, b: Blade) -> ProductSpectrum:
-    """Graded decomposition of A reverse(B)."""
-    if a.sig != b.sig:
-        raise SignatureMismatchError(f"{a.sig} vs {b.sig}")
-    m = a.mv * b.mv.reverse()
-    parts = m.graded_parts()
-    return ProductSpectrum(parts=parts, norms={k: p.coeff_norm() for k, p in parts.items()})
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +127,7 @@ def _plane_from_pair(f: Multivector, u: np.ndarray, v: np.ndarray) -> tuple[floa
     return coeff, plane
 
 
-def bivector_split(f: Multivector, coeff_floor: float | None = None) -> list[tuple[float, Multivector]]:
+def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     """Split a bivector into orthogonal commuting simple parts (Riesz).
 
     Returns [(beta_k, i_k)] with beta_k > 0 descending, i_k unit simple
@@ -172,11 +136,11 @@ def bivector_split(f: Multivector, coeff_floor: float | None = None) -> list[tup
     coefficients; for coinciding ones any orthogonal choice inside the
     eigenspace is returned.
     """
-    pairs, _ = _split_with_flag(f, coeff_floor)
+    pairs, _ = _split_with_flag(f)
     return pairs
 
 
-def _split_with_flag(f: Multivector, coeff_floor: float | None = None):
+def _split_with_flag(f: Multivector):
     """bivector_split plus a flag for coinciding coefficients.
 
     Invariant planes come from the eigenvectors of the symmetric array
@@ -191,9 +155,7 @@ def _split_with_flag(f: Multivector, coeff_floor: float | None = None):
         raise NonEuclideanError("bivector split implemented for Euclidean signature")
 
     remaining = _bivector_matrix(f)
-    scale0 = float(np.max(np.abs(remaining)))
-    if coeff_floor is None:
-        coeff_floor = SPLIT_FLOOR * max(1.0, scale0)
+    coeff_floor = SPLIT_FLOOR * max(1.0, float(np.max(np.abs(remaining))))
 
     result: list[tuple[float, Multivector]] = []
     equal_flag = False

@@ -9,10 +9,6 @@ class SignatureMismatchError(GaError):
     """Operands live in different algebras."""
 
 
-class GradeMismatchError(GaError):
-    """Operation requires blades of equal grade."""
-
-
 class NegativeSquareError(GaError):
     """Norm requested for an element whose squared norm is negative.
 

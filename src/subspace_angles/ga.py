@@ -337,9 +337,6 @@ class Multivector:
         out = np.bincount((a ^ b).ravel(), weights=vals.ravel(), minlength=self.sig.size)
         return Multivector(self.sig, out, _copy=False)
 
-    def geometric_product(self, other: "Multivector") -> "Multivector":
-        return self._product(other)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return Multivector(self.sig, self.coeffs * other, _copy=False)

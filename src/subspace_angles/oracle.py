@@ -157,13 +157,6 @@ def principal_angles(basis_a, basis_b) -> PrincipalPairs:
     return PrincipalPairs(cosines=s, angles=angles, a_vectors=a_vecs, b_vectors=b_vecs)
 
 
-def intersection_dimension(basis_a, basis_b, tol: float = 1e-9) -> int:
-    """Number of principal angles equal to zero: count of sigma >= 1 - tol."""
-    pairs = principal_angles(basis_a, basis_b)
-    return int(np.sum(pairs.cosines >= 1.0 - tol))
-
-
-def perpendicularity_count(basis_a, basis_b, tol: float = 1e-9) -> int:
-    """Number of right principal angles: count of sigma <= tol."""
-    pairs = principal_angles(basis_a, basis_b)
-    return int(np.sum(pairs.cosines <= tol))
+def rank_counts(pairs: PrincipalPairs) -> tuple[int, int]:
+    """(s, t): the zero angles, sigma >= 1 - 1e-9, and the right angles, sigma <= 1e-9."""
+    return int(np.sum(pairs.cosines >= 1.0 - 1e-9)), int(np.sum(pairs.cosines <= 1e-9))

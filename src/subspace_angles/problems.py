@@ -24,7 +24,7 @@ from .blades import Blade, blade_from_spanning_vectors, orthogonal_factorization
 from .engine import AngleReport, relative_angle, GRADE_ZERO_TOL
 from .errors import ProblemFormatError
 from .ga import Multivector, Signature, mask_from_name, name_from_mask
-from .oracle import orthonormal_basis, principal_angles
+from .oracle import PrincipalPairs, orthonormal_basis, principal_angles, rank_counts
 from .sampling import sample_spans
 
 MODES = ("euclidean", "conformal")
@@ -45,6 +45,12 @@ class SubspaceProblem:
 def _expect(condition: bool, message: str):
     if not condition:
         raise ProblemFormatError(message)
+
+
+def _expect_tolerance(value, key: str):
+    """The grade tolerance, from a document or the command line, lies in (0, 1)."""
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < 1,
+            f"{key}: expected a number in (0, 1)")
 
 
 def _parse_vectors(key: str, value, n: int) -> list[list[float]]:
@@ -128,9 +134,7 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
     unknown_opts = set(options) - {"tolerance", "oracle"}
     _expect(not unknown_opts, f"options: unknown keys {sorted(unknown_opts)}")
     if "tolerance" in options:
-        tol = options["tolerance"]
-        _expect(isinstance(tol, (int, float)) and not isinstance(tol, bool) and 0 < tol < 1,
-                "options.tolerance: expected a number in (0, 1)")
+        _expect_tolerance(options["tolerance"], "options.tolerance")
     if "oracle" in options:
         _expect(isinstance(options["oracle"], bool), "options.oracle: expected a boolean")
 
@@ -188,9 +192,8 @@ def _oracle_bases(problem: SubspaceProblem, blade_a: Blade, blade_b: Blade):
     return _blade_basis_rows(blade_a), _blade_basis_rows(blade_b)
 
 
-def oracle_comparison(basis_a, basis_b, report: AngleReport) -> dict:
+def oracle_comparison(pairs: PrincipalPairs, report: AngleReport) -> dict:
     """Matrix-route angles plus the worst deviation from the engine's."""
-    pairs = principal_angles(basis_a, basis_b)
     oracle_angles = sorted((float(a) for a in pairs.angles), reverse=True)
     deviation = max((abs(e - o) for e, o in zip(report.angles, oracle_angles)), default=0.0)
     return {"angles_rad": oracle_angles, "max_deviation": deviation}
@@ -232,8 +235,8 @@ def run_problem(problem: SubspaceProblem, *, oracle_enabled: bool | None = None,
         "lowest_grade": report.lowest_grade,
     }
     if oracle_enabled:
-        basis_a, basis_b = _oracle_bases(problem, blade_a, blade_b)
-        doc["oracle"] = oracle_comparison(basis_a, basis_b, report)
+        pairs = principal_angles(*_oracle_bases(problem, blade_a, blade_b))
+        doc["oracle"] = oracle_comparison(pairs, report)
     return doc
 
 
@@ -254,13 +257,9 @@ def selftest(seed: int = 0, cases: int = 100) -> dict:
         blade_b = blade_from_spanning_vectors(b_rows)
         report = relative_angle(blade_a, blade_b)
         pairs = principal_angles(orthonormal_basis(a_rows), orthonormal_basis(b_rows))
-        oracle_angles = sorted((float(a) for a in pairs.angles), reverse=True)
-        dev = max((abs(e - o) for e, o in zip(report.angles, oracle_angles)), default=0.0)
-        worst_angle = max(worst_angle, dev)
+        worst_angle = max(worst_angle, oracle_comparison(pairs, report)["max_deviation"])
         worst_residual = max(worst_residual, report.residual)
-        s_oracle = int(np.sum(pairs.cosines >= 1.0 - 1e-9))
-        t_oracle = int(np.sum(pairs.cosines <= 1e-9))
-        if report.s != s_oracle or report.t != t_oracle:
+        if (report.s, report.t) != rank_counts(pairs):
             mismatches += 1
     return {
         "cases": cases,

@@ -119,6 +119,30 @@ class TestIsBlade:
             Blade.from_multivector(E1 + (E2 ^ E3))
 
 
+class TestBladeValidationHalves:
+    """Each of the two checks in Blade.from_multivector rejects an input the other accepts."""
+
+    def test_factorization_rejects_square_scalar_non_blade(self):
+        # (e123 + e456) reverse(e123 + e456) = 2: only the factorization sees it is no blade
+        sig = Signature(6)
+        x = Multivector.basis_blade(sig, "e123") + Multivector.basis_blade(sig, "e456")
+        with pytest.raises(NotABladeError):
+            Blade.from_multivector(x)
+        assert not is_blade(x)
+
+    def test_scalar_test_rejects_near_blade(self):
+        # the factorization reproduces e12 within tolerance; the square's e1234 part does not vanish
+        sig = Signature(4)
+        x = Multivector.basis_blade(sig, "e12") + Multivector.basis_blade(sig, "e34", 8e-10)
+        with pytest.raises(NotABladeError):
+            Blade.from_multivector(x)
+
+    def test_near_blade_within_tolerance_accepted(self):
+        sig = Signature(4)
+        x = Multivector.basis_blade(sig, "e12") + Multivector.basis_blade(sig, "e34", 3e-10)
+        assert Blade.from_multivector(x).grade == 2
+
+
 class TestSubspaceMembership:
     def test_examples(self):
         b = Blade.from_multivector(E1 ^ E2)

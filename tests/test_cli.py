@@ -46,6 +46,12 @@ class TestGoldenOutputs:
         doc = json.loads(out)
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
 
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_default_tolerance_flag_matches_golden(self, name, capsys):
+        code = main(["run", str(DATA / f"{name}.json"), "--oracle", "--tolerance", "1e-9"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json.out").read_text(encoding="utf-8")
+
 
 class TestExitCodes:
     def test_malformed_json(self, tmp_path, capsys):
@@ -73,6 +79,14 @@ class TestExitCodes:
         bad = tmp_path / "empty.json"
         bad.write_text('{"n": 3, "A": [], "B": [[0, 1, 0]]}')
         assert main(["run", str(bad)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1", "nan", "inf"])
+    def test_tolerance_flag_outside_unit_interval(self, value, capsys):
+        code = main(["run", str(DATA / "perpendicular_planes.json"), "--tolerance", value])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert "--tolerance: expected a number in (0, 1)" in captured.err
 
 
 class TestParseProblem:

@@ -6,13 +6,7 @@ import pytest
 from subspace_angles.blades import blade_from_spanning_vectors
 from subspace_angles.errors import DegenerateSpanError
 from subspace_angles.ga import Multivector, Signature
-from subspace_angles.oracle import (
-    intersection_dimension,
-    orthonormal_basis,
-    perpendicularity_count,
-    principal_angles,
-    svd_small,
-)
+from subspace_angles.oracle import orthonormal_basis, principal_angles, rank_counts, svd_small
 from subspace_angles.blades import subspace_membership
 
 SQ2 = math.sqrt(0.5)
@@ -180,15 +174,19 @@ class TestPrincipalAngles:
 
 class TestIntersectionDimension:
     def test_shared_line(self):
-        assert intersection_dimension([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]) == 1
+        s, _ = rank_counts(principal_angles([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]))
+        assert s == 1
 
     def test_identical(self):
         q = [[1, 0, 0], [0, 1, 0]]
-        assert intersection_dimension(q, q) == 2
+        s, _ = rank_counts(principal_angles(q, q))
+        assert s == 2
 
     def test_disjoint(self):
-        assert intersection_dimension([[1, 0, 0, 0], [0, 1, 0, 0]],
-                                      [[0, 0, 1, 0], [0, 0, 0, 1]]) == 0
+        s, _ = rank_counts(principal_angles([[1, 0, 0, 0], [0, 1, 0, 0]],
+                                            [[0, 0, 1, 0], [0, 0, 0, 1]]))
+        assert s == 0
 
     def test_perpendicularity_count(self):
-        assert perpendicularity_count([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]) == 1
+        _, t = rank_counts(principal_angles([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]))
+        assert t == 1
