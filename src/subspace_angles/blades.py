@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, NonEuclideanError, NotABladeError
-from .ga import Multivector, Signature
+from .ga import Multivector, Signature, wedge_vectors
 
 # A spanning vector is dependent when its Gram-Schmidt residual drops
 # below this fraction of its original norm.
@@ -104,9 +104,7 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
 
     _mgs(rows)  # raises on dependence
 
-    out = Multivector.vector(sig, rows[0])
-    for v in rows[1:]:
-        out = out.outer(Multivector.vector(sig, v))
+    out = wedge_vectors(sig, rows)
     return Blade(out, len(rows), out.norm())
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .blades import Blade
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, Signature
+from .ga import Multivector, wedge_vectors
 
 # A graded part of the normalized product counts as zero below this norm.
 GRADE_ZERO_TOL = 1e-9
@@ -103,22 +103,9 @@ def _bivector_matrix(f: Multivector) -> np.ndarray:
     return mat
 
 
-def _wedge(sig: Signature, u: np.ndarray, v: np.ndarray) -> Multivector:
-    """u ^ v in closed form, with the bytes of vector(u).outer(vector(v)).
-
-    The kernel adds u_i v_j and then -u_j v_i into a bin that starts at
-    +0.0 (terms with a zero factor are left out); (u_i v_j - u_j v_i) + 0.0
-    rounds the same way and gives the same signed zeros.
-    """
-    i, j, masks = _bivector_layout(sig.n)
-    c = np.zeros(sig.size)
-    c[masks] = (u[i] * v[j] - u[j] * v[i]) + 0.0
-    return Multivector(sig, c, _copy=False)
-
-
 def _plane_from_pair(f: Multivector, u: np.ndarray, v: np.ndarray) -> tuple[float, Multivector]:
     """Unit simple bivector of span{u, v}, oriented so f's coefficient is >= 0."""
-    plane = _wedge(f.sig, u, v)
+    plane = wedge_vectors(f.sig, (u, v))
     plane = plane / plane.coeff_norm()
     coeff = f.scalar_product(plane.reverse())
     if coeff < 0.0:
@@ -248,6 +235,8 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = GRADE_ZERO_TOL) -> 
         raise SignatureMismatchError(f"{a.sig} vs {b.sig}")
     if not a.sig.is_euclidean:
         raise NonEuclideanError("relative angles are computed in Euclidean carriers")
+    if not 0.0 < grade_tol < 1.0:
+        raise ValueError(f"grade_tol must lie in (0, 1), got {grade_tol!r}")
     if a.magnitude == 0.0 or b.magnitude == 0.0:
         raise NotABladeError("zero blade")
     if a.grade < b.grade:
@@ -316,9 +305,16 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
 
 
 def _rotor_chain(scale: float, angles, planes, lowest_blade: Multivector) -> Multivector:
-    """scale (c_1 + i_1 s_1)...(c_k + i_k s_k) lowest_blade, one factor per plane."""
+    """scale (c_1 + i_1 s_1)...(c_k + i_k s_k) lowest_blade, one factor per plane.
+
+    The chain starts from its first factor x as x * scale + 0.0, which
+    has the bytes of the product scalar(scale) * x.
+    """
     sig = lowest_blade.sig
-    out = Multivector.scalar(sig, scale)
-    for theta, plane in zip(angles, planes):
-        out = out * (Multivector.scalar(sig, math.cos(theta)) + plane * math.sin(theta))
-    return out * lowest_blade
+    factors = [Multivector.scalar(sig, math.cos(theta)) + plane * math.sin(theta)
+               for theta, plane in zip(angles, planes)]
+    factors.append(lowest_blade)
+    out = Multivector(sig, factors[0].coeffs * scale + 0.0, _copy=False)
+    for factor in factors[1:]:
+        out = out * factor
+    return out

@@ -156,6 +156,75 @@ def _signs(ai: np.ndarray, bi: np.ndarray, sig: Signature) -> np.ndarray:
     return _parity_signs()[_swap_masks(sig)[ai] & bi]
 
 
+@lru_cache(maxsize=None)
+def _grade_masks(n: int, k: int) -> np.ndarray:
+    """The masks of grade k below 2^n, ascending."""
+    m = np.flatnonzero(_grades(n) == k)
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step table of the wedge of a grade-k coefficient array with a vector.
+
+    Column c belongs to the c-th grade-(k+1) mask M in ascending order;
+    row r holds M's r-th grade-k sub-mask in ascending order (so the
+    dropped bit descends), as its position among the grade-k masks, with
+    the index of the dropped bit and the sign of e_sub e_bit. That is the
+    order in which the kernel's row-major scatter adds the terms of M.
+    The sign never meets the metric, so one table per n serves every
+    signature.
+    """
+    out = _grade_masks(n, k + 1)
+    bits = np.nonzero((out[:, None] >> np.arange(n)) & 1)[1].reshape(out.size, k + 1)
+    bits = np.ascontiguousarray(bits[:, ::-1].T)
+    sub = out ^ (1 << bits)
+    sign = _signs(sub, 1 << bits, Signature(n))
+    src = np.searchsorted(_grade_masks(n, k), sub)
+    for arr in (src, bits, sign):
+        arr.setflags(write=False)
+    return src, bits, sign
+
+
+def wedge_vectors(sig: Signature, rows) -> Multivector:
+    """rows[0] ^ rows[1] ^ ... ^ rows[k-1] for k vectors given by coordinates.
+
+    Gives the bytes of the iterated Multivector.outer: each step adds the
+    terms of every output mask in the kernel's row-major order onto +0.0,
+    one table row at a time. Terms the kernel leaves out (a zero factor)
+    are added as +-0.0, which changes no byte. A non-finite intermediate
+    always reaches the result, so overflow still raises from the
+    constructor.
+    """
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    if not rows or any(row.shape != (sig.n,) for row in rows):
+        raise ValueError(f"need k >= 1 rows of {sig.n} coordinates")
+    if len(rows) == 1:
+        return Multivector.vector(sig, rows[0])
+    acc = rows[0]
+    for k in range(1, len(rows)):
+        src, bits, sign = _wedge_table(sig.n, k)
+        terms = sign * (acc[src] * rows[k][bits])
+        acc = terms[0] + 0.0
+        for term in terms[1:]:
+            acc += term
+    c = np.zeros(sig.size)
+    c[_grade_masks(sig.n, len(rows))] = acc
+    return Multivector(sig, c, _copy=False)
+
+
+@lru_cache(maxsize=None)
+def _grade_reach(n: int, k: int) -> np.ndarray:
+    """R[g_a, g_b] = 1 when a grade-g_a and a grade-g_b blade can have a
+    grade-k product term: |g_a - g_b| <= k <= g_a + g_b."""
+    g = np.arange(n + 1)
+    reach = (np.abs(g[:, None] - g) <= k) & (g[:, None] + g >= k)
+    reach = reach.astype(np.int64)
+    reach.setflags(write=False)
+    return reach
+
+
 def mask_from_name(name: str, n: int) -> int:
     """Parse a basis-blade name like 'e12', 'e1_10' or '1' (scalar)."""
     name = name.strip()
@@ -314,18 +383,19 @@ class Multivector:
 
     # ---- products -------------------------------------------------------
 
-    def _product(self, other: "Multivector", keep=None) -> "Multivector":
+    def _product(self, other: "Multivector", keep=None, support=None) -> "Multivector":
         """Shared kernel: accumulate sign * a_i * b_j into mask i^j.
 
         keep(ai, bi) -> bool matrix selects which basis pairs contribute
         (None keeps all, giving the geometric product); only the selected
-        pairs are computed. np.bincount adds the terms in row-major (i, j)
-        order, one pass, so the rounding is that of a plain loop over i
-        then j, and a bin never holds -0.0, so leaving a term out gives
-        the same bytes as adding it as +-0.0.
+        pairs are computed. support, when given, is the ascending part of
+        self's support that can have selected pairs. np.bincount adds the
+        terms in row-major (i, j) order, one pass, so the rounding is that
+        of a plain loop over i then j, and a bin never holds -0.0, so
+        leaving a term out gives the same bytes as adding it as +-0.0.
         """
         self._check_sig(other)
-        a = self.coeffs.nonzero()[0][:, None]
+        a = (self.coeffs.nonzero()[0] if support is None else support)[:, None]
         b = other.coeffs.nonzero()[0][None, :]
         if keep is not None:
             rows, cols = np.nonzero(keep(a, b))
@@ -364,9 +434,17 @@ class Multivector:
 
     def grade_product(self, other: "Multivector", k: int) -> "Multivector":
         """Grade-k part of the geometric product: the bytes of (a * b).grade(k),
-        computing only the terms that land in grade k."""
-        g = _grades(self.sig.n)
-        return self._product(other, keep=lambda a, b: g[a ^ b] == k)
+        computing only the terms that land in grade k. Rows of a whose grade
+        reaches k with no grade present in b are dropped first; they have
+        no selected pairs, so the row-major order of the rest is unchanged."""
+        self._check_sig(other)
+        n = self.sig.n
+        g = _grades(n)
+        b_grades = np.bincount(g[other.coeffs.nonzero()[0]], minlength=n + 1)
+        reaches = (_grade_reach(n, k) @ b_grades) > 0
+        rows = self.coeffs.nonzero()[0]
+        return self._product(other, keep=lambda a, b: g[a ^ b] == k,
+                             support=rows[reaches[g[rows]]])
 
     def scalar_product(self, other: "Multivector") -> float:
         """Scalar part of the geometric product, computed directly."""

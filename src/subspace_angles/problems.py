@@ -29,6 +29,9 @@ from .sampling import sample_spans
 
 MODES = ("euclidean", "conformal")
 
+# Plane coefficients at or below this magnitude are left out of the report.
+PLANE_COEFF_MIN = 1e-12
+
 
 @dataclass
 class SubspaceProblem:
@@ -170,9 +173,9 @@ def problem_blades(problem: SubspaceProblem) -> tuple[Blade, Blade]:
     return conformal.euclidean_carrier(xa), conformal.euclidean_carrier(xb)
 
 
-def _sparse_map(mv: Multivector, tol: float = 1e-12) -> dict[str, float]:
+def _sparse_map(mv: Multivector) -> dict[str, float]:
     return {name_from_mask(int(m)): float(mv.coeffs[m])
-            for m in mv.support() if abs(mv.coeffs[m]) > tol}
+            for m in mv.support() if abs(mv.coeffs[m]) > PLANE_COEFF_MIN}
 
 
 def _blade_basis_rows(blade: Blade) -> np.ndarray:

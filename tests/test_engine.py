@@ -20,6 +20,7 @@ from subspace_angles.errors import (
 )
 from subspace_angles.ga import Multivector, Signature, basis_vectors
 from subspace_angles.oracle import orthonormal_basis, principal_angles
+from subspace_angles.problems import parse_problem, run_problem
 from subspace_angles.sampling import sample_spans
 
 SIG3 = Signature(3)
@@ -394,6 +395,34 @@ class TestRelativeAngle:
                                                              abs=1e-9)
 
 
+class TestGradeTolerance:
+    """grade_tol must lie in (0, 1); outside it the counts come out wrong
+    with a tiny residual, so nothing downstream would notice."""
+
+    BAD = [0.0, -1.0, 1.0, math.nan, math.inf]
+
+    @staticmethod
+    def perpendicular_pair():
+        a_rows, b_rows, meta = sample_spans(np.random.default_rng(3), force_perp=True)
+        assert (meta["n"], meta["perp"]) == (7, 1)
+        return blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)
+
+    def test_default_counts_the_right_angle(self):
+        assert relative_angle(*self.perpendicular_pair()).t == 1
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=r"grade_tol must lie in \(0, 1\)"):
+            relative_angle(*self.perpendicular_pair(), grade_tol=value)
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_run_problem_inherits_the_check(self, value):
+        problem = parse_problem('{"n": 3, "A": [[1, 0, 0], [0, 1, 0]], "B": [[1, 0, 0], [0, 0, 1]]}')
+        assert run_problem(problem, tolerance=0.5)["t"] == 1
+        with pytest.raises(ValueError, match="grade_tol"):
+            run_problem(problem, tolerance=value)
+
+
 class TestClassifier:
     def test_clean_classification(self):
         assert _classify_grades({0: 1e-14, 2: 0.5, 4: 1.0}, 1e-9) == [2, 4]
@@ -430,3 +459,45 @@ class TestRotorReconstruction:
             rebuilt = rotor_reconstruction(rep, a.magnitude, b.magnitude)
             target = a.mv * b.mv.reverse()
             assert (rebuilt - target).coeff_norm() <= 1e-9 * a.magnitude * b.magnitude
+
+
+def scalar_start_chain(scale, report):
+    """The rotor rebuild as it was first written: a scalar times every factor in turn."""
+    sig = report.lowest_blade.sig
+    out = Multivector.scalar(sig, scale)
+    for theta, plane in zip(report.angles[report.t:], report.planes):
+        out = out * (Multivector.scalar(sig, math.cos(theta)) + plane * math.sin(theta))
+    return out * report.lowest_blade
+
+
+class TestRotorChainBytes:
+    """The chain starts from its first factor times the scale, with the
+    bytes of the scalar product it replaced."""
+
+    SCALES = [1.0, 2.5, -0.75, 1e-3, 3.0e7, 0.0, 1]
+
+    def reports(self):
+        rng = np.random.default_rng(44)
+        pairs = [(E1 ^ E2, E1 ^ E3), (E1 ^ E2, E1 ^ E2), (E1, E2)]
+        out = [relative_angle(blade_of(a), blade_of(b)) for a, b in pairs]
+        for _ in range(40):
+            a_rows, b_rows, _ = sample_spans(rng)
+            out.append(relative_angle(blade_from_spanning_vectors(a_rows),
+                                      blade_from_spanning_vectors(b_rows)))
+        return out
+
+    def test_with_and_without_planes(self):
+        reports = self.reports()
+        assert any(rep.planes for rep in reports)
+        assert any(not rep.planes for rep in reports)
+        for rep in reports:
+            for scale in self.SCALES:
+                got = rotor_reconstruction(rep, scale, 1.0)
+                assert got.coeffs.tobytes() == scalar_start_chain(scale, rep).coeffs.tobytes()
+
+    def test_nonfinite_scale_still_raises(self):
+        rep = relative_angle(blade_of(E1 ^ E2), blade_of(E1 ^ E3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for scale in (math.inf, math.nan, 1e300):
+                with pytest.raises(ValueError, match="finite"):
+                    rotor_reconstruction(rep, scale, 1e300)

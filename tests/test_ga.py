@@ -7,6 +7,7 @@ from conftest import random_multivector
 
 from subspace_angles.errors import NegativeSquareError, SignatureMismatchError
 from subspace_angles.ga import (
+    MAX_DIMENSION,
     Multivector,
     Signature,
     _signs,
@@ -14,6 +15,7 @@ from subspace_angles.ga import (
     basis_vectors,
     mask_from_name,
     name_from_mask,
+    wedge_vectors,
 )
 
 SIG3 = Signature(3)
@@ -232,6 +234,28 @@ class TestGradeProduct:
             assert mv.coeffs.dtype == np.float64
             assert mv.coeffs.tobytes() == np.zeros(SIG3.size).tobytes()
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_pure_grade_right_operand(self, k):
+        # the engine's shape: a mixed-grade M times one reversed grade part
+        rng = np.random.default_rng(43 + k)
+        for n in range(1, 11):
+            sig = Signature(n)
+            for _ in range(4):
+                a = mixed_operand(rng, sig)
+                b = mixed_operand(rng, sig).grade(int(rng.integers(0, n + 1)))
+                got = a.grade_product(b, k).coeffs
+                assert got.tobytes() == (a * b).grade(k).coeffs.tobytes(), (n, k)
+
+    def test_filter_removing_every_row_gives_float_zeros(self):
+        # grades 4 and 1 only reach grades 3 and 5, so no row of a can reach 1
+        sig = Signature(6)
+        a = Multivector.basis_blade(sig, "e1234") + Multivector.basis_blade(sig, "e3456", -2.0)
+        b = Multivector.vector(sig, [1.0, -2.0, 0.5, 0.0, 3.0, -0.0])
+        got = a.grade_product(b, 1)
+        assert got.coeffs.dtype == np.float64
+        assert got.coeffs.tobytes() == np.zeros(sig.size).tobytes()
+        assert got.coeffs.tobytes() == (a * b).grade(1).coeffs.tobytes()
+
     def test_overflowing_terms_still_raise(self):
         # products build their results through the checked constructor too
         big = Multivector.vector(SIG3, [1e200, 1e200, 0.0])
@@ -244,21 +268,83 @@ class TestGradeProduct:
                     product()
 
 
-class TestClosedFormWedge:
-    def test_matches_kernel_outer_bytes(self):
-        from subspace_angles.engine import _wedge
+def iterated_outer(sig, rows):
+    """rows[0] ^ rows[1] ^ ... through the kernel, one Multivector.outer per row."""
+    out = Multivector.vector(sig, rows[0])
+    for row in rows[1:]:
+        out = out.outer(Multivector.vector(sig, row))
+    return out
 
+
+def outcome(fn, *args):
+    """(bytes, None) of a returned Multivector, or (None, (type, message)) of a raise."""
+    try:
+        return fn(*args).coeffs.tobytes(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestWedgeVectors:
+    """The table-driven k-vector wedge keeps the bytes of the iterated kernel wedge."""
+
+    SPECIALS = [0.0, -0.0, 1e-200, -1e-200]
+
+    def sprinkle(self, rng, rows):
+        hit = rng.random(rows.shape) < 0.4
+        rows[hit] = rng.choice(self.SPECIALS, hit.sum())
+        return rows
+
+    def test_two_vectors_match_kernel_outer_bytes(self):
+        # the u ^ v inputs of the split planes, n = 1 (where u ^ v = 0) included
         rng = np.random.default_rng(41)
-        specials = [0.0, -0.0, 1e-200, -1e-200]
         for n in range(1, 9):
             sig = Signature(n)
             for _ in range(40):
-                u, v = rng.standard_normal((2, n))
-                for w in (u, v):
-                    hit = rng.random(n) < 0.4
-                    w[hit] = rng.choice(specials, hit.sum())
-                want = Multivector.vector(sig, u).outer(Multivector.vector(sig, v))
-                assert _wedge(sig, u, v).coeffs.tobytes() == want.coeffs.tobytes(), (u, v)
+                rows = self.sprinkle(rng, rng.standard_normal((2, n)))
+                got = wedge_vectors(sig, rows)
+                assert got.coeffs.tobytes() == iterated_outer(sig, rows).coeffs.tobytes(), rows
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_every_grade_matches_iterated_outer_bytes(self, q):
+        rng = np.random.default_rng(50 + q)
+        for n in range(max(q, 1), MAX_DIMENSION + 1):
+            sig = Signature(n - q, q)
+            for k in range(1, n + 1):
+                for _ in range(3):
+                    rows = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-3, 4, (k, 1))
+                    rows = self.sprinkle(rng, rows)
+                    got = wedge_vectors(sig, rows)
+                    want = iterated_outer(sig, rows)
+                    assert got.coeffs.tobytes() == want.coeffs.tobytes(), (n, q, k)
+
+    def test_single_row_keeps_negative_zeros(self):
+        got = wedge_vectors(SIG3, [[-0.0, 1.0, -0.0]])
+        assert got.coeffs.tobytes() == Multivector.vector(SIG3, [-0.0, 1.0, -0.0]).coeffs.tobytes()
+        assert np.signbit(got.coeffs[1])
+
+    @pytest.mark.parametrize("bad", [1e160, math.nan, math.inf, -math.inf])
+    def test_nonfinite_raises_like_iterated_outer(self, bad):
+        # overflow raises from an intermediate product in the kernel and from
+        # the final constructor here; the error must be the same
+        rng = np.random.default_rng(52)
+        for n, k in [(3, 2), (6, 3), (10, 5)]:
+            sig = Signature(n)
+            for slot in range(k):
+                rows = rng.standard_normal((k, n))
+                if bad == 1e160:
+                    rows = rows * bad
+                else:
+                    rows[slot, int(rng.integers(n))] = bad
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = outcome(iterated_outer, sig, rows)
+                    got = outcome(wedge_vectors, sig, rows)
+                assert want[1] == (ValueError, "coefficients must be finite"), (n, k, slot)
+                assert got == want, (n, k, slot)
+
+    def test_bad_shapes_rejected(self):
+        for rows in ([], [1.0, 2.0, 3.0], [[1.0, 2.0]], np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="rows of 3 coordinates"):
+                wedge_vectors(SIG3, rows)
 
 
 class TestOuterProduct:

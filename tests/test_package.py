@@ -1,3 +1,4 @@
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,33 @@ def test_report_digest_runs():
     assert len(rows) == 1
     workload, seed, digest = rows[0].split()
     assert (workload, seed, len(digest)) == ("cli_batch", "1", 64)
+
+
+def run_digest(*args):
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py"),
+                           "--workloads", "cli_batch", "--seeds", "1", *args],
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout.splitlines()
+
+
+def test_report_digest_names_the_differing_pairs(tmp_path):
+    src = Path(subspace_angles.__file__).resolve().parents[1]
+    code, rows = run_digest("--per-pair", "--src", str(src))
+    assert code == 0 and len(rows) == 1
+    pairs = rows[0].split()[3].split(",")
+    assert len(pairs) > 1 and all(len(p) == 16 for p in pairs)
+
+    # a copy whose selftest summary differs: only the last item, the selftest, moves
+    shutil.copytree(src / "subspace_angles", tmp_path / "subspace_angles",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    problems = tmp_path / "subspace_angles" / "problems.py"
+    text = problems.read_text()
+    assert '"cases": cases,' in text
+    problems.write_text(text.replace('"cases": cases,', '"cases": cases + 1,'))
+    code, rows = run_digest("--per-pair", "--src", str(src), "--src", str(tmp_path))
+    assert code == 1
+    assert rows[0].startswith("cli_batch 1 ") and rows[0].endswith(" DIFFER")
+    assert rows[1:] == [f"  pairs differing: {len(pairs) - 1}", "1 digests differ"]
+
+    code, rows = run_digest("--per-pair", "--src", str(src), "--src", str(src))
+    assert code == 0 and rows[-1] == "identical" and len(rows) == 2

@@ -19,6 +19,12 @@ Two package versions whose digests agree therefore agree bit for bit on
 every report of those inputs.  With several --src directories each one
 is hashed in a fresh process, the digests are printed side by side,
 and the exit status is 1 when any row differs.
+
+--per-pair also hashes each pair (each problem file, and the selftest
+as the last item of cli_batch) on its own.  With one --src the per-pair
+digests follow each row, comma-separated; with several, every differing
+row is followed by the indices of the pairs that differ, counted from 0
+in the order of perfbench/inputs.py.
 """
 
 import os
@@ -77,34 +83,50 @@ def attempt(fn, *args, **kwargs):
         return exc
 
 
-def library_digest(sa, pairs) -> str:
-    h = hashlib.sha256()
+class Digest:
+    """The row's SHA-256 over all pairs, plus one SHA-256 per pair."""
+
+    def __init__(self):
+        self.row = hashlib.sha256()
+        self.pairs: list[str] = []
+
+    def add_pair(self, values) -> None:
+        pair = hashlib.sha256()
+        for value in values:
+            feed(self.row, value)
+            feed(pair, value)
+        self.pairs.append(pair.hexdigest())
+
+
+def library_digest(sa, pairs) -> Digest:
+    d = Digest()
     for pair in pairs:
         blades = [attempt(sa.blade_from_spanning_vectors, rows) for rows in (pair.a_rows, pair.b_rows)]
-        feed(h, blades)
+        values = [blades]
         if not any(isinstance(b, Exception) for b in blades):
-            feed(h, attempt(sa.relative_angle, *blades))
-        feed(h, attempt(lambda: sa.principal_angles(sa.orthonormal_basis(pair.a_rows),
-                                                    sa.orthonormal_basis(pair.b_rows))))
-    return h.hexdigest()
+            values.append(attempt(sa.relative_angle, *blades))
+        values.append(attempt(lambda: sa.principal_angles(sa.orthonormal_basis(pair.a_rows),
+                                                          sa.orthonormal_basis(pair.b_rows))))
+        d.add_pair(values)
+    return d
 
 
-def cli_digest(inputs, seed: int) -> str:
+def cli_digest(inputs, seed: int) -> Digest:
     from subspace_angles.cli import render_json
     from subspace_angles.problems import parse_problem, run_problem, selftest
 
-    h = hashlib.sha256()
+    d = Digest()
     for mode, problems in (("euclidean", inputs.euclidean_problems(seed)),
                            ("conformal", inputs.conformal_problems(seed))):
         for problem in problems:
             doc = attempt(lambda: render_json(run_problem(
                 parse_problem(json.dumps(problem.doc), mode=mode), oracle_enabled=True)))
-            feed(h, doc)
-    feed(h, attempt(selftest, seed=seed))
-    return h.hexdigest()
+            d.add_pair([doc])
+    d.add_pair([attempt(selftest, seed=seed)])
+    return d
 
 
-def digests(src: str, workloads, seeds) -> list[tuple[str, int, str]]:
+def digests(src: str, workloads, seeds) -> list[tuple[str, int, Digest]]:
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
@@ -127,19 +149,25 @@ def main(argv=None) -> int:
                         help="directory holding subspace_angles (repeatable; default ./src)")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    parser.add_argument("--per-pair", action="store_true",
+                        help="also hash each pair, and name the pairs of a differing row")
     args = parser.parse_args(argv)
     srcs = args.src or [str(ROOT / "src")]
 
     if len(srcs) == 1:
         for workload, seed, digest in digests(srcs[0], args.workloads, args.seeds):
-            print(f"{workload} {seed} {digest}")
+            line = f"{workload} {seed} {digest.row.hexdigest()}"
+            if args.per_pair:
+                line += " " + ",".join(p[:16] for p in digest.pairs)
+            print(line)
         return 0
 
     columns = []
     for src in srcs:
         proc = subprocess.run([sys.executable, __file__, "--src", src,
                                "--workloads", *args.workloads,
-                               "--seeds", *map(str, args.seeds)],
+                               "--seeds", *map(str, args.seeds),
+                               *(["--per-pair"] if args.per_pair else [])],
                               capture_output=True, text=True, check=True)
         columns.append([line.split() for line in proc.stdout.splitlines()])
     differ = 0
@@ -147,6 +175,10 @@ def main(argv=None) -> int:
         same = len({row[2] for row in rows}) == 1
         differ += not same
         print(rows[0][0], rows[0][1], *(row[2][:16] for row in rows), "same" if same else "DIFFER")
+        if not same and args.per_pair:
+            per_pair = zip(*(row[3].split(",") for row in rows))
+            moved = [str(i) for i, digests in enumerate(per_pair) if len(set(digests)) > 1]
+            print("  pairs differing:", *moved)
     print("identical" if differ == 0 else f"{differ} digests differ")
     return 1 if differ else 0
 
