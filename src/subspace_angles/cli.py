@@ -5,7 +5,8 @@
     angles selftest [--seed S] [--cases N]
 
 Exit codes: 0 success, 2 parse/usage error, 3 degenerate span,
-4 ambiguous rank, 1 any other computation error.
+4 ambiguous rank (a report that breaks its own invariants), 1 any other
+computation error.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true",
                      help="cross-check with the matrix-decomposition route")
     run.add_argument("--tolerance", type=float, default=None,
-                     help="override the grade-part zero tolerance, in (0, 1)")
+                     help="override the per-angle cutoff, in (0, 1): an angle counts as "
+                          "zero when 1 - cos <= T and as right when cos <= T")
     run.add_argument("--format", choices=("json", "text"), default="json")
     run.add_argument("--mode", choices=("euclidean", "conformal"), default="euclidean")
 

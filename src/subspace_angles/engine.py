@@ -1,22 +1,24 @@
-"""Full relative-orientation of two subspace blades from one product A reverse(B).
+"""Full relative-orientation of two subspace blades, read from what A reverse(B) does.
 
-For normalized blades of grades r+q and r the product M = A reverse(B)
-carries everything at once:
+For unit blades A and B of grades r+q and r, the product M = A reverse(B)
+factors as (c_1 + i_1 s_1) ... (c_r + i_r s_r) L with c_k, s_k the cosine
+and sine of the k-th principal angle, i_k its principal-plane bivector
+and L a unit blade of grade q + 2t. Read as a versor, x -> M x reverse(M)
+is, up to sign, the orthogonal map O = (2 P_A - I)(2 P_B - I) of the two
+subspace projectors (Halmos, "Two subspaces", 1969), which
 
-  * the lowest nonzero grade equals 2t + q, so its grade reveals the
-    perpendicularity count t, and its norm is the product of the
-    interior cosines;
-  * the top grade norm is the product of the interior sines;
-  * dividing M by its lowest-grade part leaves a multivector with scalar
-    part one whose bivector part is sum(tan(theta_k) i_k) over the
-    strictly interior principal angles, with i_k the principal-plane
-    unit bivectors;
-  * splitting that bivector into orthogonal commuting simple parts
-    recovers each angle and plane; whatever directions are left over
-    are the s shared (zero-angle) directions.
+  * turns each principal plane i_k by 2 theta_k,
+  * sends the q + 2t directions of L to their negatives,
+  * and fixes the s shared directions and everything outside A + B.
 
-Everything is reassembled into an AngleReport and self-checked by
-rebuilding the product of rotors |A||B| (c_1 + i_1 s_1) ... (c_r + i_r s_r).
+So the engine builds P_A and P_B from the blades' coefficients, splits
+S = (O + O^T)/2 into clusters of equal cos 2 theta and each cluster by the
+rotation rates of K = (O - O^T)/2, and takes every angle as
+theta = atan2(sin 2 theta, cos 2 theta) / 2, which is as accurate near 0
+as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
+s and t count the angles by the oracle's per-angle rule. M itself serves
+the self-check, the rebuilt rotor chain (c_1 + i_1 s_1) ... L, whose
+distance from M is the report's residual.
 """
 
 from __future__ import annotations
@@ -29,26 +31,23 @@ import numpy as np
 
 from .blades import Blade
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, wedge_vectors
+from .ga import Multivector, _grade_masks, _wedge_table, wedge_vectors
 
-# A graded part of the normalized product counts as zero below this norm.
-GRADE_ZERO_TOL = 1e-9
+# A principal angle counts as zero when its cosine is >= 1 - this value and
+# as right when its cosine is <= this value; the rule of oracle.rank_counts,
+# so both routes classify borderline angles the same way.
+ANGLE_COS_TOL = 1e-9
 
-# A principal angle counts as zero when its cosine is >= 1 - this value;
-# matches the rule of oracle.rank_counts so both routes classify
-# borderline angles the same way.
-ZERO_ANGLE_COS_TOL = 1e-9
-ZERO_ANGLE_MAX = math.acos(1.0 - ZERO_ANGLE_COS_TOL)
-
-# Split coefficients below this (relative) floor are eigen-noise.
+# Rotation rates (split coefficients, relative to the largest) at or below
+# this floor are rounding noise: those directions lie in no plane.
 SPLIT_FLOOR = 1e-12
 
-# Eigenvalues of the split within this relative distance count as equal.
+# Values of cos 2 theta within this distance share a cluster, and interior
+# angles within it count as equal.
 EQUAL_ANGLE_TOL = 1e-8
 
-# Two grade norms straddling GRADE_ZERO_TOL within this factor make the
-# integer ranks ambiguous.
-AMBIGUITY_FACTOR = 10.0
+# A report whose rotor chain misses M by more than this is not returned.
+RESIDUAL_BOUND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,16 +55,20 @@ class AngleReport:
     """Complete relative-orientation data for a pair of blades.
 
     angles holds all r = min(grade) principal angles in descending
-    order: the t right angles first (exactly pi/2), then the interior
-    angles, then the s zero angles. planes pairs one unit principal
-    bivector with each angle the bivector split extracted, i.e. with
-    angles[t : t + len(planes)]. Those can include angles at or below
-    ZERO_ANGLE_MAX that s counts as zero, so s + t + len(planes) may
-    exceed r. lowest_blade is the unit lowest-grade part of the
-    normalized product; it carries the perpendicular principal planes
-    (and, for blades of different grade, the extra dimensions of the
-    larger blade) and is what rotor reconstruction multiplies the
-    interior rotors by.
+    order: the directions at a right angle (exactly pi/2) first, then
+    the interior angles strictly inside (0, pi/2), then the shared
+    directions (exactly 0.0). planes pairs one unit principal bivector
+    with each interior angle, in the same order. s and t count the
+    angles whose cosine is within grade_tol of 1 and of 0, so a
+    near-zero or near-right interior angle is counted there and still
+    has its computed value and its plane. lowest_blade is the unit
+    blade of the directions O sends to their negatives: the right-angle
+    planes plus, for blades of different grade, the extra dimensions of
+    the larger blade; lowest_grade is its grade. Rotor reconstruction
+    multiplies the interior rotors by it. cos_interior multiplies the
+    cosines of the angles t does not count, sin_interior_product the
+    sines of the angles s does not count, and cos_total is cos_interior,
+    or 0.0 when t > 0.
     """
 
     s: int
@@ -103,10 +106,40 @@ def _bivector_matrix(f: Multivector) -> np.ndarray:
     return mat
 
 
+def _planes(k: np.ndarray, floor: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Orthonormal pairs (x, y) spanning the invariant planes of the
+    antisymmetric array k whose rotation rate exceeds floor, fastest first.
+
+    One Hermitian eigh of i k: an eigenvector x + i y of a nonzero
+    eigenvalue has x orthogonal to y and |x| = |y|, and eigenvectors of
+    one repeated eigenvalue give mutually orthogonal planes, so
+    coinciding rates need no further care. Rates are bounded by
+    |k|_F / sqrt(2), which decides most calls without the eigh, and a
+    2 x 2 array above the floor is one plane.
+    """
+    if float(np.sum(k * k)) <= 2.0 * floor * floor:
+        return []
+    if k.shape[0] == 2:
+        return [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+    w, z = np.linalg.eigh(1j * k)
+    out = []
+    for j in np.flatnonzero(w > floor)[::-1]:
+        x, y = z[:, j].real, z[:, j].imag
+        x = x / math.sqrt(float(x @ x))
+        y = y - (y @ x) * x
+        out.append((x, y / math.sqrt(float(y @ y))))
+    return out
+
+
+def _unit_wedge(sig, rows) -> Multivector:
+    """rows[0] ^ ... ^ rows[k-1], scaled to unit coefficient norm."""
+    blade = wedge_vectors(sig, rows)
+    return blade / blade.coeff_norm()
+
+
 def _plane_from_pair(f: Multivector, u: np.ndarray, v: np.ndarray) -> tuple[float, Multivector]:
     """Unit simple bivector of span{u, v}, oriented so f's coefficient is >= 0."""
-    plane = wedge_vectors(f.sig, (u, v))
-    plane = plane / plane.coeff_norm()
+    plane = _unit_wedge(f.sig, (u, v))
     coeff = f.scalar_product(plane.reverse())
     if coeff < 0.0:
         plane = -plane
@@ -119,117 +152,55 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
 
     Returns [(beta_k, i_k)] with beta_k > 0 descending, i_k unit simple
     bivectors satisfying i_k^2 = -1, pairwise orthogonal and commuting,
-    and sum(beta_k i_k) = f. The split is unique only for distinct
-    coefficients; for coinciding ones any orthogonal choice inside the
-    eigenspace is returned.
-    """
-    pairs, _ = _split_with_flag(f)
-    return pairs
-
-
-def _split_with_flag(f: Multivector):
-    """bivector_split plus a flag for coinciding coefficients.
-
-    Invariant planes come from the eigenvectors of the symmetric array
-    -F^2 of the paired antisymmetric matrix F; coefficients are refined
-    by projecting f onto each plane, and extraction runs in rounds from
-    the largest scale down so widely separated coefficients stay
-    resolvable.
+    and sum(beta_k i_k) = f. The planes are the invariant planes of the
+    paired antisymmetric matrix, from one Hermitian eigh, and each
+    beta_k is f projected onto its plane. Coefficients at or below
+    SPLIT_FLOOR times the largest entry are dropped. The split is unique
+    only for distinct coefficients; for coinciding ones any orthogonal
+    choice inside the eigenspace is returned.
     """
     if f.grades(tol=0.0) not in ([], [2]):
         raise NotABladeError(f"bivector_split needs a pure bivector, grades {f.grades()}")
     if not f.sig.is_euclidean:
         raise NonEuclideanError("bivector split implemented for Euclidean signature")
-
-    remaining = _bivector_matrix(f)
-    coeff_floor = SPLIT_FLOOR * max(1.0, float(np.max(np.abs(remaining))))
-
-    result: list[tuple[float, Multivector]] = []
-    equal_flag = False
-    n = f.sig.n
-    for _round in range(n // 2 + 1):
-        # lam_max <= |remaining|_F^2 / 2 (eigenvalues come in pairs), so this
-        # round would break below without needing eigh
-        if float(np.sum(remaining * remaining)) <= 0.5 * coeff_floor * coeff_floor:
-            break
-        smat = remaining @ remaining.T
-        w, vecs = np.linalg.eigh(smat)
-        lam_max = float(w[-1])
-        if lam_max <= coeff_floor * coeff_floor:
-            break
-        # only trust eigenvalues well above this round's noise floor
-        gate = max(lam_max * 1e-10, coeff_floor * coeff_floor)
-        sel = np.flatnonzero(w > gate)
-        if sel.size == 0:
-            break
-        # cluster selected eigenvalues (they come in pairs per plane)
-        order = sel[np.argsort(-w[sel])]
-        clusters: list[list[int]] = []
-        for idx in order:
-            if clusters and abs(w[idx] - w[clusters[-1][0]]) <= EQUAL_ANGLE_TOL * max(1.0, lam_max):
-                clusters[-1].append(int(idx))
-            else:
-                clusters.append([int(idx)])
-        extracted = 0
-        for cluster in clusters:
-            space = vecs[:, cluster]
-            if len(cluster) > 2:
-                equal_flag = True
-            while space.shape[1] >= 2:
-                u = space[:, 0]
-                wvec = remaining @ u
-                beta_est = math.sqrt(float(wvec @ wvec))
-                if beta_est <= coeff_floor:
-                    break
-                v = wvec / beta_est
-                v = v - (v @ u) * u
-                v = v / math.sqrt(float(v @ v))
-                beta, plane = _plane_from_pair(f, u, v)
-                if beta > coeff_floor:
-                    result.append((beta, plane))
-                    remaining = remaining - beta * _bivector_matrix(plane)
-                    extracted += 1
-                # deflate the cluster space against u, v
-                space = space - np.outer(u, u @ space) - np.outer(v, v @ space)
-                keep = []
-                for col in range(space.shape[1]):
-                    c = space[:, col]
-                    for kc in keep:
-                        c = c - (c @ kc) * kc
-                    nrm = math.sqrt(float(c @ c))
-                    if nrm > 1e-6:
-                        keep.append(c / nrm)
-                space = np.array(keep).T if keep else np.zeros((n, 0))
-        if extracted == 0:
-            break
-
-    result.sort(key=lambda p: -p[0])
-    return result, equal_flag
+    mat = _bivector_matrix(f)
+    floor = SPLIT_FLOOR * max(1.0, float(np.max(np.abs(mat))))
+    parts = [_plane_from_pair(f, x, y) for x, y in _planes(mat, floor)]
+    return sorted((p for p in parts if p[0] > floor), key=lambda p: -p[0])
 
 
-def _classify_grades(norms: dict[int, float], tol: float) -> list[int]:
-    """Grades whose norm clears tol; raises when the cut is ambiguous."""
-    above = {k: v for k, v in norms.items() if v > tol}
-    below = {k: v for k, v in norms.items() if v <= tol}
-    if not above:
-        raise NotABladeError("product has no grade part above tolerance")
-    if below:
-        lo = min(above.values())
-        hi = max(below.values())
-        if hi > 0.0 and lo / hi < AMBIGUITY_FACTOR:
-            raise AmbiguousRankError(
-                f"grade norms {hi:.3e} and {lo:.3e} straddle the zero "
-                f"threshold {tol:.1e} within a factor {AMBIGUITY_FACTOR}"
-            )
-    return sorted(above)
+def _projector(unit: Multivector, k: int) -> np.ndarray:
+    """Orthogonal projector onto the subspace of a unit k-blade X.
+
+    P = C C^T with C[i, T] the coefficient of e_T in e_i contracted onto
+    X. The wedge table of grade k - 1 lists, per grade-k mask, the
+    dropped bit i, the position of the remaining mask T and the sign of
+    e_T e_i, which is the contraction's sign times (-1)^(k-1); a global
+    sign leaves C C^T unchanged.
+    """
+    n = unit.sig.n
+    if k == 0:
+        return np.zeros((n, n))
+    src, bits, sign = _wedge_table(n, k - 1)
+    c = np.zeros((n, _grade_masks(n, k - 1).size))
+    c[bits, src] = sign * unit.coeffs[_grade_masks(n, k)]
+    return c @ c.T
 
 
-def relative_angle(a: Blade, b: Blade, *, grade_tol: float = GRADE_ZERO_TOL) -> AngleReport:
+def _clusters(w: np.ndarray) -> list[np.ndarray]:
+    """Runs of the ascending values w whose neighbours lie within EQUAL_ANGLE_TOL."""
+    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > EQUAL_ANGLE_TOL) + 1)
+
+
+def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> AngleReport:
     """Full relative-orientation report for two blades over Cl(n,0).
 
     The blades may have different grades; the larger-grade blade plays
     the role of A internally, which leaves the report unchanged under
-    swapping. See AngleReport for the layout of the result.
+    swapping. grade_tol, in (0, 1), is the per-angle cutoff of s and t.
+    Raises AmbiguousRankError when the report would break its own
+    invariants (see AngleReport and RESIDUAL_BOUND). See AngleReport for
+    the layout of the result.
     """
     if a.sig != b.sig:
         raise SignatureMismatchError(f"{a.sig} vs {b.sig}")
@@ -243,65 +214,90 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = GRADE_ZERO_TOL) -> 
         a, b = b, a
     q = a.grade - b.grade
     r = b.grade
+    sig = a.sig
+    ua, ub = a.unit(), b.unit()
 
-    m = a.unit() * b.unit().reverse()
-    norms = m.grade_norms()
-    present = _classify_grades(norms, grade_tol)
+    eye = np.eye(sig.n)
+    o = (2.0 * _projector(ua, a.grade) - eye) @ (2.0 * _projector(ub, b.grade) - eye)
+    skew = 0.5 * (o - o.T)
+    w, v = np.linalg.eigh(0.5 * (o + o.T))
+    pairs = []      # orthonormal (x, y) of each principal plane
+    flipped = []    # directions O sends to their negatives: L's
+    for idx in _clusters(w):
+        basis = v[:, idx]
+        local = _planes(basis.T @ skew @ basis, SPLIT_FLOOR)
+        pairs += [(basis @ x, basis @ y) for x, y in local]
+        if w[idx[0]] < 0.0:
+            if local:
+                spanned = np.column_stack([u for pair in local for u in pair])
+                basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
+            flipped += list(basis.T)
 
-    lowest = present[0]
-    top = present[-1]
-    if (lowest - q) % 2 != 0 or lowest < q:
-        raise AmbiguousRankError(f"lowest grade {lowest} incompatible with grade gap {q}")
-    t = (lowest - q) // 2
-    c_int = norms[lowest]
-    sin_prod = norms[top]
+    t_exact, odd = divmod(len(flipped) - q, 2)
+    s_exact = r - len(pairs) - t_exact
+    if odd or t_exact < 0 or s_exact < 0:
+        raise AmbiguousRankError(
+            f"{len(pairs)} principal planes and {len(flipped)} reversed directions "
+            f"do not fit blades of grades {a.grade} and {b.grade}")
 
-    lowest_part = m.grade(lowest)
-    lowest_unit = lowest_part / c_int
-    # bivector part of M divided by its lowest-grade part (blade inverse = reverse / |.|^2)
-    divided = m.grade_product(lowest_part.reverse(), 2) / (c_int * c_int)
-    pairs, equal_flag = _split_with_flag(divided)
-
-    interior: list[tuple[float, Multivector]] = []
-    for beta, plane in pairs:
-        interior.append((math.atan(beta), plane))
-
-    strictly_interior = sum(1 for theta, _ in interior if theta > ZERO_ANGLE_MAX)
-    s = r - t - strictly_interior
-
-    angles = [math.pi / 2.0] * t
-    angles += [theta for theta, _ in interior]
-    angles += [0.0] * (r - t - len(interior))
+    interior = []
+    for x, y in pairs:
+        ox = o @ x
+        turn = float(y @ ox)
+        if turn > 0.0:          # orient the plane so that O turns y toward x
+            y = -y
+        interior.append((0.5 * math.atan2(abs(turn), float(x @ ox)), _unit_wedge(sig, (x, y))))
+    interior.sort(key=lambda pair: -pair[0])
+    thetas = [theta for theta, _ in interior]
     planes = tuple(plane for _, plane in interior)
+    angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
 
-    rebuilt = _rotor_chain(1.0, angles[t:], planes, lowest_unit)
+    lowest = _unit_wedge(sig, flipped) if flipped else Multivector.scalar(sig, 1.0)
+    m = ua * ub.reverse()
+    rebuilt = _rotor_chain(1.0, thetas, planes, lowest)
+    if rebuilt.scalar_product(m.reverse()) < 0.0:
+        lowest, rebuilt = -lowest, -rebuilt
     residual = (rebuilt - m).coeff_norm()
+
+    cosines = [math.cos(theta) for theta in angles]
+    s = sum(c >= 1.0 - grade_tol for c in cosines)
+    t = sum(c <= grade_tol for c in cosines)
+    cos_interior = math.prod((c for c in cosines if c > grade_tol), start=1.0)
+    sin_prod = math.prod((math.sin(theta) for theta, c in zip(angles, cosines)
+                          if c < 1.0 - grade_tol), start=1.0)
+
+    if (len(angles) != r or s + t > r or len(planes) != sum(0.0 < x < math.pi / 2.0 for x in angles)
+            or not residual <= RESIDUAL_BOUND):
+        raise AmbiguousRankError(
+            f"report breaks its invariants: r={r}, {len(angles)} angles, s={s}, t={t}, "
+            f"{len(planes)} planes, residual {residual:.3e} (bound {RESIDUAL_BOUND:g})")
 
     return AngleReport(
         s=s,
         t=t,
         angles=tuple(angles),
         planes=planes,
-        cos_total=0.0 if t > 0 else c_int,
-        cos_interior=c_int,
+        cos_total=0.0 if t > 0 else cos_interior,
+        cos_interior=cos_interior,
         sin_interior_product=sin_prod,
-        lowest_grade=lowest,
+        lowest_grade=q + 2 * t_exact,
         residual=residual,
-        has_equal_angles=equal_flag,
-        lowest_blade=lowest_unit,
+        has_equal_angles=any(x - y <= EQUAL_ANGLE_TOL for x, y in zip(thetas, thetas[1:])),
+        lowest_blade=lowest,
     )
 
 
 def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> Multivector:
-    """Rebuild |A||B| (c_1 + i_1 s_1)...(c_r + i_r s_r) from a report.
+    """Rebuild |A||B| (c_1 + i_1 s_1)...(c_k + i_k s_k) L from a report.
 
-    The t pure-perpendicular factors and any extra dimensions of the
-    larger blade enter through report.lowest_blade. Matches
-    A reverse(B), with A the larger-grade operand of relative_angle,
-    up to the report's residual.
+    One factor per plane, each with its interior angle (the angles
+    strictly inside (0, pi/2)); the right-angle planes and any extra
+    dimensions of the larger blade enter through L = report.lowest_blade.
+    Matches A reverse(B), with A the larger-grade operand of
+    relative_angle, up to the report's residual.
     """
-    return _rotor_chain(norm_a * norm_b, report.angles[report.t:], report.planes,
-                        report.lowest_blade)
+    thetas = [theta for theta in report.angles if 0.0 < theta < math.pi / 2.0]
+    return _rotor_chain(norm_a * norm_b, thetas, report.planes, report.lowest_blade)
 
 
 def _rotor_chain(scale: float, angles, planes, lowest_blade: Multivector) -> Multivector:

@@ -26,8 +26,10 @@ class DegenerateSpanError(GaError):
 
 
 class AmbiguousRankError(GaError):
-    """Grade-part norms straddle the zero threshold too closely to
-    classify intersection/perpendicularity counts reliably."""
+    """The angle report would break its own invariants: the counts of
+    principal planes and reversed directions do not fit the blades'
+    grades, s + t exceeds r (a cutoff of 0.5 or more can count one angle
+    as both zero and right), or the rotor residual is above its bound."""
 
 
 class NonEuclideanError(GaError):

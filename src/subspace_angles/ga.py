@@ -214,17 +214,6 @@ def wedge_vectors(sig: Signature, rows) -> Multivector:
     return Multivector(sig, c, _copy=False)
 
 
-@lru_cache(maxsize=None)
-def _grade_reach(n: int, k: int) -> np.ndarray:
-    """R[g_a, g_b] = 1 when a grade-g_a and a grade-g_b blade can have a
-    grade-k product term: |g_a - g_b| <= k <= g_a + g_b."""
-    g = np.arange(n + 1)
-    reach = (np.abs(g[:, None] - g) <= k) & (g[:, None] + g >= k)
-    reach = reach.astype(np.int64)
-    reach.setflags(write=False)
-    return reach
-
-
 def mask_from_name(name: str, n: int) -> int:
     """Parse a basis-blade name like 'e12', 'e1_10' or '1' (scalar)."""
     name = name.strip()
@@ -383,19 +372,18 @@ class Multivector:
 
     # ---- products -------------------------------------------------------
 
-    def _product(self, other: "Multivector", keep=None, support=None) -> "Multivector":
+    def _product(self, other: "Multivector", keep=None) -> "Multivector":
         """Shared kernel: accumulate sign * a_i * b_j into mask i^j.
 
         keep(ai, bi) -> bool matrix selects which basis pairs contribute
         (None keeps all, giving the geometric product); only the selected
-        pairs are computed. support, when given, is the ascending part of
-        self's support that can have selected pairs. np.bincount adds the
+        pairs are computed. np.bincount adds the
         terms in row-major (i, j) order, one pass, so the rounding is that
         of a plain loop over i then j, and a bin never holds -0.0, so
         leaving a term out gives the same bytes as adding it as +-0.0.
         """
         self._check_sig(other)
-        a = (self.coeffs.nonzero()[0] if support is None else support)[:, None]
+        a = self.coeffs.nonzero()[0][:, None]
         b = other.coeffs.nonzero()[0][None, :]
         if keep is not None:
             rows, cols = np.nonzero(keep(a, b))
@@ -431,20 +419,6 @@ class Multivector:
     def left_contraction(self, other: "Multivector") -> "Multivector":
         """a lc b: per-grade selection <a_r b_s>_{s-r}, zero for r > s."""
         return self._product(other, keep=lambda a, b: (a & b) == a)
-
-    def grade_product(self, other: "Multivector", k: int) -> "Multivector":
-        """Grade-k part of the geometric product: the bytes of (a * b).grade(k),
-        computing only the terms that land in grade k. Rows of a whose grade
-        reaches k with no grade present in b are dropped first; they have
-        no selected pairs, so the row-major order of the rest is unchanged."""
-        self._check_sig(other)
-        n = self.sig.n
-        g = _grades(n)
-        b_grades = np.bincount(g[other.coeffs.nonzero()[0]], minlength=n + 1)
-        reaches = (_grade_reach(n, k) @ b_grades) > 0
-        rows = self.coeffs.nonzero()[0]
-        return self._product(other, keep=lambda a, b: g[a ^ b] == k,
-                             support=rows[reaches[g[rows]]])
 
     def scalar_product(self, other: "Multivector") -> float:
         """Scalar part of the geometric product, computed directly."""

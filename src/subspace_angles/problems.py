@@ -21,7 +21,7 @@ import numpy as np
 
 from . import conformal
 from .blades import Blade, blade_from_spanning_vectors, orthogonal_factorization
-from .engine import AngleReport, relative_angle, GRADE_ZERO_TOL
+from .engine import ANGLE_COS_TOL, AngleReport, relative_angle
 from .errors import ProblemFormatError
 from .ga import Multivector, Signature, mask_from_name, name_from_mask
 from .oracle import PrincipalPairs, orthonormal_basis, principal_angles, rank_counts
@@ -213,7 +213,7 @@ def run_problem(problem: SubspaceProblem, *, oracle_enabled: bool | None = None,
     if oracle_enabled is None:
         oracle_enabled = bool(problem.options.get("oracle", False))
     if tolerance is None:
-        tolerance = float(problem.options.get("tolerance", GRADE_ZERO_TOL))
+        tolerance = float(problem.options.get("tolerance", ANGLE_COS_TOL))
 
     blade_a, blade_b = problem_blades(problem)
     report = relative_angle(blade_a, blade_b, grade_tol=tolerance)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 
 from subspace_angles import conformal as cf
 from subspace_angles.blades import blade_from_spanning_vectors
+from subspace_angles import engine
 from subspace_angles.cli import (
+    EXIT_AMBIGUOUS,
     EXIT_DEGENERATE,
+    EXIT_FAILURE,
     EXIT_OK,
     EXIT_PARSE,
     main,
@@ -80,6 +84,21 @@ class TestExitCodes:
         bad.write_text('{"n": 3, "A": [], "B": [[0, 1, 0]]}')
         assert main(["run", str(bad)]) == EXIT_PARSE
 
+    def test_ambiguous_rank(self, monkeypatch, capsys):
+        # a report that breaks its invariants is refused with exit 4
+        monkeypatch.setattr(engine, "RESIDUAL_BOUND", -1.0)
+        assert main(["run", str(DATA / "perpendicular_planes.json")]) == EXIT_AMBIGUOUS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "AmbiguousRankError: report breaks its invariants" in captured.err
+
+    def test_other_computation_error(self, tmp_path, capsys):
+        # a conformal point has no Euclidean direction part
+        point = tmp_path / "point.json"
+        point.write_text('{"n": 3, "A": {"e4": -0.5, "e5": 0.5}, "B": {"e4": -0.5, "e5": 0.5}}')
+        assert main(["run", str(point), "--mode", "conformal"]) == EXIT_FAILURE
+        assert "CarrierError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-1", "1", "nan", "inf"])
     def test_tolerance_flag_outside_unit_interval(self, value, capsys):
         code = main(["run", str(DATA / "perpendicular_planes.json"), "--tolerance", value])
@@ -108,6 +127,16 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError, match="unknown keys"):
             parse_problem('{"n":3,"A":[[1,0,0]],"B":[[0,1,0]],"extra":1}')
 
+    def test_explicit_euclidean_signature(self, tmp_path, capsys):
+        doc = json.loads((DATA / "perpendicular_planes.json").read_text())
+        doc["signature"] = [3, 0]
+        assert parse_problem(json.dumps(doc)).signature == (3, 0)
+        path = tmp_path / "signed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--oracle"]) == EXIT_OK
+        golden = (GOLDEN / "perpendicular_planes.json.out").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
     def test_bad_signature_rejected(self):
         with pytest.raises(ProblemFormatError, match="signature"):
             parse_problem('{"n":3,"signature":[2,2],"A":[[1,0,0]],"B":[[0,1,0]]}')
@@ -130,6 +159,16 @@ class TestFormatsAndModes:
         assert "s=1 t=1" in out
         assert "90.000000" in out
         assert "oracle max deviation" in out
+
+    def test_text_format_lists_planes(self, tmp_path, capsys):
+        path = tmp_path / "tilted.json"
+        path.write_text('{"n": 3, "A": [[1, 0, 0], [0, 1, 0]], "B": [[0.8, 0, 0.6], [0, 1, 0]]}')
+        assert main(["run", str(path), "--format", "text"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "s=1 t=0 lowest_grade=0" in lines
+        assert f"angles (rad): {math.atan2(0.6, 0.8):.9f}, 0.000000000" in lines
+        # A reverse(B) = e1 (0.8 e1 + 0.6 e3) = cos(theta) + sin(theta) e13
+        assert [line for line in lines if line.startswith("plane")] == ["plane 1: 1*e13"]
 
     def test_multiple_files_in_order(self, capsys):
         code = main(["run", str(DATA / "identical_planes.json"),

@@ -7,8 +7,6 @@ from conftest import random_blade, random_rotor
 
 from subspace_angles.blades import Blade, blade_from_spanning_vectors
 from subspace_angles.engine import (
-    _classify_grades,
-    _split_with_flag,
     bivector_split,
     relative_angle,
     rotor_reconstruction,
@@ -182,55 +180,38 @@ class TestBivectorSplit:
 
 
 class TestSplitEarlyExit:
-    """A round whose remainder has |R|_F^2 <= floor^2 / 2 stops without eigh
-    (lam_max <= |R|_F^2 / 2); the planes and the flag are what the round's
-    eigh would have led to. Diagonal -F^2 keeps these cases exact."""
-
-    @pytest.fixture
-    def eigh_calls(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(mat):
-            calls.append(mat.shape)
-            return eigh(mat)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        return calls
+    """Coefficients at or below the split floor (1e-12 times the largest
+    entry) are dropped; the planes kept have the exact bytes of the basis
+    bivectors for these block-diagonal inputs."""
 
     @staticmethod
     def _bytes(pairs):
         # + 0.0: the sign of a zero follows the sign LAPACK gives an eigenvector
         return [(beta, (plane.coeffs + 0.0).tobytes()) for beta, plane in pairs]
 
-    def test_zero_bivector_skips_eigh(self, eigh_calls):
-        zero = Multivector.zero(Signature(4))
-        assert _split_with_flag(zero) == ([], False)
-        assert eigh_calls == []
+    def test_zero_bivector_skips_eigh(self):
+        assert bivector_split(Multivector.zero(Signature(4))) == []
 
-    @pytest.mark.parametrize("coeff,rounds", [
-        (1e-14, 1),    # remainder 1e-14 e34 is below the floor 2e-12 after round 1
-        (3e-12, 2),    # 3e-12 e34 clears it and is extracted in round 2
+    @pytest.mark.parametrize("coeff,planes", [
+        (1e-14, 1),    # 1e-14 e34 is below the floor 2e-12
+        (3e-12, 2),    # 3e-12 e34 clears it
     ])
-    def test_remainder_below_floor_after_round_one(self, eigh_calls, coeff, rounds):
+    def test_remainder_below_floor_after_round_one(self, coeff, planes):
         sig = Signature(4)
         e = basis_vectors(sig)
         f = (e[0] ^ e[1]) * 2.0 + (e[2] ^ e[3]) * coeff
         want = [(2.0, (e[0] ^ e[1]).coeffs.tobytes())]
-        if rounds == 2:
+        if planes == 2:
             want.append((coeff, (e[2] ^ e[3]).coeffs.tobytes()))
-        pairs, flag = _split_with_flag(f)
-        assert (self._bytes(pairs), flag) == (want, False)
-        assert len(eigh_calls) == rounds
         assert self._bytes(bivector_split(f)) == want
 
-    def test_negative_coefficient_plane(self, eigh_calls):
+    def test_negative_coefficient_plane(self):
         sig = Signature(4)
         e = basis_vectors(sig)
         f = (e[0] ^ e[2]) * -5.0 + (e[1] ^ e[3]) * 1e-13
-        pairs, flag = _split_with_flag(f)
-        assert (self._bytes(pairs), flag) == ([(5.0, ((e[0] ^ e[2]).coeffs * -1.0 + 0.0).tobytes())], False)
-        assert len(eigh_calls) == 1
+        want = [(5.0, ((e[0] ^ e[2]).coeffs * -1.0 + 0.0).tobytes())]
+        assert self._bytes(bivector_split(f)) == want
+
 
 class TestRelativeAngle:
     def test_identical_blades(self):
@@ -423,16 +404,14 @@ class TestGradeTolerance:
             run_problem(problem, tolerance=value)
 
 
-class TestClassifier:
-    def test_clean_classification(self):
-        assert _classify_grades({0: 1e-14, 2: 0.5, 4: 1.0}, 1e-9) == [2, 4]
-
-    def test_straddling_norms_raise(self):
-        with pytest.raises(AmbiguousRankError):
-            _classify_grades({0: 5e-10, 2: 3e-9, 4: 1.0}, 1e-9)
-
-    def test_wide_separation_is_fine(self):
-        assert _classify_grades({0: 1e-13, 2: 1e-2, 4: 1.0}, 1e-9) == [2, 4]
+class TestInvariantGuard:
+    def test_residual_above_bound_raises(self, monkeypatch):
+        from subspace_angles import engine
+        a, b = blade_of(E1 ^ E2), blade_of(E1 ^ E3)
+        assert relative_angle(a, b).residual == 0.0
+        monkeypatch.setattr(engine, "RESIDUAL_BOUND", -1.0)
+        with pytest.raises(AmbiguousRankError, match=r"r=2, 2 angles, s=1, t=1, 0 planes"):
+            relative_angle(a, b)
 
 
 class TestRotorReconstruction:
@@ -448,6 +427,18 @@ class TestRotorReconstruction:
         rep = relative_angle(a, b)
         rebuilt = rotor_reconstruction(rep, 1.0, 1.0)
         assert rebuilt.approx_eq(a.mv * b.mv.reverse(), 1e-9)
+
+    def test_near_right_angle_counted_by_t(self):
+        # t counts the first angle (cos 1e-7 <= grade_tol), which still has a plane
+        theta1, theta2 = math.pi / 2 - 1e-7, 0.4
+        a = blade_from_spanning_vectors([[1, 0, 0, 0], [0, 1, 0, 0]])
+        b = blade_from_spanning_vectors([[math.cos(theta1), 0, math.sin(theta1), 0],
+                                         [0, math.cos(theta2), 0, math.sin(theta2)]])
+        rep = relative_angle(a, b, grade_tol=1e-6)
+        assert (rep.s, rep.t, len(rep.planes)) == (0, 1, 2)
+        assert np.allclose(rep.angles, [theta1, theta2], rtol=0.0, atol=1e-15)
+        rebuilt = rotor_reconstruction(rep, a.magnitude, b.magnitude)
+        assert (rebuilt - a.mv * b.mv.reverse()).coeff_norm() <= rep.residual + 1e-15
 
     def test_random_pairs(self):
         rng = np.random.default_rng(42)
@@ -465,7 +456,8 @@ def scalar_start_chain(scale, report):
     """The rotor rebuild as it was first written: a scalar times every factor in turn."""
     sig = report.lowest_blade.sig
     out = Multivector.scalar(sig, scale)
-    for theta, plane in zip(report.angles[report.t:], report.planes):
+    interior = [theta for theta in report.angles if 0.0 < theta < math.pi / 2]
+    for theta, plane in zip(interior, report.planes):
         out = out * (Multivector.scalar(sig, math.cos(theta)) + plane * math.sin(theta))
     return out * report.lowest_blade
 

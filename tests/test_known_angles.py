@@ -1,0 +1,155 @@
+"""Pairs built from known principal angles, drawn with hypothesis.
+
+A random orthonormal frame f_0..f_{n-1} gives A the basis f_0..f_{ra-1}
+and B the vectors b_k = cos(theta_k) f_k + sin(theta_k) w_k, with w_k a
+fresh frame vector, so the theta_k are exactly the principal angles.
+Each basis is then mixed by a random matrix of condition number <= 4.
+Offsets from 0 and pi/2 run from 1e-12 to 1e-3 and keep the classified
+quantity (1 - cos near zero, cos near pi/2) at least 10x from the 1e-9
+cutoff, so the true s and t are unambiguous.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from subspace_angles.blades import blade_from_spanning_vectors
+from subspace_angles.engine import relative_angle, rotor_reconstruction
+
+CUTOFF = 1e-9
+MARGIN = 10.0
+KINDS = ("zero", "right", "generic", "near_zero", "near_right")
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def off_cutoff(x: float) -> bool:
+    return x <= CUTOFF / MARGIN or x >= CUTOFF * MARGIN
+
+
+@st.composite
+def angle(draw, kind):
+    """(theta, cos theta, sin theta) of one angle of the given kind."""
+    if kind == "zero":
+        return 0.0, 1.0, 0.0
+    if kind == "right":
+        return math.pi / 2, 0.0, 1.0
+    if kind == "generic":
+        theta = draw(st.floats(0.05, math.pi / 2 - 0.05))
+        return theta, math.cos(theta), math.sin(theta)
+    eps = 10.0 ** draw(st.floats(-12.0, -3.0))
+    if kind == "near_zero":
+        assume(off_cutoff(2.0 * math.sin(eps / 2.0) ** 2))
+        return eps, math.cos(eps), math.sin(eps)
+    assume(off_cutoff(math.sin(eps)))
+    return math.pi / 2 - eps, math.sin(eps), math.cos(eps)
+
+
+def mixed(rng, basis):
+    """Rows spanning the same space, through a matrix of condition <= 4."""
+    k = basis.shape[0]
+    q1 = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return (q1 * rng.uniform(0.5, 2.0, k)) @ q2 @ basis
+
+
+def build(seed, n, q, drawn):
+    """Spanning rows of A (grade len(drawn) + q) and B with the drawn angles."""
+    rng = np.random.default_rng(seed)
+    frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    ra = len(drawn) + q
+    spare = ra
+    rows = []
+    for k, (theta, c, s) in enumerate(drawn):
+        if s == 0.0:
+            rows.append(frame[k])
+        else:
+            rows.append(c * frame[k] + s * frame[spare])
+            spare += 1
+    return mixed(rng, frame[:ra]), mixed(rng, np.array(rows))
+
+
+@st.composite
+def known_pairs(draw, kinds=st.sampled_from(KINDS)):
+    """(A rows, B rows, [(theta, cos, sin)]) with 1..4 angles and grade gap 0..2."""
+    drawn = draw(st.lists(kinds.flatmap(angle), min_size=1, max_size=4))
+    q = draw(st.integers(0, 2))
+    needed = len(drawn) + q + sum(s != 0.0 for _, _, s in drawn)
+    n = draw(st.integers(max(needed, 2), 10))
+    a_rows, b_rows = build(draw(st.integers(0, 2**32 - 1)), n, q, drawn)
+    return a_rows, b_rows, drawn
+
+
+def check(a_rows, b_rows, drawn, **kwargs):
+    """The report against the truth; returns it."""
+    a = blade_from_spanning_vectors(a_rows)
+    b = blade_from_spanning_vectors(b_rows)
+    rep = relative_angle(a, b, **kwargs)
+    truth = sorted(drawn, reverse=True)
+    assert len(rep.angles) == len(truth)
+    for got, (theta, _, _) in zip(rep.angles, truth):
+        assert abs(got - theta) <= 1e-8
+    assert rep.s == sum(c >= 1.0 - CUTOFF for _, c, _ in truth)
+    assert rep.t == sum(c <= CUTOFF for _, c, _ in truth)
+    # exact zeros and right angles come back exact; every other angle keeps its value
+    assert rep.angles.count(0.0) == sum(s == 0.0 for _, _, s in truth)
+    assert rep.angles.count(math.pi / 2) == sum(c == 0.0 for _, c, _ in truth)
+    assert len(rep.planes) == sum(0.0 < x < math.pi / 2 for x in rep.angles)
+    rebuilt = rotor_reconstruction(rep, a.magnitude, b.magnitude)
+    assert (rebuilt - a.mv * b.mv.reverse()).coeff_norm() <= 1e-8 * a.magnitude * b.magnitude
+    return rep
+
+
+@SETTINGS
+@given(known_pairs())
+def test_known_angles(pair):
+    check(*pair)
+
+
+@SETTINGS
+@given(known_pairs(kinds=st.sampled_from(("zero", "right"))))
+def test_exact_zero_and_right_angles(pair):
+    rep = check(*pair)
+    assert rep.planes == ()
+
+
+@SETTINGS
+@given(known_pairs(kinds=st.sampled_from(("near_zero", "near_right"))))
+def test_offsets_from_zero_and_right(pair):
+    check(*pair)
+
+
+@SETTINGS
+@given(st.sampled_from(("near_zero", "near_right")).flatmap(angle),
+       st.sampled_from(("near_zero", "near_right")).flatmap(angle),
+       st.integers(0, 2**32 - 1))
+def test_near_zero_and_near_right_in_one_pair(low, high, seed):
+    assume(low[0] < math.pi / 4 < high[0])
+    a_rows, b_rows = build(seed, 6, 1, [low, high])
+    check(a_rows, b_rows, [low, high])
+
+
+@SETTINGS
+@given(st.sampled_from(("generic", "near_zero", "near_right")).flatmap(angle),
+       st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_equal_angle_clusters_set_the_flag(theta, times, seed):
+    drawn = [theta] * times
+    a_rows, b_rows = build(seed, 2 * times + 1, 1, drawn)
+    rep = check(a_rows, b_rows, drawn)
+    assert len(rep.planes) == times
+    assert rep.has_equal_angles
+
+
+@pytest.mark.parametrize("eps", [3e-5, 1e-5])
+def test_reproducers(eps):
+    a_rows = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    b_rows = np.array([[eps, 0, 1.0, 0], [0, eps, 0, 1.0]])
+    theta = math.atan2(1.0, eps)
+    c = eps / math.sqrt(1.0 + eps * eps)
+    rep = check(a_rows, b_rows, [(theta, c, 1.0 / math.sqrt(1.0 + eps * eps))] * 2)
+    assert (rep.s, rep.t, len(rep.planes)) == (0, 0, 2)
+    assert rep.has_equal_angles
+    assert rep.residual <= 1e-12

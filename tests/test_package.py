@@ -57,3 +57,25 @@ def test_report_digest_names_the_differing_pairs(tmp_path):
 
     code, rows = run_digest("--per-pair", "--src", str(src), "--src", str(src))
     assert code == 0 and rows[-1] == "identical" and len(rows) == 2
+
+
+def run_digest_truth(*args):
+    src = str(Path(subspace_angles.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py"), "--truth",
+                           "--seeds", "1", "--src", src, *args],
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout.splitlines()
+
+
+def test_report_digest_truth():
+    # the benchmark's own verdict: no engine failure, only the oracle's known tiny-angle form
+    code, rows = run_digest_truth("--workloads", "corpus_small", "wide_dense")
+    assert code == 0
+    assert [row.split()[:2] for row in rows] == [["corpus_small", "1"], ["wide_dense", "1"]]
+    for row in rows:
+        fields = dict(kv.split("=") for kv in row.split(" reasons:")[0].split()[2:])
+        assert int(fields["unexplained"]) == 0
+        assert float(fields["engine_err"]) <= 1e-8
+        assert float(fields["residual_max"]) <= 1e-6
+        assert row.split(" reasons: ")[1] in ("-", f"oracle angle: {fields['failed']}")
+

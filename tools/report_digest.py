@@ -25,6 +25,17 @@ as the last item of cli_batch) on its own.  With one --src the per-pair
 digests follow each row, comma-separated; with several, every differing
 row is followed by the indices of the pairs that differ, counted from 0
 in the order of perfbench/inputs.py.
+
+--truth prints, instead of digests, the benchmark's own verdict on each
+(workload, seed): every report is checked against the true angles by the
+`Tally` of perfbench/run.py (imported, never changed), and the row gives
+the pairs attempted and failed, the failures by reason, how many lack the
+form of a known defect ("unexplained"), the worst engine and oracle
+error against the truth and the worst rotor residual.  cli_batch runs its
+problem files in-process, without the selftest, whose cases have no
+known truth.  The exit status is 1 when any failure is unexplained.
+
+    python3 tools/report_digest.py --truth --workloads corpus_small wide_dense --seeds 1 2 3
 """
 
 import os
@@ -143,6 +154,51 @@ def digests(src: str, workloads, seeds) -> list[tuple[str, int, Digest]]:
     return out
 
 
+def truth_reports(harness, inputs, sa, workload: str, seed: int):
+    """(pair, (angles, s, t, oracle angles, residual)) per input, or the exception
+    in place of the tuple."""
+    if workload != "cli_batch":
+        for pair in getattr(inputs, workload)(seed):
+            got = attempt(harness.run_pair, sa, pair)
+            yield pair, got if isinstance(got, Exception) else (
+                got[0].angles, got[0].s, got[0].t, got[1].angles, got[0].residual)
+        return
+    from subspace_angles.problems import parse_problem, run_problem
+    for mode, problems in (("euclidean", inputs.euclidean_problems(seed)),
+                           ("conformal", inputs.conformal_problems(seed))):
+        for problem in problems:
+            doc = attempt(lambda: run_problem(parse_problem(json.dumps(problem.doc), mode=mode),
+                                              oracle_enabled=True))
+            yield problem.pair, doc if isinstance(doc, Exception) else (
+                doc["angles_rad"], doc["s"], doc["t"], doc["oracle"]["angles_rad"], doc["residual"])
+
+
+def truth(src: str, workloads, seeds) -> int:
+    sys.path.insert(0, str(Path(src).resolve()))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs
+    import run as harness
+    import subspace_angles as sa
+
+    unexplained = 0
+    for workload in workloads:
+        for seed in seeds:
+            tally, residual = harness.Tally(), 0.0
+            for pair, got in truth_reports(harness, inputs, sa, workload, seed):
+                if isinstance(got, Exception):
+                    tally.raised(pair, got)
+                else:
+                    residual = max(residual, float(got[4]))
+                    tally.check(pair, *got[:4], float(got[4]))
+            unexplained += tally.unexplained
+            reasons = ", ".join(f"{k}: {v}" for k, v in tally.reasons.most_common()) or "-"
+            print(f"{workload} {seed} attempted={tally.attempted} failed={tally.failed} "
+                  f"unexplained={tally.unexplained} engine_err={tally.engine_err:.3g} "
+                  f"oracle_err={tally.oracle_err:.3g} residual_max={residual:.3g} "
+                  f"reasons: {reasons}")
+    return 1 if unexplained else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append",
@@ -151,8 +207,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     parser.add_argument("--per-pair", action="store_true",
                         help="also hash each pair, and name the pairs of a differing row")
+    parser.add_argument("--truth", action="store_true",
+                        help="print the benchmark's verdict against the true angles instead")
     args = parser.parse_args(argv)
     srcs = args.src or [str(ROOT / "src")]
+    if args.truth:
+        if len(srcs) != 1:
+            parser.error("--truth takes one --src")
+        return truth(srcs[0], args.workloads, args.seeds)
 
     if len(srcs) == 1:
         for workload, seed, digest in digests(srcs[0], args.workloads, args.seeds):
