@@ -2,14 +2,15 @@
 
 A blade (simple k-vector) is the outer product of k independent vectors
 and stands for the k-dimensional subspace of vectors whose wedge with it
-vanishes. Factorization rewrites a blade as magnitude times a geometric
-product of k orthonormal vectors; the factors are not unique, only the
-reconstruction is contractual.
+vanishes. Every Blade carries a frame: k orthonormal vectors whose
+geometric product is the unit blade, so the blade is its magnitude times
+that product. The frame is not unique, only the reconstruction is
+contractual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,11 +41,18 @@ class OrthogonalFactorization:
 
 @dataclass(frozen=True)
 class Blade:
-    """A multivector checked to be a simple k-vector."""
+    """A multivector checked to be a simple k-vector, with its frame: the
+    read-only (k, n) orthonormal rows q_1..q_k with q_1 ^ ... ^ q_k = unit()
+    (over a Euclidean signature) that each constructor computes while it
+    validates. The engine's projectors read the frame; == and repr ignore it."""
 
     mv: Multivector
     grade: int
     magnitude: float
+    frame: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        self.frame.setflags(write=False)
 
     @property
     def sig(self) -> Signature:
@@ -66,10 +74,8 @@ class Blade:
             raise NotABladeError(f"not of pure grade: grades {sorted(norms)}")
         clean = mv.grade(k_dom)
         _check_simple(clean)
-        blade = cls(clean, k_dom, clean.norm())
-        if k_dom > 0:
-            orthogonal_factorization(blade)
-        return blade
+        magnitude = clean.norm()
+        return cls(clean, k_dom, magnitude, _factor(clean, k_dom, magnitude))
 
 
 def _check_simple(mv: Multivector):
@@ -102,10 +108,9 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
     if len(rows) > n:
         raise DegenerateSpanError(f"{len(rows)} vectors cannot be independent in R^{n}")
 
-    _mgs(rows)  # raises on dependence
-
+    frame = _mgs(rows)  # raises on dependence; R's positive diagonal keeps the orientation
     out = wedge_vectors(sig, rows)
-    return Blade(out, len(rows), out.norm())
+    return Blade(out, len(rows), out.norm(), frame)
 
 
 def _mgs(rows: list[np.ndarray]) -> np.ndarray:
@@ -133,34 +138,31 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
     return np.array(basis)
 
 
-def orthogonal_factorization(b: Blade) -> OrthogonalFactorization:
-    """Factor a blade into magnitude times orthonormal vectors.
+def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
+    """Frame of a validated grade-k blade mv: (k, n) orthonormal rows.
 
-    Works by projecting the basis vectors of R^n into the blade's
-    subspace, orthonormalizing the images, and fixing the orientation of
-    the last factor so the geometric product reproduces the blade.
+    Projects the basis vectors of R^n into the blade's subspace,
+    orthonormalizes the images, and fixes the orientation of the last
+    row so the wedge of the rows reproduces mv / magnitude.
     """
-    if not b.sig.is_euclidean:
+    sig = mv.sig
+    if k == 0:
+        return np.zeros((0, sig.n))
+    if not sig.is_euclidean:
         raise NonEuclideanError("factorization implemented for Euclidean blades")
-    if b.magnitude == 0.0:
+    if magnitude == 0.0:
         raise NotABladeError("cannot factor the zero blade")
-    sig = b.sig
-    if b.grade == 0:
-        raise NotABladeError("grade-0 elements have no vector factorization")
 
-    unit = b.unit()
+    unit = mv / magnitude
     unit_rev = unit.reverse()
-    candidates = []
-    for i in range(sig.n):
-        e = Multivector.basis_blade(sig, 1 << i)
-        proj = (e.left_contraction(unit) * unit_rev).grade(1)
-        w = proj.vector_coords()
-        candidates.append((float(np.sqrt(w @ w)), w))
-    candidates.sort(key=lambda t: -t[0])
+    # the projections (e_i _| unit) reverse(unit) of the basis vectors, longest first
+    images = [(Multivector.basis_blade(sig, 1 << i).left_contraction(unit) * unit_rev)
+              .grade(1).vector_coords() for i in range(sig.n)]
+    images.sort(key=lambda w: -float(np.sqrt(w @ w)))
 
     factors: list[np.ndarray] = []
-    for norm, w in candidates:
-        if len(factors) == b.grade:
+    for w in images:
+        if len(factors) == k:
             break
         u = w.copy()
         for _ in range(2):
@@ -169,22 +171,27 @@ def orthogonal_factorization(b: Blade) -> OrthogonalFactorization:
         res = np.sqrt(u @ u)
         if res > 1e-6:
             factors.append(u / res)
-    if len(factors) != b.grade:
+    if len(factors) != k:
         raise NotABladeError("projection rank below grade; not a blade")
 
-    rebuilt = Multivector.scalar(sig, 1.0)
-    fmvs = [Multivector.vector(sig, f) for f in factors]
-    for f in fmvs:
-        rebuilt = rebuilt * f
-    orient = rebuilt.scalar_product(unit_rev)
-    if orient < 0.0:
+    rebuilt = wedge_vectors(sig, factors)  # of orthonormal vectors: their geometric product
+    if rebuilt.scalar_product(unit_rev) < 0.0:
         factors[-1] = -factors[-1]
-        fmvs[-1] = -fmvs[-1]
         rebuilt = -rebuilt
-
-    if not rebuilt.approx_eq(unit, BLADE_TOL * max(1.0, b.magnitude)):
+    if not rebuilt.approx_eq(unit, BLADE_TOL * max(1.0, magnitude)):
         raise NotABladeError("orthogonal factors do not reproduce the input")
-    return OrthogonalFactorization(b.magnitude, tuple(fmvs))
+    return np.array(factors)
+
+
+def orthogonal_factorization(b: Blade) -> OrthogonalFactorization:
+    """Factor a blade into magnitude times the orthonormal vectors of its frame."""
+    if not b.sig.is_euclidean:
+        raise NonEuclideanError("factorization implemented for Euclidean blades")
+    if b.magnitude == 0.0:
+        raise NotABladeError("cannot factor the zero blade")
+    if b.grade == 0:
+        raise NotABladeError("grade-0 elements have no vector factorization")
+    return OrthogonalFactorization(b.magnitude, tuple(Multivector.vector(b.sig, q) for q in b.frame))
 
 
 def is_blade(mv: Multivector) -> bool:

@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import AmbiguousRankError, DegenerateSpanError, GaError, ProblemFormatError
 from .problems import _expect_tolerance, parse_problem, run_problem, selftest
 
@@ -25,7 +27,7 @@ EXIT_DEGENERATE = 3
 EXIT_AMBIGUOUS = 4
 
 
-def _exit_code(exc: GaError) -> int:
+def _exit_code(exc: Exception) -> int:
     if isinstance(exc, ProblemFormatError):
         return EXIT_PARSE
     if isinstance(exc, DegenerateSpanError):
@@ -100,10 +102,11 @@ def _run_command(args, out, err) -> int:
             print(f"{path}: cannot read: {exc}", file=err)
             return EXIT_PARSE
         try:
-            problem = parse_problem(text, mode=args.mode)
-            oracle = True if args.oracle else None
-            doc = run_problem(problem, oracle_enabled=oracle, tolerance=args.tolerance)
-        except GaError as exc:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in an error
+                problem = parse_problem(text, mode=args.mode)
+                oracle = True if args.oracle else None
+                doc = run_problem(problem, oracle_enabled=oracle, tolerance=args.tolerance)
+        except (GaError, ValueError) as exc:  # ValueError: non-finite coefficients
             print(f"{path}: {type(exc).__name__}: {exc}", file=err)
             return _exit_code(exc)
         if not first:
@@ -116,12 +119,18 @@ def _run_command(args, out, err) -> int:
     return EXIT_OK
 
 
-def _selftest_command(args, out) -> int:
+def _selftest_command(args, out, err) -> int:
+    if args.cases < 1:
+        print("angles selftest: --cases: expected an integer >= 1", file=err)
+        return EXIT_PARSE
     summary = selftest(seed=args.seed, cases=args.cases)
     print(f"selftest: {summary['cases']} cases, seed {summary['seed']}", file=out)
     print(f"max angle deviation vs oracle: {summary['max_angle_deviation']:.3e}", file=out)
     print(f"max reconstruction residual:   {summary['max_residual']:.3e}", file=out)
     print(f"s/t mismatches: {summary['mismatches']}", file=out)
+    if not summary["ok"]:
+        print(f"failing cases: worst deviation at case {summary['worst_case']}, s/t mismatches at "
+              f"cases {', '.join(map(str, summary['mismatch_cases'])) or 'none'}", file=out)
     print("selftest: PASS" if summary["ok"] else "selftest: FAIL", file=out)
     return EXIT_OK if summary["ok"] else EXIT_FAILURE
 
@@ -131,7 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return _run_command(args, sys.stdout, sys.stderr)
-    return _selftest_command(args, sys.stdout)
+    return _selftest_command(args, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -11,14 +11,15 @@ subspace projectors (Halmos, "Two subspaces", 1969), which
   * sends the q + 2t directions of L to their negatives,
   * and fixes the s shared directions and everything outside A + B.
 
-So the engine builds P_A and P_B from the blades' coefficients, splits
-S = (O + O^T)/2 into clusters of equal cos 2 theta and each cluster by the
-rotation rates of K = (O - O^T)/2, and takes every angle as
+So the engine builds each projector as P = F^T F from the orthonormal
+frame F its blade carries (see Blade), splits S = (O + O^T)/2 into
+clusters of equal cos 2 theta and each cluster by the rotation rates of
+K = (O - O^T)/2, and takes every angle as
 theta = atan2(sin 2 theta, cos 2 theta) / 2, which is as accurate near 0
 as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
-s and t count the angles by the oracle's per-angle rule. M itself serves
-the self-check, the rebuilt rotor chain (c_1 + i_1 s_1) ... L, whose
-distance from M is the report's residual.
+s and t count the angles by the oracle's per-angle rule. M, formed from
+the blades' coefficients, is the self-check: its distance from the rebuilt
+rotor chain (c_1 + i_1 s_1) ... L, the residual, also ties frames to blades.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .blades import Blade
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, _grade_masks, _wedge_table, wedge_vectors
+from .ga import Multivector, wedge_vectors
 
 # A principal angle counts as zero when its cosine is >= 1 - this value and
 # as right when its cosine is <= this value; the rule of oracle.rank_counts,
@@ -169,24 +170,6 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     return sorted((p for p in parts if p[0] > floor), key=lambda p: -p[0])
 
 
-def _projector(unit: Multivector, k: int) -> np.ndarray:
-    """Orthogonal projector onto the subspace of a unit k-blade X.
-
-    P = C C^T with C[i, T] the coefficient of e_T in e_i contracted onto
-    X. The wedge table of grade k - 1 lists, per grade-k mask, the
-    dropped bit i, the position of the remaining mask T and the sign of
-    e_T e_i, which is the contraction's sign times (-1)^(k-1); a global
-    sign leaves C C^T unchanged.
-    """
-    n = unit.sig.n
-    if k == 0:
-        return np.zeros((n, n))
-    src, bits, sign = _wedge_table(n, k - 1)
-    c = np.zeros((n, _grade_masks(n, k - 1).size))
-    c[bits, src] = sign * unit.coeffs[_grade_masks(n, k)]
-    return c @ c.T
-
-
 def _clusters(w: np.ndarray) -> list[np.ndarray]:
     """Runs of the ascending values w whose neighbours lie within EQUAL_ANGLE_TOL."""
     return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > EQUAL_ANGLE_TOL) + 1)
@@ -215,10 +198,9 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
     q = a.grade - b.grade
     r = b.grade
     sig = a.sig
-    ua, ub = a.unit(), b.unit()
 
     eye = np.eye(sig.n)
-    o = (2.0 * _projector(ua, a.grade) - eye) @ (2.0 * _projector(ub, b.grade) - eye)
+    o = (2.0 * (a.frame.T @ a.frame) - eye) @ (2.0 * (b.frame.T @ b.frame) - eye)
     skew = 0.5 * (o - o.T)
     w, v = np.linalg.eigh(0.5 * (o + o.T))
     pairs = []      # orthonormal (x, y) of each principal plane
@@ -253,7 +235,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
 
     lowest = _unit_wedge(sig, flipped) if flipped else Multivector.scalar(sig, 1.0)
-    m = ua * ub.reverse()
+    m = a.unit() * b.unit().reverse()
     rebuilt = _rotor_chain(1.0, thetas, planes, lowest)
     if rebuilt.scalar_product(m.reverse()) < 0.0:
         lowest, rebuilt = -lowest, -rebuilt

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conformal
-from .blades import Blade, blade_from_spanning_vectors, orthogonal_factorization
+from .blades import Blade, blade_from_spanning_vectors
 from .engine import ANGLE_COS_TOL, AngleReport, relative_angle
 from .errors import ProblemFormatError
 from .ga import Multivector, Signature, mask_from_name, name_from_mask
@@ -178,21 +178,16 @@ def _sparse_map(mv: Multivector) -> dict[str, float]:
             for m in mv.support() if abs(mv.coeffs[m]) > PLANE_COEFF_MIN}
 
 
-def _blade_basis_rows(blade: Blade) -> np.ndarray:
-    factors = orthogonal_factorization(blade).factors
-    return np.array([f.vector_coords() for f in factors])
-
-
 def _oracle_bases(problem: SubspaceProblem, blade_a: Blade, blade_b: Blade):
     """Orthonormal bases for the matrix route.
 
     Euclidean problems feed the raw input spans to the oracle, keeping
     that route fully independent of the algebra layer; conformal
-    carriers exist only as blades, so those are factored.
+    carriers exist only as blades, so the oracle reads their frames.
     """
     if problem.mode == "euclidean":
         return orthonormal_basis(problem.a_span), orthonormal_basis(problem.b_span)
-    return _blade_basis_rows(blade_a), _blade_basis_rows(blade_b)
+    return blade_a.frame, blade_b.frame
 
 
 def oracle_comparison(pairs: PrincipalPairs, report: AngleReport) -> dict:
@@ -246,29 +241,31 @@ def run_problem(problem: SubspaceProblem, *, oracle_enabled: bool | None = None,
 def selftest(seed: int = 0, cases: int = 100) -> dict:
     """Engine-vs-oracle agreement on seeded random problems.
 
-    Returns a summary with the worst angle deviation, worst residual and
-    the number of s/t mismatches; 'ok' is True when everything is within
-    1e-8 and the counts agree.
+    Returns a summary with the worst angle deviation and its case (from 0),
+    the worst residual, and the number and cases of the s/t mismatches;
+    'ok' is True when everything is within 1e-8 and the counts agree.
     """
     rng = np.random.default_rng(seed)
-    worst_angle = 0.0
-    worst_residual = 0.0
-    mismatches = 0
-    for _ in range(cases):
+    worst_angle, worst_case, worst_residual, mismatched = 0.0, None, 0.0, []
+    for i in range(cases):
         a_rows, b_rows, _meta = sample_spans(rng)
         blade_a = blade_from_spanning_vectors(a_rows)
         blade_b = blade_from_spanning_vectors(b_rows)
         report = relative_angle(blade_a, blade_b)
         pairs = principal_angles(orthonormal_basis(a_rows), orthonormal_basis(b_rows))
-        worst_angle = max(worst_angle, oracle_comparison(pairs, report)["max_deviation"])
+        deviation = oracle_comparison(pairs, report)["max_deviation"]
+        if worst_case is None or deviation > worst_angle:
+            worst_angle, worst_case = deviation, i
         worst_residual = max(worst_residual, report.residual)
         if (report.s, report.t) != rank_counts(pairs):
-            mismatches += 1
+            mismatched.append(i)
     return {
         "cases": cases,
         "seed": seed,
         "max_angle_deviation": worst_angle,
+        "worst_case": worst_case,
         "max_residual": worst_residual,
-        "mismatches": mismatches,
-        "ok": worst_angle <= 1e-8 and mismatches == 0,
+        "mismatches": len(mismatched),
+        "mismatch_cases": mismatched,
+        "ok": worst_angle <= 1e-8 and not mismatched,
     }

@@ -7,7 +7,7 @@ import pytest
 
 from subspace_angles import conformal as cf
 from subspace_angles.blades import blade_from_spanning_vectors
-from subspace_angles import engine
+from subspace_angles import engine, problems
 from subspace_angles.cli import (
     EXIT_AMBIGUOUS,
     EXIT_DEGENERATE,
@@ -206,6 +206,48 @@ class TestFormatsAndModes:
         assert code == EXIT_OK
         assert "selftest: PASS" in out
 
+    def test_selftest_pass_output_names_no_case(self, capsys):
+        assert main(["selftest", "--seed", "1", "--cases", "5"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "selftest", "max angle deviation vs oracle", "max reconstruction residual",
+            "s/t mismatches", "selftest"]
+        assert lines[-1] == "selftest: PASS"
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_selftest_needs_a_positive_case_count(self, cases, capsys):
+        code = main(["selftest", "--cases", cases])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == "angles selftest: --cases: expected an integer >= 1\n"
+
+    def test_selftest_failure_names_the_cases(self, monkeypatch, capsys):
+        # case 2 gets wrong oracle counts and case 3 a large deviation
+        counts, compare = problems.rank_counts, problems.oracle_comparison
+        seen = {"counts": 0, "compare": 0}
+
+        def wrong_counts(pairs):
+            s, t = counts(pairs)
+            seen["counts"] += 1
+            return (s + 1, t) if seen["counts"] == 3 else (s, t)
+
+        def deviating(pairs, report):
+            out = compare(pairs, report)
+            seen["compare"] += 1
+            return {**out, "max_deviation": 0.5} if seen["compare"] == 4 else out
+
+        monkeypatch.setattr(problems, "rank_counts", wrong_counts)
+        monkeypatch.setattr(problems, "oracle_comparison", deviating)
+        assert main(["selftest", "--seed", "1", "--cases", "6"]) == EXIT_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        assert "s/t mismatches: 1" in lines
+        assert lines[-2:] == ["failing cases: worst deviation at case 3, s/t mismatches at cases 2",
+                              "selftest: FAIL"]
+        seen.update(counts=0, compare=0)
+        summary = problems.selftest(seed=1, cases=6)
+        assert (summary["worst_case"], summary["mismatch_cases"]) == (3, [2])
+
 
 class TestRandomProblemDocuments:
     def test_generated_file_runs_with_small_deviation(self, tmp_path, capsys):
@@ -250,3 +292,13 @@ class TestProcessExitStatus:
         bad.write_text("{")
         proc = self._run("run", str(bad))
         assert proc.returncode == EXIT_PARSE
+
+    def test_overflowing_span_is_a_one_line_error(self, tmp_path):
+        # finite input whose wedge overflows: exit 1 with the error line, no traceback
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 3, "A": [[1e160, 0, 0], [0, 1e160, 0]], "B": [[1, 0, 0], [0, 0, 1]]}')
+        proc = self._run("run", str(big))
+        assert proc.returncode == EXIT_FAILURE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"{big}: ValueError: coefficients must be finite\n"
+        assert proc.stdout == ""

@@ -333,7 +333,7 @@ class TestRelativeAngle:
     def test_non_euclidean_rejected(self):
         sig = Signature(2, 1)
         e = basis_vectors(sig)
-        a = Blade(e[0] ^ e[1], 2, 1.0)
+        a = Blade(e[0] ^ e[1], 2, 1.0, np.eye(3)[:2])
         with pytest.raises(NonEuclideanError):
             relative_angle(a, a)
 

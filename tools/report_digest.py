@@ -9,7 +9,7 @@ Run from the repository root:
 The inputs are the benchmark's, imported from perfbench/inputs.py:
 
 * corpus_small, wide_dense: per pair, both blades (coefficient bytes,
-  grade, magnitude), every field of the `relative_angle` report
+  grade, magnitude and the bytes of the orthonormal frame), every field of the `relative_angle` report
   (plane and lowest-blade coefficient bytes included) and the oracle's
   principal pairs; a raising call contributes its exception repr.
 * cli_batch: per problem file, the `angles run --oracle` JSON text (or
