@@ -9,10 +9,8 @@ Jacobi SVD over the mutual inner products) cross-validates the result.
 
 from .blades import (
     Blade,
-    OrthogonalFactorization,
     blade_from_spanning_vectors,
     is_blade,
-    orthogonal_factorization,
     subspace_membership,
 )
 from .conformal import ConformalObject, conformal_relative_angle, to_offset_flat
@@ -46,7 +44,6 @@ __all__ = [
     "NegativeSquareError",
     "NonEuclideanError",
     "NotABladeError",
-    "OrthogonalFactorization",
     "PrincipalPairs",
     "ProblemFormatError",
     "Signature",
@@ -58,7 +55,6 @@ __all__ = [
     "blade_from_spanning_vectors",
     "conformal_relative_angle",
     "is_blade",
-    "orthogonal_factorization",
     "orthonormal_basis",
     "parse_problem",
     "principal_angles",

@@ -1,11 +1,11 @@
-"""Blades: construction, validation and orthogonal factorization.
+"""Blades: construction and validation.
 
 A blade (simple k-vector) is the outer product of k independent vectors
 and stands for the k-dimensional subspace of vectors whose wedge with it
 vanishes. Every Blade carries a frame: k orthonormal vectors whose
 geometric product is the unit blade, so the blade is its magnitude times
-that product. The frame is not unique, only the reconstruction is
-contractual.
+that product; the frame is the blade's orthogonal factorization. The
+frame is not unique, only the reconstruction is contractual.
 """
 
 from __future__ import annotations
@@ -25,26 +25,13 @@ BLADE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class OrthogonalFactorization:
-    """magnitude * (product of orthonormal factors) reproduces the blade."""
-
-    magnitude: float
-    factors: tuple[Multivector, ...]
-
-    def product(self) -> Multivector:
-        sig = self.factors[0].sig
-        out = Multivector.scalar(sig, self.magnitude)
-        for f in self.factors:
-            out = out * f
-        return out
-
-
-@dataclass(frozen=True)
 class Blade:
     """A multivector checked to be a simple k-vector, with its frame: the
     read-only (k, n) orthonormal rows q_1..q_k with q_1 ^ ... ^ q_k = unit()
     (over a Euclidean signature) that each constructor computes while it
-    validates. The engine's projectors read the frame; == and repr ignore it."""
+    validates, so magnitude * wedge_vectors(sig, frame) rebuilds mv. The
+    engine's projectors read the frame; == and repr ignore it. A magnitude
+    that overflows to inf or nan raises ValueError."""
 
     mv: Multivector
     grade: int
@@ -52,6 +39,8 @@ class Blade:
     frame: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
+        if not np.isfinite(self.magnitude):
+            raise ValueError("blade magnitude overflows: its squared norm is not finite")
         self.frame.setflags(write=False)
 
     @property
@@ -73,18 +62,19 @@ class Blade:
         if off > BLADE_TOL * scale:
             raise NotABladeError(f"not of pure grade: grades {sorted(norms)}")
         clean = mv.grade(k_dom)
-        _check_simple(clean)
+        if nonscalar_square(clean) > BLADE_TOL * max(clean.coeff_norm() ** 2, 1e-300):
+            raise NotABladeError("x * reverse(x) has non-scalar part")
         magnitude = clean.norm()
         return cls(clean, k_dom, magnitude, _factor(clean, k_dom, magnitude))
 
 
-def _check_simple(mv: Multivector):
-    """mv * reverse(mv) must be scalar for a simple k-vector."""
+def nonscalar_square(mv: Multivector) -> float:
+    """Coefficient norm of the non-scalar part of mv * reverse(mv).
+
+    It vanishes for a blade, simple or null; each caller scales its own bound.
+    """
     sq = mv * mv.reverse()
-    scale = mv.coeff_norm() ** 2
-    nonscalar = sq - Multivector.scalar(mv.sig, sq.scalar_part())
-    if nonscalar.coeff_norm() > BLADE_TOL * max(scale, 1e-300):
-        raise NotABladeError("x * reverse(x) has non-scalar part")
+    return (sq - Multivector.scalar(mv.sig, sq.scalar_part())).coeff_norm()
 
 
 def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
@@ -95,7 +85,7 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
     vectors : sequence of length-n arrays
     sig : optional Signature, defaults to Euclidean Cl(n,0)
 
-    Raises DegenerateSpanError when the vectors are linearly dependent.
+    Raises DegenerateSpanError on dependent vectors and ValueError on overflow.
     """
     rows = [np.asarray(v, dtype=float) for v in vectors]
     if not rows:
@@ -108,8 +98,8 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
     if len(rows) > n:
         raise DegenerateSpanError(f"{len(rows)} vectors cannot be independent in R^{n}")
 
+    out = wedge_vectors(sig, rows)  # first: an overflowing wedge says "coefficients must be finite"
     frame = _mgs(rows)  # raises on dependence; R's positive diagonal keeps the orientation
-    out = wedge_vectors(sig, rows)
     return Blade(out, len(rows), out.norm(), frame)
 
 
@@ -118,24 +108,32 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
 
     Returns a (k, n) array of orthonormal rows; raises DegenerateSpanError
     when some vector's residual falls below DEPENDENCE_TOL relative to its
-    original norm.
+    original norm, and ValueError when its squared norm overflows.
     """
     basis: list[np.ndarray] = []
     for v in rows:
         original = np.sqrt(v @ v)
         if original == 0.0:
             raise DegenerateSpanError("zero vector in spanning set")
-        u = v.copy()
-        for _ in range(2):
-            for b in basis:
-                u = u - (u @ b) * b
-        res = np.sqrt(u @ u)
+        if not np.isfinite(original):
+            raise ValueError(f"vector {len(basis)} overflows: its squared norm is not finite")
+        u, res = _residual(v, basis)
         if res < DEPENDENCE_TOL * original:
             raise DegenerateSpanError(
                 f"vector {len(basis)} is dependent (residual {res:.3e})"
             )
         basis.append(u / res)
     return np.array(basis)
+
+
+def _residual(v: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """v minus its projections onto the orthonormal rows of basis, in two
+    Gram-Schmidt passes, and the norm of what is left."""
+    u = v.copy()
+    for _ in range(2):
+        for b in basis:
+            u = u - (u @ b) * b
+    return u, np.sqrt(u @ u)
 
 
 def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
@@ -164,11 +162,7 @@ def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
     for w in images:
         if len(factors) == k:
             break
-        u = w.copy()
-        for _ in range(2):
-            for f in factors:
-                u = u - (u @ f) * f
-        res = np.sqrt(u @ u)
+        u, res = _residual(w, factors)
         if res > 1e-6:
             factors.append(u / res)
     if len(factors) != k:
@@ -181,17 +175,6 @@ def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
     if not rebuilt.approx_eq(unit, BLADE_TOL * max(1.0, magnitude)):
         raise NotABladeError("orthogonal factors do not reproduce the input")
     return np.array(factors)
-
-
-def orthogonal_factorization(b: Blade) -> OrthogonalFactorization:
-    """Factor a blade into magnitude times the orthonormal vectors of its frame."""
-    if not b.sig.is_euclidean:
-        raise NonEuclideanError("factorization implemented for Euclidean blades")
-    if b.magnitude == 0.0:
-        raise NotABladeError("cannot factor the zero blade")
-    if b.grade == 0:
-        raise NotABladeError("grade-0 elements have no vector factorization")
-    return OrthogonalFactorization(b.magnitude, tuple(Multivector.vector(b.sig, q) for q in b.frame))
 
 
 def is_blade(mv: Multivector) -> bool:

@@ -98,7 +98,7 @@ def _run_command(args, out, err) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"{path}: cannot read: {exc}", file=err)
             return EXIT_PARSE
         try:
@@ -120,9 +120,10 @@ def _run_command(args, out, err) -> int:
 
 
 def _selftest_command(args, out, err) -> int:
-    if args.cases < 1:
-        print("angles selftest: --cases: expected an integer >= 1", file=err)
-        return EXIT_PARSE
+    for flag, value, least in (("--seed", args.seed, 0), ("--cases", args.cases, 1)):
+        if value < least:
+            print(f"angles selftest: {flag}: expected an integer >= {least}", file=err)
+            return EXIT_PARSE
     summary = selftest(seed=args.seed, cases=args.cases)
     print(f"selftest: {summary['cases']} cases, seed {summary['seed']}", file=out)
     print(f"max angle deviation vs oracle: {summary['max_angle_deviation']:.3e}", file=out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blades import Blade
+from .blades import Blade, nonscalar_square
 from .engine import AngleReport, relative_angle
 from .errors import CarrierError, NotABladeError
 from .ga import Multivector, Signature
@@ -130,9 +130,7 @@ class ConformalObject:
             raise NotABladeError(f"conformal object must be pure grade, got {grades}")
         clean = mv.grade(grades[0])
         # simplicity: x reverse(x) must be scalar (null blades square to 0)
-        sq = clean * clean.reverse()
-        off = (sq - Multivector.scalar(mv.sig, sq.scalar_part())).coeff_norm()
-        if off > ROUND_TOL * scale * scale:
+        if nonscalar_square(clean) > ROUND_TOL * scale * scale:
             raise NotABladeError("conformal object is not a blade")
         wedge = clean.outer(e_infinity(mv.sig))
         kind = "round" if wedge.coeff_norm() > ROUND_TOL * scale else "flat"

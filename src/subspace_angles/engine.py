@@ -262,7 +262,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         cos_total=0.0 if t > 0 else cos_interior,
         cos_interior=cos_interior,
         sin_interior_product=sin_prod,
-        lowest_grade=q + 2 * t_exact,
+        lowest_grade=len(flipped),
         residual=residual,
         has_equal_angles=any(x - y <= EQUAL_ANGLE_TOL for x, y in zip(thetas, thetas[1:])),
         lowest_blade=lowest,

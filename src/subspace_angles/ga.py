@@ -66,14 +66,6 @@ def _grades(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _vector_masks(n: int) -> np.ndarray:
-    """Masks 1 << i of the n basis vectors, in index order."""
-    m = np.left_shift(1, np.arange(n, dtype=np.int64))
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=None)
 def _reverse_signs(n: int) -> np.ndarray:
     """(-1)^(k(k-1)/2) per mask, k the mask grade."""
     g = _grades(n)
@@ -89,9 +81,8 @@ def _metric_signs(sig: Signature) -> np.ndarray:
     Equals the scalar of e_M reverse(e_M), so norm_squared is a plain
     signed sum of squared coefficients.
     """
-    g12 = _grades(MAX_DIMENSION)
     masks = np.arange(sig.size, dtype=np.int64)
-    s = np.where(g12[masks & sig.negative_mask] % 2 == 1, -1.0, 1.0)
+    s = _parity_signs()[masks & sig.negative_mask]
     s.setflags(write=False)
     return s
 
@@ -286,7 +277,7 @@ class Multivector:
         if coords.shape != (sig.n,):
             raise ValueError(f"need {sig.n} coordinates, got {coords.shape}")
         c = np.zeros(sig.size)
-        c[_vector_masks(sig.n)] = coords
+        c[_grade_masks(sig.n, 1)] = coords
         return cls(sig, c, _copy=False)
 
     @classmethod
@@ -303,7 +294,7 @@ class Multivector:
 
     def vector_coords(self) -> np.ndarray:
         """Grade-1 coefficients as an n-array."""
-        return self.coeffs[_vector_masks(self.sig.n)]
+        return self.coeffs[_grade_masks(self.sig.n, 1)]
 
     def scalar_part(self) -> float:
         return float(self.coeffs[0])

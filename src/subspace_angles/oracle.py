@@ -22,6 +22,10 @@ from .errors import DegenerateSpanError
 
 DEPENDENCE_TOL = 1e-10
 
+# The s/t cutoff of rank_counts. It equals engine.ANGLE_COS_TOL but is not
+# imported from it, so the two routes share no code.
+RANK_COS_TOL = 1e-9
+
 # Above this sigma, acos is ill-conditioned and the angle is recomputed
 # from the orthogonal residual instead.
 SINE_ROUTE_SIGMA = 0.99
@@ -158,5 +162,5 @@ def principal_angles(basis_a, basis_b) -> PrincipalPairs:
 
 
 def rank_counts(pairs: PrincipalPairs) -> tuple[int, int]:
-    """(s, t): the zero angles, sigma >= 1 - 1e-9, and the right angles, sigma <= 1e-9."""
-    return int(np.sum(pairs.cosines >= 1.0 - 1e-9)), int(np.sum(pairs.cosines <= 1e-9))
+    """(s, t): the zero angles, sigma >= 1 - RANK_COS_TOL, and the right ones, sigma <= it."""
+    return int(np.sum(pairs.cosines >= 1.0 - RANK_COS_TOL)), int(np.sum(pairs.cosines <= RANK_COS_TOL))

@@ -50,10 +50,21 @@ def _expect(condition: bool, message: str):
         raise ProblemFormatError(message)
 
 
+def _number(x) -> float | None:
+    """x as a float if it is a JSON number (not a bool), else None; an integer
+    too large for a float reads as inf, which the finiteness checks reject."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _expect_tolerance(value, key: str):
     """The grade tolerance, from a document or the command line, lies in (0, 1)."""
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < 1,
-            f"{key}: expected a number in (0, 1)")
+    x = _number(value)
+    _expect(x is not None and 0 < x < 1, f"{key}: expected a number in (0, 1)")
 
 
 def _parse_vectors(key: str, value, n: int) -> list[list[float]]:
@@ -62,11 +73,11 @@ def _parse_vectors(key: str, value, n: int) -> list[list[float]]:
     for i, row in enumerate(value):
         _expect(isinstance(row, list), f"{key}[{i}]: expected a list of numbers")
         _expect(len(row) == n, f"{key}[{i}]: expected {n} components, got {len(row)}")
-        for j, x in enumerate(row):
-            _expect(isinstance(x, (int, float)) and not isinstance(x, bool),
-                    f"{key}[{i}][{j}]: expected a number")
-            _expect(math.isfinite(float(x)), f"{key}[{i}][{j}]: not finite")
-        rows.append([float(x) for x in row])
+        values = [_number(x) for x in row]
+        for j, x in enumerate(values):
+            _expect(x is not None, f"{key}[{i}][{j}]: expected a number")
+            _expect(math.isfinite(x), f"{key}[{i}][{j}]: not finite")
+        rows.append(values)
     return rows
 
 
@@ -75,10 +86,10 @@ def _parse_conformal_object(key: str, value, n: int):
     if isinstance(value, list):
         _expect(len(value) == size,
                 f"{key}: dense conformal coefficients must have length {size}")
-        for j, x in enumerate(value):
-            _expect(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(float(x)), f"{key}[{j}]: expected a finite number")
-        return [float(x) for x in value]
+        values = [_number(x) for x in value]
+        for j, x in enumerate(values):
+            _expect(x is not None and math.isfinite(x), f"{key}[{j}]: expected a finite number")
+        return values
     if isinstance(value, dict):
         _expect(len(value) > 0, f"{key}: empty coefficient map")
         out = {}
@@ -87,9 +98,9 @@ def _parse_conformal_object(key: str, value, n: int):
                 mask_from_name(name, n + 2)
             except ValueError as exc:
                 raise ProblemFormatError(f"{key}[{name!r}]: {exc}") from exc
-            _expect(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(float(x)), f"{key}[{name!r}]: expected a finite number")
-            out[name] = float(x)
+            x = _number(x)
+            _expect(x is not None and math.isfinite(x), f"{key}[{name!r}]: expected a finite number")
+            out[name] = x
         return out
     raise ProblemFormatError(f"{key}: expected a coefficient list or a blade-name map")
 

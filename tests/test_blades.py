@@ -6,7 +6,6 @@ from subspace_angles.blades import (
     Blade,
     blade_from_spanning_vectors,
     is_blade,
-    orthogonal_factorization,
     subspace_membership,
 )
 from subspace_angles.errors import DegenerateSpanError, NotABladeError
@@ -56,48 +55,26 @@ class TestBladeFromSpanningVectors:
             assert abs(b.magnitude - vol) <= 1e-9 * vol
 
 
-class TestOrthogonalFactorization:
-    def test_basis_bivector(self):
-        fac = orthogonal_factorization(Blade.from_multivector(E1 ^ E2))
-        assert fac.magnitude == pytest.approx(1.0)
-        assert len(fac.factors) == 2
-        assert fac.product().approx_eq(E1 ^ E2, 1e-10)
+class TestOverflow:
+    """A span whose norm overflows raises ValueError; no Blade has an infinite
+    magnitude or a zero frame row."""
 
-    def test_sheared_pair(self):
-        b = blade_from_spanning_vectors([[1, 0, 0], [1, 1, 0]])
-        fac = orthogonal_factorization(b)
-        assert fac.magnitude == pytest.approx(1.0)
-        for i, f in enumerate(fac.factors):
-            assert f.norm() == pytest.approx(1.0, abs=1e-10)
-            for g in fac.factors[i + 1:]:
-                assert f.scalar_product(g) == pytest.approx(0.0, abs=1e-10)
-        assert fac.product().approx_eq(E1 ^ E2, 1e-10)
+    @pytest.mark.parametrize("rows", [
+        [[1e155, 0, 0]],                         # the row's squared norm overflows
+        [[1e155, 0, 0], [0, 1e-155, 0]],         # ... while the blade's magnitude is 1
+    ])
+    def test_overflowing_row_raises(self, rows):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="vector 0 overflows"):
+            blade_from_spanning_vectors(rows)
 
-    def test_scaled_trivector(self):
-        b = Blade.from_multivector(((E1 ^ E2) ^ E3) * 5.0)
-        fac = orthogonal_factorization(b)
-        assert fac.magnitude == pytest.approx(5.0)
-        assert len(fac.factors) == 3
-        assert fac.product().approx_eq(b.mv, 1e-9)
+    def test_overflowing_magnitude_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="magnitude overflows"):
+            blade_from_spanning_vectors([[1e153, 0, 0], [0, 1e153, 0]])
 
-    def test_factor_then_rebuild_500_random(self):
-        rng = np.random.default_rng(12)
-        done = 0
-        while done < 500:
-            n = int(rng.integers(2, 9))
-            r = int(rng.integers(1, min(4, n) + 1))
-            try:
-                b = blade_from_spanning_vectors(rng.uniform(-1, 1, (r, n)))
-            except DegenerateSpanError:
-                continue
-            fac = orthogonal_factorization(b)
-            rebuilt = fac.product()
-            assert (rebuilt - b.mv).coeff_norm() <= 1e-9 * b.magnitude
-            for i, f in enumerate(fac.factors):
-                assert abs(f.norm() - 1.0) <= 1e-10
-                for g in fac.factors[i + 1:]:
-                    assert abs(f.scalar_product(g)) <= 1e-10
-            done += 1
+    def test_large_finite_span_still_builds(self):
+        b = blade_from_spanning_vectors([[1e76, 0, 0], [0, 1e76, 0]])
+        assert b.magnitude == pytest.approx(1e152)
+        assert np.array_equal(b.frame, np.eye(3)[:2])
 
 
 class TestIsBlade:
@@ -242,13 +219,22 @@ class TestFrame:
         assert a == b
         assert "frame" not in repr(a)
 
-    @pytest.mark.parametrize("make", [spanning_blades, multivector_blades])
-    def test_factorization_factors_are_frame_rows(self, make):
-        for b in make(53, 60):
-            factors = orthogonal_factorization(b).factors
-            assert len(factors) == b.grade
-            for f, q in zip(factors, b.frame):
-                assert np.array_equal(f.vector_coords(), q)
+    @pytest.mark.parametrize("make", [spanning_blades, multivector_blades, conformal_carriers])
+    def test_magnitude_times_frame_wedge_rebuilds_blade(self, make):
+        # the frame is the blade's orthogonal factorization: |B| q_1 ^ ... ^ q_k = B
+        for b in make(53, 400):
+            rebuilt = b.magnitude * wedge_vectors(b.sig, b.frame)
+            assert (rebuilt - b.mv).coeff_norm() <= 1e-12 * b.magnitude
+
+    def test_factorization_examples(self):
+        scaled = Blade.from_multivector(((E1 ^ E2) ^ E3) * 5.0)
+        assert scaled.magnitude == pytest.approx(5.0)
+        assert scaled.frame.shape == (3, 3)
+        assert (scaled.magnitude * wedge_vectors(SIG3, scaled.frame)).approx_eq(scaled.mv, 1e-14)
+        for b in (Blade.from_multivector(E1 ^ E2), blade_from_spanning_vectors([[1, 0, 0], [1, 1, 0]])):
+            assert b.magnitude == pytest.approx(1.0)
+            assert b.frame.shape == (2, 3)
+            assert (b.magnitude * wedge_vectors(SIG3, b.frame)).approx_eq(E1 ^ E2, 1e-15)
 
     def test_conformal_run_factors_each_carrier_once(self, monkeypatch):
         # one factorization contracts each of the n basis vectors onto the carrier once

@@ -99,6 +99,29 @@ class TestExitCodes:
         assert main(["run", str(point), "--mode", "conformal"]) == EXIT_FAILURE
         assert "CarrierError" in capsys.readouterr().err
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["run", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{bad}: cannot read: 'utf-8' codec can't decode byte 0xff")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("a, message", [
+        ("[[1e155, 0, 0]]", "vector 0 overflows"),
+        ("[[1e153, 0, 0], [0, 1e153, 0]]", "blade magnitude overflows"),
+    ])
+    def test_overflowing_span_names_the_overflow(self, tmp_path, capsys, a, message):
+        # once exit 4 with a count or residual message; the span overflows, nothing is ambiguous
+        big = tmp_path / "big.json"
+        big.write_text(f'{{"n": 3, "A": {a}, "B": [[1, 1, 0]]}}')
+        assert main(["run", str(big)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{big}: ValueError: {message}")
+        assert len(captured.err.splitlines()) == 1
+
     @pytest.mark.parametrize("value", ["0", "-1", "1", "nan", "inf"])
     def test_tolerance_flag_outside_unit_interval(self, value, capsys):
         code = main(["run", str(DATA / "perpendicular_planes.json"), "--tolerance", value])
@@ -148,6 +171,21 @@ class TestParseProblem:
     def test_nonfinite_rejected(self):
         with pytest.raises(ProblemFormatError, match="not finite"):
             parse_problem('{"n":2,"A":[[1,Infinity]],"B":[[0,1]]}')
+
+    def test_integer_too_large_for_a_float_is_not_finite(self, tmp_path, capsys):
+        huge = "9" * 400
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"n": 2, "A": [[1, 0]], "B": [[1, {huge}]]}}')
+        assert main(["run", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"{path}: ProblemFormatError: B[0][1]: not finite\n"
+        dense = [0] * 32
+        dense[3] = int(huge)
+        with pytest.raises(ProblemFormatError, match=r"^A\[3\]: expected a finite number$"):
+            parse_problem(json.dumps({"n": 3, "A": dense, "B": dense}), mode="conformal")
+        with pytest.raises(ProblemFormatError, match=r"^A\['e12'\]: expected a finite number$"):
+            parse_problem(f'{{"n": 3, "A": {{"e12": -{huge}}}, "B": {{"e1": 1}}}}', mode="conformal")
+        with pytest.raises(ProblemFormatError, match=r"^options.tolerance: expected a number in \(0, 1\)$"):
+            parse_problem(f'{{"n":2,"A":[[1,0]],"B":[[0,1]],"options":{{"tolerance":{huge}}}}}')
 
 
 class TestFormatsAndModes:
@@ -213,6 +251,13 @@ class TestFormatsAndModes:
             "selftest", "max angle deviation vs oracle", "max reconstruction residual",
             "s/t mismatches", "selftest"]
         assert lines[-1] == "selftest: PASS"
+
+    def test_selftest_needs_a_nonnegative_seed(self, capsys):
+        code = main(["selftest", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == "angles selftest: --seed: expected an integer >= 0\n"
 
     @pytest.mark.parametrize("cases", ["0", "-3"])
     def test_selftest_needs_a_positive_case_count(self, cases, capsys):

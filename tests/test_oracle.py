@@ -6,7 +6,15 @@ import pytest
 from subspace_angles.blades import blade_from_spanning_vectors
 from subspace_angles.errors import DegenerateSpanError
 from subspace_angles.ga import Multivector, Signature
-from subspace_angles.oracle import orthonormal_basis, principal_angles, rank_counts, svd_small
+from subspace_angles.engine import ANGLE_COS_TOL
+from subspace_angles.oracle import (
+    RANK_COS_TOL,
+    PrincipalPairs,
+    orthonormal_basis,
+    principal_angles,
+    rank_counts,
+    svd_small,
+)
 from subspace_angles.blades import subspace_membership
 
 SQ2 = math.sqrt(0.5)
@@ -190,3 +198,15 @@ class TestIntersectionDimension:
     def test_perpendicularity_count(self):
         _, t = rank_counts(principal_angles([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]]))
         assert t == 1
+
+    def test_both_routes_count_by_one_rule(self):
+        # the oracle keeps its own copy of the engine's cutoff; the two copies must agree
+        assert RANK_COS_TOL == ANGLE_COS_TOL
+
+        def counts(*cosines):
+            c = np.array(cosines)
+            return rank_counts(PrincipalPairs(cosines=c, angles=np.arccos(c),
+                                              a_vectors=np.eye(c.size), b_vectors=np.eye(c.size)))
+
+        assert counts(1.0 - 1e-9, 0.5, 1e-9) == (1, 1)
+        assert counts(1.0 - 2e-9, 0.5, 2e-9) == (0, 0)
