@@ -4,8 +4,11 @@ A blade (simple k-vector) is the outer product of k independent vectors
 and stands for the k-dimensional subspace of vectors whose wedge with it
 vanishes. Every Blade carries a frame: k orthonormal vectors whose
 geometric product is the unit blade, so the blade is its magnitude times
-that product; the frame is the blade's orthogonal factorization. The
-frame is not unique, only the reconstruction is contractual.
+that product; the frame is the blade's orthogonal factorization. A blade
+built from spanning vectors takes its frame from Gram-Schmidt; a blade
+read from a multivector takes it from one eigensolve of its projector,
+assembled from the coefficients. The frame is not unique, only the
+reconstruction is contractual.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpanError, NonEuclideanError, NotABladeError
-from .ga import Multivector, Signature, wedge_vectors
+from .ga import Multivector, Signature, _grade_masks, _wedge_table, wedge_vectors
 
 # A spanning vector is dependent when its Gram-Schmidt residual drops
 # below this fraction of its original norm.
@@ -29,9 +32,11 @@ class Blade:
     """A multivector checked to be a simple k-vector, with its frame: the
     read-only (k, n) orthonormal rows q_1..q_k with q_1 ^ ... ^ q_k = unit()
     (over a Euclidean signature) that each constructor computes while it
-    validates, so magnitude * wedge_vectors(sig, frame) rebuilds mv. The
-    engine's projectors read the frame; == and repr ignore it. A magnitude
-    that overflows to inf or nan raises ValueError."""
+    validates (Gram-Schmidt of the spanning vectors, or an eigensolve of
+    the projector for from_multivector), so magnitude * wedge_vectors(sig,
+    frame) rebuilds mv. The engine's projectors read the frame; == and
+    repr ignore it. A magnitude that overflows to inf or nan raises
+    ValueError."""
 
     mv: Multivector
     grade: int
@@ -117,7 +122,11 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
             raise DegenerateSpanError("zero vector in spanning set")
         if not np.isfinite(original):
             raise ValueError(f"vector {len(basis)} overflows: its squared norm is not finite")
-        u, res = _residual(v, basis)
+        u = v.copy()
+        for _ in range(2):
+            for b in basis:
+                u = u - (u @ b) * b
+        res = np.sqrt(u @ u)
         if res < DEPENDENCE_TOL * original:
             raise DegenerateSpanError(
                 f"vector {len(basis)} is dependent (residual {res:.3e})"
@@ -126,22 +135,16 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
     return np.array(basis)
 
 
-def _residual(v: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """v minus its projections onto the orthonormal rows of basis, in two
-    Gram-Schmidt passes, and the norm of what is left."""
-    u = v.copy()
-    for _ in range(2):
-        for b in basis:
-            u = u - (u @ b) * b
-    return u, np.sqrt(u @ u)
-
-
 def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
     """Frame of a validated grade-k blade mv: (k, n) orthonormal rows.
 
-    Projects the basis vectors of R^n into the blade's subspace,
-    orthonormalizes the images, and fixes the orientation of the last
-    row so the wedge of the rows reproduces mv / magnitude.
+    The contractions e_i _| unit, scattered from the grade-k coefficients
+    through ga._wedge_table, are the rows of a matrix C with C C^T the
+    blade's projector (each entry carries the contraction's sign up to one
+    global sign, which cancels). The frame is the eigenvectors of the k
+    largest eigenvalues of C C^T, with the last row's orientation fixed so
+    that the wedge of the rows reproduces mv / magnitude; a frame that does
+    not reproduce it within BLADE_TOL means mv is no blade.
     """
     sig = mv.sig
     if k == 0:
@@ -152,29 +155,18 @@ def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
         raise NotABladeError("cannot factor the zero blade")
 
     unit = mv / magnitude
-    unit_rev = unit.reverse()
-    # the projections (e_i _| unit) reverse(unit) of the basis vectors, longest first
-    images = [(Multivector.basis_blade(sig, 1 << i).left_contraction(unit) * unit_rev)
-              .grade(1).vector_coords() for i in range(sig.n)]
-    images.sort(key=lambda w: -float(np.sqrt(w @ w)))
-
-    factors: list[np.ndarray] = []
-    for w in images:
-        if len(factors) == k:
-            break
-        u, res = _residual(w, factors)
-        if res > 1e-6:
-            factors.append(u / res)
-    if len(factors) != k:
-        raise NotABladeError("projection rank below grade; not a blade")
+    src, bits, sign = _wedge_table(sig.n, k - 1)
+    c = np.zeros((sig.n, _grade_masks(sig.n, k - 1).size))
+    c[bits, src] = sign * unit.coeffs[_grade_masks(sig.n, k)]
+    factors = np.ascontiguousarray(np.linalg.eigh(c @ c.T)[1][:, -k:].T)
 
     rebuilt = wedge_vectors(sig, factors)  # of orthonormal vectors: their geometric product
-    if rebuilt.scalar_product(unit_rev) < 0.0:
+    if rebuilt.scalar_product(unit.reverse()) < 0.0:
         factors[-1] = -factors[-1]
         rebuilt = -rebuilt
-    if not rebuilt.approx_eq(unit, BLADE_TOL * max(1.0, magnitude)):
+    if not rebuilt.approx_eq(unit, BLADE_TOL):
         raise NotABladeError("orthogonal factors do not reproduce the input")
-    return np.array(factors)
+    return factors
 
 
 def is_blade(mv: Multivector) -> bool:

@@ -10,7 +10,8 @@ fixed linear combination
 A round X (sphere-like: X ^ e_inf != 0) is first replaced by its offset
 embedding flat X ^ e_inf. Contracting an offset flat with the Minkowski
 plane E = e_o ^ e_inf strips the null directions and leaves the
-Euclidean carrier blade, where the ordinary angle engine applies.
+Euclidean carrier blade, where the ordinary angle engine applies; as E
+is a single basis blade, that contraction is a signed coefficient slice.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import CarrierError, NotABladeError
 from .ga import Multivector, Signature
 
 ROUND_TOL = 1e-10
-CARRIER_TOL = 1e-9
 
 
 def conformal_signature(n: int) -> Signature:
@@ -147,27 +147,21 @@ def to_offset_flat(x: ConformalObject) -> ConformalObject:
 def euclidean_carrier(x: ConformalObject) -> Blade:
     """Carrier direction blade of an object, as a Blade over Cl(n,0).
 
-    Contracts the offset flat with E = e_o ^ e_inf and re-reads the
-    result in the Euclidean subalgebra. Raises CarrierError when no
-    direction part remains (e.g. for a conformal point).
+    The carrier is the contraction of the offset flat F with
+    E = e_o ^ e_inf. E is exactly -e_plus e_minus, one basis blade, so
+    <F E>_{g-2} is minus F's coefficients on the masks that hold both
+    null bits (the top quarter of the mask range), read as a Euclidean
+    element; it never has an e_plus or e_minus part. Raises CarrierError
+    when no direction part remains (e.g. for a conformal point).
     """
     f = to_offset_flat(x)
-    sig = f.mv.sig
-    n = base_dimension(sig)
-    g = f.mv.max_grade()
-    if g < 3:
+    n = base_dimension(f.mv.sig)
+    if f.mv.max_grade() < 3:
         raise CarrierError("object has no Euclidean direction part")
-    carrier = (f.mv * minkowski_plane(sig)).grade(g - 2)
-    scale = carrier.coeff_norm()
-    if scale == 0.0:
+    carrier = Multivector(Signature(n), 0.0 - f.mv.coeffs[3 << n:], _copy=False)  # never -0.0
+    if carrier.coeff_norm() == 0.0:
         raise CarrierError("carrier extraction yields zero")
-    euclid = carrier.coeffs[: 1 << n]
-    tail = carrier.coeffs[1 << n:]
-    leak = float(np.sqrt(tail @ tail))
-    if leak > CARRIER_TOL * scale:
-        raise CarrierError(f"carrier has non-Euclidean components ({leak:.2e})")
-    mv = Multivector(Signature(n), euclid)
-    return Blade.from_multivector(mv)
+    return Blade.from_multivector(carrier)
 
 
 def conformal_relative_angle(x: ConformalObject, y: ConformalObject) -> AngleReport:

@@ -292,10 +292,6 @@ class Multivector:
 
     # ---- inspection ---------------------------------------------------
 
-    def vector_coords(self) -> np.ndarray:
-        """Grade-1 coefficients as an n-array."""
-        return self.coeffs[_grade_masks(self.sig.n, 1)]
-
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
 

@@ -5,7 +5,9 @@ A problem is a single JSON object:
     {"n": 3, "signature": [3, 0], "A": [[1,0,0],[0,1,0]],
      "B": [[1,0,0],[0,0,1]], "options": {"oracle": true}}
 
-In conformal mode A and B are conformal objects of Cl(n+1,1) given
+The optional signature must be [n, 0]: angles are taken over a Euclidean
+signature only, and the key is kept for the report's input echo. In
+conformal mode A and B are conformal objects of Cl(n+1,1) given
 either as a dense coefficient list of length 2^(n+2) or as a sparse
 map of basis-blade names ("e145": value); basis vectors n+1 and n+2
 are e_plus and e_minus of the conformal split.
@@ -117,6 +119,8 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ProblemFormatError("arrays or objects nested too deeply to parse") from None
     _expect(isinstance(data, dict), "top level must be a JSON object")
     allowed = {"n", "signature", "A", "B", "options"}
     unknown = set(data) - allowed
@@ -132,16 +136,9 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
     if "signature" in data:
         _expect(mode == "euclidean", "signature: only valid in euclidean mode")
         sig = data["signature"]
-        _expect(isinstance(sig, list) and len(sig) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in sig),
-                "signature: expected [p, q]")
-        p, q = sig
-        _expect(p >= 0 and q >= 0 and p + q == n, f"signature: p+q must equal n={n}")
-        signature = (p, q)
-    elif mode == "euclidean":
-        signature = (n, 0)
-    else:
-        signature = (n + 1, 1)
+        _expect(sig == [n, 0] and all(type(v) is int for v in sig),
+                f"signature: expected [{n}, 0], the Euclidean signature of n={n}")
+    signature = (n, 0) if mode == "euclidean" else (n + 1, 1)
 
     options = data.get("options", {})
     _expect(isinstance(options, dict), "options: expected an object")
@@ -194,7 +191,8 @@ def _oracle_bases(problem: SubspaceProblem, blade_a: Blade, blade_b: Blade):
 
     Euclidean problems feed the raw input spans to the oracle, keeping
     that route fully independent of the algebra layer; conformal
-    carriers exist only as blades, so the oracle reads their frames.
+    carriers exist only as blades, so the oracle reads their frames,
+    which come from numpy.linalg.eigh of each carrier's projector.
     """
     if problem.mode == "euclidean":
         return orthonormal_basis(problem.a_span), orthonormal_basis(problem.b_span)

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from subspace_angles import conformal as cf
+from subspace_angles import ga
 from subspace_angles.blades import (
     Blade,
     blade_from_spanning_vectors,
@@ -115,6 +118,18 @@ class TestBladeValidationHalves:
         x = Multivector.basis_blade(sig, "e12") + Multivector.basis_blade(sig, "e34", 8e-10)
         with pytest.raises(NotABladeError):
             Blade.from_multivector(x)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e9, 1e10])
+    def test_validation_is_scale_free(self, scale):
+        # the factorization compares unit blades, so its bound does not grow with the magnitude
+        sig = Signature(6)
+        x = Multivector.basis_blade(sig, "e123") + Multivector.basis_blade(sig, "e456")
+        assert not is_blade(x * scale)
+        with pytest.raises(NotABladeError):
+            Blade.from_multivector(x * scale)
+        rows = np.random.default_rng(14).uniform(-1, 1, (3, 6))
+        b = Blade.from_multivector(wedge_vectors(sig, rows) * scale)
+        assert b.frame.shape == (3, 6)
 
     def test_near_blade_within_tolerance_accepted(self):
         sig = Signature(4)
@@ -236,8 +251,9 @@ class TestFrame:
             assert b.frame.shape == (2, 3)
             assert (b.magnitude * wedge_vectors(SIG3, b.frame)).approx_eq(E1 ^ E2, 1e-15)
 
-    def test_conformal_run_factors_each_carrier_once(self, monkeypatch):
-        # one factorization contracts each of the n basis vectors onto the carrier once
+    def test_conformal_run_reads_carriers_without_products(self, monkeypatch):
+        # the carrier is a coefficient slice and its frame one eigh of the contraction matrix;
+        # the products left are the validations, X ^ e_inf of the sphere and the engine's
         n = 3
         csig = cf.conformal_signature(n)
         xa = cf.flat(csig, [0.0, 0.0, 0.0], E1 ^ E2)
@@ -245,14 +261,18 @@ class TestFrame:
         problem = SubspaceProblem(n=n, mode="conformal", signature=(n + 1, 1),
                                   a_span=[float(v) for v in xa.coeffs],
                                   b_span=[float(v) for v in xb.coeffs])
-        calls = []
-        contract = Multivector.left_contraction
+        callers = []
+        product = Multivector._product
 
-        def counting(self, other):
-            calls.append(self.sig)
-            return contract(self, other)
+        def recording(self, other, keep=None):
+            frame = sys._getframe(1)  # the caller: past __mul__, outer, ... and comprehensions
+            while frame.f_code.co_filename == ga.__file__ or frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return product(self, other, keep)
 
-        monkeypatch.setattr(Multivector, "left_contraction", counting)
+        monkeypatch.setattr(Multivector, "_product", recording)
         doc = run_problem(problem, oracle_enabled=True)
         assert doc["oracle"]["max_deviation"] <= 1e-9
-        assert calls == [Signature(n)] * (2 * n)
+        assert not {"_factor", "euclidean_carrier"} & set(callers)
+        assert len(callers) == 8

@@ -108,6 +108,25 @@ class TestExitCodes:
         assert captured.err.startswith(f"{bad}: cannot read: 'utf-8' codec can't decode byte 0xff")
         assert len(captured.err.splitlines()) == 1
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # json.loads recurses once per bracket; the RecursionError is a parse error
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        assert main(["run", str(deep)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{deep}: ProblemFormatError: arrays or objects nested too deeply to parse\n"
+
+    def test_non_euclidean_signature(self, tmp_path, capsys):
+        # once exit 1 with a NegativeSquareError from the blade norm
+        bad = tmp_path / "minkowski.json"
+        bad.write_text('{"n": 3, "signature": [2, 1], "A": [[0, 0, 1]], "B": [[0, 1, 0]]}')
+        assert main(["run", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{bad}: ProblemFormatError: signature: expected [3, 0], "
+                                "the Euclidean signature of n=3\n")
+
     @pytest.mark.parametrize("a, message", [
         ("[[1e155, 0, 0]]", "vector 0 overflows"),
         ("[[1e153, 0, 0], [0, 1e153, 0]]", "blade magnitude overflows"),
@@ -163,6 +182,19 @@ class TestParseProblem:
     def test_bad_signature_rejected(self):
         with pytest.raises(ProblemFormatError, match="signature"):
             parse_problem('{"n":3,"signature":[2,2],"A":[[1,0,0]],"B":[[0,1,0]]}')
+
+    @pytest.mark.parametrize("sig", [[2, 1], [0, 3], [3.0, 0], "[3, 0]"])
+    def test_only_the_euclidean_signature_accepted(self, sig):
+        doc = {"n": 3, "signature": sig, "A": [[0, 0, 1]], "B": [[0, 1, 0]]}
+        with pytest.raises(ProblemFormatError, match=r"^signature: expected \[3, 0\]"):
+            parse_problem(json.dumps(doc))
+        doc["signature"] = [3, 0]
+        assert parse_problem(json.dumps(doc)).signature == (3, 0)
+
+    def test_deeply_nested_json_rejected(self):
+        for text in ("[" * 100000, '{"a":' * 100000):
+            with pytest.raises(ProblemFormatError, match="nested too deeply"):
+                parse_problem(text)
 
     def test_bad_options_rejected(self):
         with pytest.raises(ProblemFormatError, match="tolerance"):

@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from subspace_angles import conformal as cf
-from subspace_angles.blades import blade_from_spanning_vectors
+from subspace_angles.blades import Blade, blade_from_spanning_vectors
 from subspace_angles.engine import relative_angle
 from subspace_angles.errors import CarrierError, NotABladeError
 from subspace_angles.ga import Multivector, Signature, basis_vectors
@@ -104,6 +105,43 @@ class TestCarrier:
         p = cf.ConformalObject.from_multivector(cf.embed_point(CSIG, [1.0, 2.0, 3.0]))
         with pytest.raises(CarrierError):
             cf.euclidean_carrier(p)
+
+
+def contracted_carrier(x):
+    """The carrier as <F E>_{g-2} read in Cl(n): the product formula the slice replaces."""
+    f = cf.to_offset_flat(x)
+    n = cf.base_dimension(f.mv.sig)
+    carrier = (f.mv * cf.minkowski_plane(f.mv.sig)).grade(f.mv.max_grade() - 2)
+    assert not carrier.coeffs[1 << n:].any()  # no e_plus or e_minus part
+    return Multivector(Signature(n), carrier.coeffs[: 1 << n])
+
+
+def random_objects(rng, n):
+    """Flats of every direction grade, one of them axis-aligned so that most carrier
+    coefficients are zero, and rounds (point pairs to spheres) in Cl(n+1,1)."""
+    csig = cf.conformal_signature(n)
+    k = int(rng.integers(1, n + 1))
+    direction = blade_from_spanning_vectors(rng.uniform(-1, 1, (k, n))).mv
+    axes = Multivector.basis_blade(Signature(n), (1 << k) - 1)
+    points = [cf.embed_point(csig, rng.uniform(-3, 3, n)) for _ in range(k + 1)]
+    return [cf.flat(csig, rng.uniform(-3, 3, n), direction),
+            cf.flat(csig, rng.uniform(-3, 3, n), axes),
+            functools.reduce(Multivector.outer, points),
+            cf.sphere(csig, rng.uniform(-3, 3, n), float(rng.uniform(0.5, 2.0)))]
+
+
+class TestCarrierSlice:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_slice_matches_contraction_bit_for_bit(self, n):
+        rng = np.random.default_rng([53, n])
+        for _ in range(3):
+            for mv in random_objects(rng, n):
+                x = cf.ConformalObject.from_multivector(mv)
+                carrier = cf.euclidean_carrier(x)
+                reference = Blade.from_multivector(contracted_carrier(x))
+                assert carrier.mv.coeffs.tobytes() == reference.mv.coeffs.tobytes()
+                assert carrier.magnitude == reference.magnitude
+                assert carrier.frame.tobytes() == reference.frame.tobytes()
 
 
 class TestConformalRelativeAngle:
