@@ -7,8 +7,9 @@ geometric product is the unit blade, so the blade is its magnitude times
 that product; the frame is the blade's orthogonal factorization. A blade
 built from spanning vectors takes its frame from Gram-Schmidt; a blade
 read from a multivector takes it from one eigensolve of its projector,
-assembled from the coefficients. The frame is not unique, only the
-reconstruction is contractual.
+built from contraction_matrix, which also gives engine.bivector_split its
+matrix. The frame is not unique, only the reconstruction is contractual.
+pure_blade, the grade-and-square check, also validates conformal objects.
 """
 
 from __future__ import annotations
@@ -57,29 +58,34 @@ class Blade:
 
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "Blade":
-        """Validate and wrap; strips off-grade numerical dust first."""
-        scale = mv.coeff_norm()
-        if scale == 0.0:
-            raise NotABladeError("zero multivector")
-        norms = mv.grade_norms()
-        k_dom = max(norms, key=norms.get)
-        off = np.sqrt(sum(v * v for g, v in norms.items() if g != k_dom))
-        if off > BLADE_TOL * scale:
-            raise NotABladeError(f"not of pure grade: grades {sorted(norms)}")
-        clean = mv.grade(k_dom)
-        if nonscalar_square(clean) > BLADE_TOL * max(clean.coeff_norm() ** 2, 1e-300):
-            raise NotABladeError("x * reverse(x) has non-scalar part")
+        """Validate (pure_blade at BLADE_TOL, then _factor) and wrap."""
+        k, clean = pure_blade(mv, BLADE_TOL)
         magnitude = clean.norm()
-        return cls(clean, k_dom, magnitude, _factor(clean, k_dom, magnitude))
+        return cls(clean, k, magnitude, _factor(clean, k, magnitude))
 
 
-def nonscalar_square(mv: Multivector) -> float:
-    """Coefficient norm of the non-scalar part of mv * reverse(mv).
+def pure_blade(mv: Multivector, tol: float) -> tuple[int, Multivector]:
+    """(k, part): mv's dominant grade and its grade-k part, off-grade dust stripped.
 
-    It vanishes for a blade, simple or null; each caller scales its own bound.
+    Raises NotABladeError when mv is zero, when the parts off grade k
+    exceed tol * |mv|, or when the non-scalar part of part * reverse(part)
+    exceeds tol * |part|^2 (a blade, simple or null, squares to a scalar);
+    |.| is the coefficient norm, so any signature is checked alike.
     """
-    sq = mv * mv.reverse()
-    return (sq - Multivector.scalar(mv.sig, sq.scalar_part())).coeff_norm()
+    scale = mv.coeff_norm()
+    if scale == 0.0:
+        raise NotABladeError("zero multivector")
+    norms = mv.grade_norms()
+    k = max(norms, key=norms.get)
+    off = np.sqrt(sum(v * v for g, v in norms.items() if g != k))
+    if off > tol * scale:
+        raise NotABladeError(f"not of pure grade: grades {sorted(norms)}")
+    part = mv.grade(k)
+    sq = part * part.reverse()
+    nonscalar = (sq - Multivector.scalar(mv.sig, sq.scalar_part())).coeff_norm()
+    if nonscalar > tol * max(part.coeff_norm() ** 2, 1e-300):
+        raise NotABladeError("x * reverse(x) has non-scalar part")
+    return k, part
 
 
 def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
@@ -95,6 +101,8 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
     rows = [np.asarray(v, dtype=float) for v in vectors]
     if not rows:
         raise DegenerateSpanError("empty spanning set")
+    if any(row.ndim != 1 for row in rows):
+        raise ValueError("expected a sequence of length-n vectors, one per row")
     n = rows[0].shape[0]
     if sig is None:
         sig = Signature(n)
@@ -135,13 +143,24 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
     return np.array(basis)
 
 
+def contraction_matrix(mv: Multivector, k: int) -> np.ndarray:
+    """C[i, S] = <e_i _| mv, e_S> up to one global sign, S over the ascending
+    grade-(k-1) masks: mv's grade-k coefficients scattered through
+    ga._wedge_table. For k = 2, C[j, i] = f_ij = -C[i, j] with f_ij the
+    coefficient of e_i ^ e_j, i < j.
+    """
+    n = mv.sig.n
+    src, bits, sign = _wedge_table(n, k - 1)
+    c = np.zeros((n, _grade_masks(n, k - 1).size))
+    c[bits, src] = sign * mv.coeffs[_grade_masks(n, k)]
+    return c
+
+
 def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
     """Frame of a validated grade-k blade mv: (k, n) orthonormal rows.
 
-    The contractions e_i _| unit, scattered from the grade-k coefficients
-    through ga._wedge_table, are the rows of a matrix C with C C^T the
-    blade's projector (each entry carries the contraction's sign up to one
-    global sign, which cancels). The frame is the eigenvectors of the k
+    With C = contraction_matrix(unit, k), C C^T is the blade's projector
+    (C's global sign cancels). The frame is the eigenvectors of the k
     largest eigenvalues of C C^T, with the last row's orientation fixed so
     that the wedge of the rows reproduces mv / magnitude; a frame that does
     not reproduce it within BLADE_TOL means mv is no blade.
@@ -155,9 +174,7 @@ def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
         raise NotABladeError("cannot factor the zero blade")
 
     unit = mv / magnitude
-    src, bits, sign = _wedge_table(sig.n, k - 1)
-    c = np.zeros((sig.n, _grade_masks(sig.n, k - 1).size))
-    c[bits, src] = sign * unit.coeffs[_grade_masks(sig.n, k)]
+    c = contraction_matrix(unit, k)
     factors = np.ascontiguousarray(np.linalg.eigh(c @ c.T)[1][:, -k:].T)
 
     rebuilt = wedge_vectors(sig, factors)  # of orthonormal vectors: their geometric product

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blades import Blade, nonscalar_square
+from .blades import Blade, pure_blade
 from .engine import AngleReport, relative_angle
-from .errors import CarrierError, NotABladeError
+from .errors import CarrierError
 from .ga import Multivector, Signature
 
 ROUND_TOL = 1e-10
@@ -114,7 +114,9 @@ def sphere(sig: Signature, center, radius: float) -> Multivector:
 
 @dataclass(frozen=True)
 class ConformalObject:
-    """A blade of Cl(n+1,1); kind ('round' or 'flat') is detected, not declared."""
+    """A blade of Cl(n+1,1), checked by blades.pure_blade at ROUND_TOL; kind
+    ('round' or 'flat') is detected, not declared: a round's wedge with e_inf
+    exceeds ROUND_TOL times the input's coefficient norm."""
 
     mv: Multivector
     kind: str
@@ -122,18 +124,9 @@ class ConformalObject:
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "ConformalObject":
         base_dimension(mv.sig)  # validates the signature shape
-        scale = mv.coeff_norm()
-        if scale == 0.0:
-            raise NotABladeError("zero conformal object")
-        grades = mv.grades(tol=ROUND_TOL * scale)
-        if len(grades) != 1:
-            raise NotABladeError(f"conformal object must be pure grade, got {grades}")
-        clean = mv.grade(grades[0])
-        # simplicity: x reverse(x) must be scalar (null blades square to 0)
-        if nonscalar_square(clean) > ROUND_TOL * scale * scale:
-            raise NotABladeError("conformal object is not a blade")
+        _k, clean = pure_blade(mv, ROUND_TOL)
         wedge = clean.outer(e_infinity(mv.sig))
-        kind = "round" if wedge.coeff_norm() > ROUND_TOL * scale else "flat"
+        kind = "round" if wedge.coeff_norm() > ROUND_TOL * mv.coeff_norm() else "flat"
         return cls(clean, kind)
 
 

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .blades import Blade
+from .blades import Blade, contraction_matrix
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
 from .ga import Multivector, wedge_vectors
 
@@ -85,28 +84,6 @@ class AngleReport:
     lowest_blade: Multivector
 
 
-@lru_cache(maxsize=None)
-def _bivector_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs i < j of R^n and the masks of their basis bivectors e_i ^ e_j."""
-    i, j = np.triu_indices(n, 1)
-    masks = (1 << i) | (1 << j)
-    for arr in (i, j, masks):
-        arr.setflags(write=False)
-    return i, j, masks
-
-
-def _bivector_matrix(f: Multivector) -> np.ndarray:
-    """Antisymmetric n x n array paired with a bivector's coefficients."""
-    n = f.sig.n
-    i, j, masks = _bivector_layout(n)
-    c = f.coeffs[masks]
-    mat = np.zeros((n, n))
-    # + 0.0 and 0.0 - c make every zero entry +0.0, whatever the sign of a zero coefficient
-    mat[i, j] = c + 0.0
-    mat[j, i] = 0.0 - c
-    return mat
-
-
 def _planes(k: np.ndarray, floor: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Orthonormal pairs (x, y) spanning the invariant planes of the
     antisymmetric array k whose rotation rate exceeds floor, fastest first.
@@ -154,17 +131,18 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     Returns [(beta_k, i_k)] with beta_k > 0 descending, i_k unit simple
     bivectors satisfying i_k^2 = -1, pairwise orthogonal and commuting,
     and sum(beta_k i_k) = f. The planes are the invariant planes of the
-    paired antisymmetric matrix, from one Hermitian eigh, and each
-    beta_k is f projected onto its plane. Coefficients at or below
-    SPLIT_FLOOR times the largest entry are dropped. The split is unique
-    only for distinct coefficients; for coinciding ones any orthogonal
-    choice inside the eigenspace is returned.
+    antisymmetric matrix 0.0 - contraction_matrix(f, 2) (entry [i, j] the
+    coefficient of e_i ^ e_j for i < j, every zero +0.0), from one
+    Hermitian eigh, and each beta_k is f projected onto its plane.
+    Coefficients at or below SPLIT_FLOOR times the largest entry are
+    dropped. The split is unique only for distinct coefficients; for
+    coinciding ones any orthogonal choice inside the eigenspace is returned.
     """
     if f.grades(tol=0.0) not in ([], [2]):
         raise NotABladeError(f"bivector_split needs a pure bivector, grades {f.grades()}")
     if not f.sig.is_euclidean:
         raise NonEuclideanError("bivector split implemented for Euclidean signature")
-    mat = _bivector_matrix(f)
+    mat = 0.0 - contraction_matrix(f, 2)
     floor = SPLIT_FLOOR * max(1.0, float(np.max(np.abs(mat))))
     parts = [_plane_from_pair(f, x, y) for x, y in _planes(mat, floor)]
     return sorted((p for p in parts if p[0] > floor), key=lambda p: -p[0])

@@ -181,18 +181,16 @@ def _wedge_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def wedge_vectors(sig: Signature, rows) -> Multivector:
     """rows[0] ^ rows[1] ^ ... ^ rows[k-1] for k vectors given by coordinates.
 
-    Gives the bytes of the iterated Multivector.outer: each step adds the
-    terms of every output mask in the kernel's row-major order onto +0.0,
-    one table row at a time. Terms the kernel leaves out (a zero factor)
-    are added as +-0.0, which changes no byte. A non-finite intermediate
-    always reaches the result, so overflow still raises from the
-    constructor.
+    Gives the bytes of Multivector.vector for one row and of the iterated
+    Multivector.outer for more: each step adds the terms of every output
+    mask in the kernel's row-major order onto +0.0, one table row at a
+    time. Terms the kernel leaves out (a zero factor) are added as +-0.0,
+    which changes no byte. A non-finite intermediate always reaches the
+    result, so overflow still raises from the constructor.
     """
     rows = [np.asarray(row, dtype=float) for row in rows]
     if not rows or any(row.shape != (sig.n,) for row in rows):
         raise ValueError(f"need k >= 1 rows of {sig.n} coordinates")
-    if len(rows) == 1:
-        return Multivector.vector(sig, rows[0])
     acc = rows[0]
     for k in range(1, len(rows)):
         src, bits, sign = _wedge_table(sig.n, k)
@@ -206,7 +204,10 @@ def wedge_vectors(sig: Signature, rows) -> Multivector:
 
 
 def mask_from_name(name: str, n: int) -> int:
-    """Parse a basis-blade name like 'e12', 'e1_10' or '1' (scalar)."""
+    """Parse a basis-blade name like 'e12', 'e1_10' or '1' (scalar).
+
+    Indices must ascend strictly: 'e21' would be -e12, a sign no mask holds.
+    """
     name = name.strip()
     if name in ("1", "e", "e0", "scalar"):
         return 0
@@ -217,17 +218,17 @@ def mask_from_name(name: str, n: int) -> int:
         parts = body.split("_")
     else:
         parts = list(body)
-    mask = 0
+    mask = last = 0
     for part in parts:
         if not part.isdigit():
             raise ValueError(f"bad blade name {name!r}")
         idx = int(part)
         if not 1 <= idx <= n:
             raise ValueError(f"index {idx} out of range 1..{n} in {name!r}")
-        bit = 1 << (idx - 1)
-        if mask & bit:
-            raise ValueError(f"repeated index in blade name {name!r}")
-        mask |= bit
+        if idx <= last:
+            raise ValueError(f"indices of blade name {name!r} must ascend strictly")
+        last = idx
+        mask |= 1 << (idx - 1)
     return mask
 
 

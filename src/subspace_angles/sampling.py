@@ -14,23 +14,22 @@ from .errors import DegenerateSpanError
 from .oracle import orthonormal_basis
 
 
-def sample_spans(rng: np.random.Generator, *, n: int | None = None, rb: int | None = None,
-                 q: int | None = None, force_shared: bool | None = None,
+def sample_spans(rng: np.random.Generator, *, q: int | None = None,
                  force_perp: bool | None = None):
     """Draw one random pair of spanning sets.
 
+    Draws n in 2..8, the smaller grade rb in 1..min(4, n), the grade
+    difference q (unless given) and whether to force shared and
+    perpendicular directions (force_perp unless given), in that order.
     Returns (a_rows, b_rows, meta) where a_rows spans the larger-grade
     subspace (grade rb + q) and meta records the draw.
     """
-    if n is None:
-        n = int(rng.integers(2, 9))
-    if rb is None:
-        rb = int(rng.integers(1, min(4, n) + 1))
+    n = int(rng.integers(2, 9))
+    rb = int(rng.integers(1, min(4, n) + 1))
     if q is None:
         q = int(rng.integers(0, min(2, n - rb) + 1))
     ra = rb + q
-    if force_shared is None:
-        force_shared = bool(rng.random() < 0.25)
+    force_shared = bool(rng.random() < 0.25)
     if force_perp is None:
         force_perp = bool(rng.random() < 0.25)
 
@@ -75,9 +74,9 @@ def sample_spans(rng: np.random.Generator, *, n: int | None = None, rb: int | No
     raise RuntimeError("failed to draw an independent spanning set")
 
 
-def random_problem_document(rng: np.random.Generator, **kwargs) -> dict:
-    """A random problem in the CLI's input-document form."""
-    a_rows, b_rows, _meta = sample_spans(rng, **kwargs)
+def random_problem_document(rng: np.random.Generator) -> dict:
+    """A random problem of sample_spans in the CLI's input-document form."""
+    a_rows, b_rows, _meta = sample_spans(rng)
     return {
         "n": int(a_rows.shape[1]),
         "A": [[float(x) for x in row] for row in a_rows],

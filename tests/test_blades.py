@@ -8,6 +8,7 @@ from subspace_angles import ga
 from subspace_angles.blades import (
     Blade,
     blade_from_spanning_vectors,
+    contraction_matrix,
     is_blade,
     subspace_membership,
 )
@@ -39,6 +40,11 @@ class TestBladeFromSpanningVectors:
     def test_nearly_dependent_raises(self):
         with pytest.raises(DegenerateSpanError):
             blade_from_spanning_vectors([[1, 0, 0], [1, 1e-12, 0]])
+
+    def test_flat_list_of_numbers_rejected(self):
+        # one vector not wrapped in a list: no row has a length to read n from
+        with pytest.raises(ValueError, match="sequence of length-n vectors"):
+            blade_from_spanning_vectors([1.0, 2.0, 3.0])
 
     def test_too_many_vectors(self):
         with pytest.raises(DegenerateSpanError):
@@ -99,6 +105,42 @@ class TestIsBlade:
     def test_from_multivector_rejects_mixed(self):
         with pytest.raises(NotABladeError):
             Blade.from_multivector(E1 + (E2 ^ E3))
+
+
+class TestContractionMatrix:
+    @staticmethod
+    def _antisymmetric(f):
+        # the bivector_split matrix before it read contraction_matrix: [i, j] = f_ij for i < j
+        n = f.sig.n
+        i, j = np.triu_indices(n, 1)
+        c = f.coeffs[(1 << i) | (1 << j)]
+        mat = np.zeros((n, n))
+        mat[i, j] = c + 0.0
+        mat[j, i] = 0.0 - c
+        return mat
+
+    def test_grade_two_is_minus_the_antisymmetric_matrix(self):
+        rng = np.random.default_rng(15)
+        for n in range(2, 13):
+            sig = Signature(n)
+            for _ in range(5):
+                rows = rng.uniform(-1, 1, (2 * (n // 2), n))
+                f = sum((wedge_vectors(sig, rows[j:j + 2]) for j in range(0, len(rows), 2)),
+                        Multivector.zero(sig))
+                old = self._antisymmetric(f)
+                c = contraction_matrix(f, 2)
+                assert c.shape == (n, n)
+                assert np.array_equal(c, -old)
+                assert (0.0 - c).tobytes() == old.tobytes()
+
+    def test_rows_are_the_contractions(self):
+        sig = Signature(5)
+        rows = np.random.default_rng(16).uniform(-1, 1, (3, 5))
+        x = wedge_vectors(sig, rows)
+        c = contraction_matrix(x, 3)
+        grade2 = ga._grade_masks(5, 2)
+        direct = np.array([e.left_contraction(x).coeffs[grade2] for e in basis_vectors(sig)])
+        assert np.allclose(c, direct, atol=1e-15) or np.allclose(c, -direct, atol=1e-15)
 
 
 class TestBladeValidationHalves:

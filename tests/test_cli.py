@@ -196,6 +196,12 @@ class TestParseProblem:
             with pytest.raises(ProblemFormatError, match="nested too deeply"):
                 parse_problem(text)
 
+    def test_descending_blade_name_rejected(self):
+        # {"e21": 1.0} is -e12; reading it as +e12 would flip the term silently
+        doc = {"n": 3, "A": {"e21": 1.0}, "B": {"e1": 1.0}}
+        with pytest.raises(ProblemFormatError, match=r"^A\['e21'\]: indices .* ascend"):
+            parse_problem(json.dumps(doc), mode="conformal")
+
     def test_bad_options_rejected(self):
         with pytest.raises(ProblemFormatError, match="tolerance"):
             parse_problem('{"n":2,"A":[[1,0]],"B":[[0,1]],"options":{"tolerance":2}}')

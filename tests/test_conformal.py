@@ -63,6 +63,21 @@ class TestObjectDetection:
         with pytest.raises(NotABladeError):
             cf.ConformalObject.from_multivector(bad)
 
+    def test_spread_dust_is_judged_by_its_norm(self):
+        # ten grade-2 coefficients, each below ROUND_TOL |X|, whose norm is above it
+        x = cf.flat(CSIG, [1.0, 2.0, 3.0], E1 ^ E2)
+        grade2 = np.flatnonzero([bin(m).count("1") == 2 for m in range(CSIG.size)])
+        coeffs = x.coeffs.copy()
+        coeffs[grade2] = 0.9 * cf.ROUND_TOL * x.coeff_norm()
+        dusty = Multivector(CSIG, coeffs)
+        assert grade2.size == 10
+        assert np.max(np.abs(dusty.grade(2).coeffs)) <= cf.ROUND_TOL * dusty.coeff_norm()
+        assert dusty.grade(2).coeff_norm() > cf.ROUND_TOL * dusty.coeff_norm()
+        with pytest.raises(NotABladeError, match="not of pure grade"):
+            cf.ConformalObject.from_multivector(dusty)
+        coeffs[grade2] *= 0.25   # norm below the bound: the dust is stripped
+        assert cf.ConformalObject.from_multivector(Multivector(CSIG, coeffs)).mv == x
+
 
 class TestToOffsetFlat:
     def test_sphere_becomes_wedge_with_infinity(self):

@@ -428,9 +428,12 @@ class TestNamesAndMisc:
         assert mask_from_name("e1_10", 10) == mask
 
     def test_bad_names(self):
-        for bad in ["x1", "e0_1", "e11", "e123x"]:
+        # "e21" and "e132" would carry a sign (e2e1 = -e12) that a mask cannot
+        for bad in ["x1", "e0_1", "e11", "e123x", "e21", "e132"]:
             with pytest.raises(ValueError):
                 mask_from_name(bad, 3)
+        with pytest.raises(ValueError, match="ascend"):
+            mask_from_name("e10_1", 10)
 
     def test_immutability(self):
         with pytest.raises(AttributeError):

@@ -10,8 +10,11 @@ The inputs are the benchmark's, imported from perfbench/inputs.py:
 
 * corpus_small, wide_dense: per pair, both blades (coefficient bytes,
   grade, magnitude and the bytes of the orthonormal frame), every field of the `relative_angle` report
-  (plane and lowest-blade coefficient bytes included) and the oracle's
-  principal pairs; a raising call contributes its exception repr.
+  (plane and lowest-blade coefficient bytes included), the oracle's
+  principal pairs and the `bivector_split` of the pair's bivector
+  sum_j 2^-j (a_j ^ b_j) over the rows j < min(grades), whose distinct
+  coefficients reach the eigensolve; a raising call contributes its
+  exception repr.
 * cli_batch: per problem file, the `angles run --oracle` JSON text (or
   the exception repr), then the `angles selftest --seed <seed>` summary.
 
@@ -109,6 +112,15 @@ class Digest:
         self.pairs.append(pair.hexdigest())
 
 
+def pair_bivector(sa, pair):
+    """sum_j 2^-j (a_j ^ b_j) over the rows the two spanning sets share."""
+    sig = sa.Signature(pair.a_rows.shape[1])
+    f = sa.Multivector.zero(sig)
+    for j, (a, b) in enumerate(zip(pair.a_rows, pair.b_rows)):
+        f = f + (sa.Multivector.vector(sig, a) ^ sa.Multivector.vector(sig, b)) * 2.0 ** -j
+    return f
+
+
 def library_digest(sa, pairs) -> Digest:
     d = Digest()
     for pair in pairs:
@@ -118,6 +130,7 @@ def library_digest(sa, pairs) -> Digest:
             values.append(attempt(sa.relative_angle, *blades))
         values.append(attempt(lambda: sa.principal_angles(sa.orthonormal_basis(pair.a_rows),
                                                           sa.orthonormal_basis(pair.b_rows))))
+        values.append(attempt(lambda: sa.bivector_split(pair_bivector(sa, pair))))
         d.add_pair(values)
     return d
 
