@@ -17,9 +17,10 @@ clusters of equal cos 2 theta and each cluster by the rotation rates of
 K = (O - O^T)/2, and takes every angle as
 theta = atan2(sin 2 theta, cos 2 theta) / 2, which is as accurate near 0
 as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
-s and t count the angles by the oracle's per-angle rule. M, formed from
-the blades' coefficients, is the self-check: its distance from the rebuilt
-rotor chain (c_1 + i_1 s_1) ... L, the residual, also ties frames to blades.
+s and t count the angles by the oracle's per-angle rule, and M is never
+formed: as reverse(B) B = 1, the self-check is that the rebuilt chain
+R = (c_1 + i_1 s_1) ... L carries unit(B) onto unit(A). The residual
+|R unit(B) - unit(A)| = |R - M| also ties frames to blades.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ SPLIT_FLOOR = 1e-12
 # angles within it count as equal.
 EQUAL_ANGLE_TOL = 1e-8
 
-# A report whose rotor chain misses M by more than this is not returned.
+# A report whose rebuilt chain misses unit(A) by more than this is not returned.
 RESIDUAL_BOUND = 1e-6
 
 
@@ -65,7 +66,9 @@ class AngleReport:
     blade of the directions O sends to their negatives: the right-angle
     planes plus, for blades of different grade, the extra dimensions of
     the larger blade; lowest_grade is its grade. Rotor reconstruction
-    multiplies the interior rotors by it. cos_interior multiplies the
+    multiplies the interior rotors by it, and the rebuilt chain carries
+    unit(B) onto unit(A), B the smaller-grade blade, up to residual (a
+    coefficient norm). cos_interior multiplies the
     cosines of the angles t does not count, sin_interior_product the
     sines of the angles s does not count, and cos_total is cos_interior,
     or 0.0 when t > 0.
@@ -213,11 +216,11 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
 
     lowest = _unit_wedge(sig, flipped) if flipped else Multivector.scalar(sig, 1.0)
-    m = a.unit() * b.unit().reverse()
-    rebuilt = _rotor_chain(1.0, thetas, planes, lowest)
-    if rebuilt.scalar_product(m.reverse()) < 0.0:
-        lowest, rebuilt = -lowest, -rebuilt
-    residual = (rebuilt - m).coeff_norm()
+    unit_a = a.unit()
+    carried = _rotor_chain(thetas, planes, lowest, b.unit())
+    if carried.scalar_product(unit_a.reverse()) < 0.0:
+        lowest, carried = -lowest, -carried
+    residual = (carried - unit_a).coeff_norm()
 
     cosines = [math.cos(theta) for theta in angles]
     s = sum(c >= 1.0 - grade_tol for c in cosines)
@@ -253,24 +256,19 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     One factor per plane, each with its interior angle (the angles
     strictly inside (0, pi/2)); the right-angle planes and any extra
     dimensions of the larger blade enter through L = report.lowest_blade.
-    Matches A reverse(B), with A the larger-grade operand of
-    relative_angle, up to the report's residual.
+    This is A reverse(B), with A the larger-grade operand of relative_angle:
+    the rebuilt chain carries unit(B) onto unit(A) up to the report's residual.
     """
     thetas = [theta for theta in report.angles if 0.0 < theta < math.pi / 2.0]
-    return _rotor_chain(norm_a * norm_b, thetas, report.planes, report.lowest_blade)
+    start = Multivector.scalar(report.lowest_blade.sig, norm_a * norm_b)
+    return _rotor_chain(thetas, report.planes, report.lowest_blade, start)
 
 
-def _rotor_chain(scale: float, angles, planes, lowest_blade: Multivector) -> Multivector:
-    """scale (c_1 + i_1 s_1)...(c_k + i_k s_k) lowest_blade, one factor per plane.
-
-    The chain starts from its first factor x as x * scale + 0.0, which
-    has the bytes of the product scalar(scale) * x.
-    """
-    sig = lowest_blade.sig
-    factors = [Multivector.scalar(sig, math.cos(theta)) + plane * math.sin(theta)
-               for theta, plane in zip(angles, planes)]
-    factors.append(lowest_blade)
-    out = Multivector(sig, factors[0].coeffs * scale + 0.0, _copy=False)
-    for factor in factors[1:]:
-        out = out * factor
+def _rotor_chain(angles, planes, lowest_blade: Multivector, x: Multivector) -> Multivector:
+    """(c_1 + i_1 s_1)...(c_k + i_k s_k) lowest_blade x, one factor per plane,
+    built from the right end: lowest_blade x first, then the factors from
+    the last plane's to the first's, each multiplied on from the left."""
+    out = lowest_blade * x
+    for theta, plane in reversed(list(zip(angles, planes))):
+        out = (Multivector.scalar(x.sig, math.cos(theta)) + plane * math.sin(theta)) * out
     return out

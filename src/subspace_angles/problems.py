@@ -94,17 +94,28 @@ def _parse_conformal_object(key: str, value, n: int):
         return values
     if isinstance(value, dict):
         _expect(len(value) > 0, f"{key}: empty coefficient map")
-        out = {}
+        out, names = {}, {}
         for name, x in value.items():
             try:
-                mask_from_name(name, n + 2)
+                mask = mask_from_name(name, n + 2)
             except ValueError as exc:
                 raise ProblemFormatError(f"{key}[{name!r}]: {exc}") from exc
+            _expect(names.setdefault(mask, name) == name,
+                    f"{key}[{name!r}]: names the same basis blade as {names[mask]!r}")
             x = _number(x)
             _expect(x is not None and math.isfinite(x), f"{key}[{name!r}]: expected a finite number")
             out[name] = x
         return out
     raise ProblemFormatError(f"{key}: expected a coefficient list or a blade-name map")
+
+
+def _unique_keys(pairs) -> dict:
+    """json.loads object_pairs_hook: a repeated key is malformed input."""
+    out = {}
+    for key, value in pairs:
+        _expect(key not in out, f"repeated key {key!r}")
+        out[key] = value
+    return out
 
 
 def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
@@ -115,7 +126,7 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
     """
     _expect(mode in MODES, f"unknown mode {mode!r}")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc

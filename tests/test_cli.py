@@ -202,6 +202,35 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError, match=r"^A\['e21'\]: indices .* ascend"):
             parse_problem(json.dumps(doc), mode="conformal")
 
+    def test_repeated_top_level_key_rejected(self, tmp_path, capsys):
+        # json.loads alone keeps the last "A" and drops the first silently
+        text = '{"n": 3, "A": [[1, 0, 0]], "A": [[0, 1, 0]], "B": [[0, 0, 1]]}'
+        with pytest.raises(ProblemFormatError, match=r"^repeated key 'A'$"):
+            parse_problem(text)
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"{path}: ProblemFormatError: repeated key 'A'\n"
+
+    def test_repeated_option_rejected(self):
+        text = '{"n": 2, "A": [[1, 0]], "B": [[0, 1]], "options": {"oracle": true, "oracle": false}}'
+        with pytest.raises(ProblemFormatError, match=r"^repeated key 'oracle'$"):
+            parse_problem(text)
+
+    def test_aliased_blade_names_rejected(self):
+        # e13 and e1_3 name one basis blade; summing the two would hide a typo
+        doc = {"n": 3, "A": {"e13": 1.0, "e1_3": 2.0}, "B": {"e1": 1.0}}
+        with pytest.raises(ProblemFormatError,
+                           match=r"^A\['e1_3'\]: names the same basis blade as 'e13'$"):
+            parse_problem(json.dumps(doc), mode="conformal")
+
+    @pytest.mark.parametrize("alias", ["e", "e0", "scalar"])
+    def test_scalar_aliases_rejected(self, alias):
+        doc = {"n": 3, "A": {"e12": 1.0}, "B": {"1": 0.5, alias: 0.5, "e1": 1.0}}
+        with pytest.raises(ProblemFormatError,
+                           match=rf"^B\['{alias}'\]: names the same basis blade as '1'$"):
+            parse_problem(json.dumps(doc), mode="conformal")
+
     def test_bad_options_rejected(self):
         with pytest.raises(ProblemFormatError, match="tolerance"):
             parse_problem('{"n":2,"A":[[1,0]],"B":[[0,1]],"options":{"tolerance":2}}')

@@ -452,40 +452,50 @@ class TestRotorReconstruction:
             assert (rebuilt - target).coeff_norm() <= 1e-9 * a.magnitude * b.magnitude
 
 
-def scalar_start_chain(scale, report):
-    """The rotor rebuild as it was first written: a scalar times every factor in turn."""
-    sig = report.lowest_blade.sig
-    out = Multivector.scalar(sig, scale)
-    interior = [theta for theta in report.angles if 0.0 < theta < math.pi / 2]
-    for theta, plane in zip(interior, report.planes):
-        out = out * (Multivector.scalar(sig, math.cos(theta)) + plane * math.sin(theta))
-    return out * report.lowest_blade
+class TestRotorChain:
+    """rotor_reconstruction and the engine's residual share one chain, and
+    the self-check carries unit(B) onto unit(A) without forming A reverse(B)."""
 
-
-class TestRotorChainBytes:
-    """The chain starts from its first factor times the scale, with the
-    bytes of the scalar product it replaced."""
-
-    SCALES = [1.0, 2.5, -0.75, 1e-3, 3.0e7, 0.0, 1]
-
-    def reports(self):
+    @staticmethod
+    def pairs():
         rng = np.random.default_rng(44)
-        pairs = [(E1 ^ E2, E1 ^ E3), (E1 ^ E2, E1 ^ E2), (E1, E2)]
-        out = [relative_angle(blade_of(a), blade_of(b)) for a, b in pairs]
+        fixed = [(E1 ^ E2, E1 ^ E3), (E1 ^ E2, E1 ^ E2), (E1, E2)]
+        out = [(blade_of(a), blade_of(b)) for a, b in fixed]
         for _ in range(40):
             a_rows, b_rows, _ = sample_spans(rng)
-            out.append(relative_angle(blade_from_spanning_vectors(a_rows),
-                                      blade_from_spanning_vectors(b_rows)))
+            out.append((blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)))
         return out
 
-    def test_with_and_without_planes(self):
-        reports = self.reports()
+    def test_carries_b_onto_a(self):
+        reports = []
+        for a, b in self.pairs():
+            rep = relative_angle(a, b)
+            if a.grade < b.grade:
+                a, b = b, a
+            carried = rotor_reconstruction(rep, 1.0, 1.0) * b.unit()
+            assert abs((carried - a.unit()).coeff_norm() - rep.residual) <= 1e-14
+            reports.append(rep)
         assert any(rep.planes for rep in reports)
         assert any(not rep.planes for rep in reports)
-        for rep in reports:
-            for scale in self.SCALES:
-                got = rotor_reconstruction(rep, scale, 1.0)
-                assert got.coeffs.tobytes() == scalar_start_chain(scale, rep).coeffs.tobytes()
+
+    def test_self_check_forms_no_product_with_a(self, monkeypatch):
+        operands = []
+        product = Multivector._product
+
+        def spy(self, other, keep=None):
+            operands.extend((self, other))
+            return product(self, other, keep)
+
+        monkeypatch.setattr(Multivector, "_product", spy)
+        for a, b in self.pairs():
+            if a.grade < b.grade:
+                a, b = b, a
+            if a.unit() == b.unit():
+                continue    # unit(B), the chain's first operand, is then unit(A)
+            operands.clear()
+            relative_angle(a, b)
+            assert operands
+            assert not any(x == a.unit() for x in operands)
 
     def test_nonfinite_scale_still_raises(self):
         rep = relative_angle(blade_of(E1 ^ E2), blade_of(E1 ^ E3))

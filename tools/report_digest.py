@@ -10,7 +10,8 @@ The inputs are the benchmark's, imported from perfbench/inputs.py:
 
 * corpus_small, wide_dense: per pair, both blades (coefficient bytes,
   grade, magnitude and the bytes of the orthonormal frame), every field of the `relative_angle` report
-  (plane and lowest-blade coefficient bytes included), the oracle's
+  (plane and lowest-blade coefficient bytes included), the public rotor
+  rebuild `rotor_reconstruction(report, |A|, |B|)`, the oracle's
   principal pairs and the `bivector_split` of the pair's bivector
   sum_j 2^-j (a_j ^ b_j) over the rows j < min(grades), whose distinct
   coefficients reach the eigensolve; a raising call contributes its
@@ -127,7 +128,11 @@ def library_digest(sa, pairs) -> Digest:
         blades = [attempt(sa.blade_from_spanning_vectors, rows) for rows in (pair.a_rows, pair.b_rows)]
         values = [blades]
         if not any(isinstance(b, Exception) for b in blades):
-            values.append(attempt(sa.relative_angle, *blades))
+            report = attempt(sa.relative_angle, *blades)
+            values.append(report)
+            if not isinstance(report, Exception):
+                values.append(attempt(sa.rotor_reconstruction, report,
+                                      blades[0].magnitude, blades[1].magnitude))
         values.append(attempt(lambda: sa.principal_angles(sa.orthonormal_basis(pair.a_rows),
                                                           sa.orthonormal_basis(pair.b_rows))))
         values.append(attempt(lambda: sa.bivector_split(pair_bivector(sa, pair))))
