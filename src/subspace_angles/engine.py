@@ -20,7 +20,10 @@ as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
 s and t count the angles by the oracle's per-angle rule, and M is never
 formed: as reverse(B) B = 1, the self-check is that the rebuilt chain
 R = (c_1 + i_1 s_1) ... L carries unit(B) onto unit(A). The residual
-|R unit(B) - unit(A)| = |R - M| also ties frames to blades.
+|R unit(B) - unit(A)| = |R - M| also ties frames to blades. The chain
+needs only left products by vectors (ga.vector_product): L = l_1 ... l_m
+for its orthonormal rows, and i_k = x_k y_k for the orthonormal pair of
+plane k, so each factor acts as c X + s x (y X).
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blades import Blade, contraction_matrix
+from .blades import Blade, _factor, contraction_matrix
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, wedge_vectors
+from .ga import Multivector, vector_product, wedge_vectors
 
 # A principal angle counts as zero when its cosine is >= 1 - this value and
 # as right when its cosine is <= this value; the rule of oracle.rank_counts,
@@ -209,15 +212,15 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         turn = float(y @ ox)
         if turn > 0.0:          # orient the plane so that O turns y toward x
             y = -y
-        interior.append((0.5 * math.atan2(abs(turn), float(x @ ox)), _unit_wedge(sig, (x, y))))
+        interior.append((0.5 * math.atan2(abs(turn), float(x @ ox)), (x, y)))
     interior.sort(key=lambda pair: -pair[0])
     thetas = [theta for theta, _ in interior]
-    planes = tuple(plane for _, plane in interior)
+    planes = tuple(_unit_wedge(sig, pair) for _, pair in interior)
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
 
     lowest = _unit_wedge(sig, flipped) if flipped else Multivector.scalar(sig, 1.0)
     unit_a = a.unit()
-    carried = _rotor_chain(thetas, planes, lowest, b.unit())
+    carried = _rotor_chain(thetas, [pair for _, pair in interior], flipped, b.unit())
     if carried.scalar_product(unit_a.reverse()) < 0.0:
         lowest, carried = -lowest, -carried
     residual = (carried - unit_a).coeff_norm()
@@ -258,17 +261,29 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     dimensions of the larger blade enter through L = report.lowest_blade.
     This is A reverse(B), with A the larger-grade operand of relative_angle:
     the rebuilt chain carries unit(B) onto unit(A) up to the report's residual.
+    Each plane's orthonormal (x, y) and L's rows are read from their frames
+    (blades._factor), so each factor acts as c X + s x (y X), at vector cost;
+    an L of grade 0 is +-1, and its sign enters the starting scalar.
     """
     thetas = [theta for theta in report.angles if 0.0 < theta < math.pi / 2.0]
-    start = Multivector.scalar(report.lowest_blade.sig, norm_a * norm_b)
-    return _rotor_chain(thetas, report.planes, report.lowest_blade, start)
+    pairs = [_factor(plane, 2, 1.0) for plane in report.planes]
+    lowest = report.lowest_blade
+    scale = norm_a * norm_b * (lowest.scalar_part() if report.lowest_grade == 0 else 1.0)
+    flipped = _factor(lowest, report.lowest_grade, 1.0)
+    return _rotor_chain(thetas, pairs, flipped, Multivector.scalar(lowest.sig, scale))
 
 
-def _rotor_chain(angles, planes, lowest_blade: Multivector, x: Multivector) -> Multivector:
-    """(c_1 + i_1 s_1)...(c_k + i_k s_k) lowest_blade x, one factor per plane,
-    built from the right end: lowest_blade x first, then the factors from
-    the last plane's to the first's, each multiplied on from the left."""
-    out = lowest_blade * x
-    for theta, plane in reversed(list(zip(angles, planes))):
-        out = (Multivector.scalar(x.sig, math.cos(theta)) + plane * math.sin(theta)) * out
-    return out
+def _rotor_chain(angles, pairs, flipped, x: Multivector) -> Multivector:
+    """(c_1 + i_1 s_1)...(c_k + i_k s_k) L x with i_k = x_k ^ y_k for the
+    orthonormal pairs (x_k, y_k) and L = l_1 ... l_m for the orthonormal rows
+    of flipped, built from the right end by left products with vectors:
+    l_m x first, up to l_1, then each factor from the last plane's to the
+    first's, acting as c X + s x_k (y_k X), as x_k ^ y_k = x_k y_k."""
+    sig = x.sig
+    out = x.coeffs
+    for row in flipped[::-1]:
+        out = vector_product(sig, row, out)
+    for theta, (u, w) in reversed(list(zip(angles, pairs))):
+        turned = vector_product(sig, u, vector_product(sig, w, out))
+        out = math.cos(theta) * out + math.sin(theta) * turned
+    return Multivector(sig, out, _copy=False)

@@ -295,7 +295,8 @@ class TestFrame:
 
     def test_conformal_run_reads_carriers_without_products(self, monkeypatch):
         # the carrier is a coefficient slice and its frame one eigh of the contraction matrix;
-        # the products left are the validations, X ^ e_inf of the sphere and the engine's
+        # the products left are the validations and X ^ e_inf of the sphere; the engine's
+        # rotor chain multiplies by vectors through its own table
         n = 3
         csig = cf.conformal_signature(n)
         xa = cf.flat(csig, [0.0, 0.0, 0.0], E1 ^ E2)
@@ -316,5 +317,5 @@ class TestFrame:
         monkeypatch.setattr(Multivector, "_product", recording)
         doc = run_problem(problem, oracle_enabled=True)
         assert doc["oracle"]["max_deviation"] <= 1e-9
-        assert not {"_factor", "euclidean_carrier"} & set(callers)
-        assert len(callers) == 8
+        assert not {"_factor", "euclidean_carrier", "_rotor_chain"} & set(callers)
+        assert len(callers) == 7

@@ -478,24 +478,34 @@ class TestRotorChain:
         assert any(rep.planes for rep in reports)
         assert any(not rep.planes for rep in reports)
 
-    def test_self_check_forms_no_product_with_a(self, monkeypatch):
-        operands = []
-        product = Multivector._product
+    def test_relative_angle_forms_no_product(self, monkeypatch):
+        # the chain runs as left products by vectors, so the general kernel is never called
+        def refuse(self, other, keep=None):
+            raise AssertionError("relative_angle called Multivector._product")
 
-        def spy(self, other, keep=None):
-            operands.extend((self, other))
-            return product(self, other, keep)
+        pairs = self.pairs()
+        monkeypatch.setattr(Multivector, "_product", refuse)
+        reports = [relative_angle(a, b) for a, b in pairs]
+        assert any(rep.planes for rep in reports) and any(rep.lowest_grade for rep in reports)
 
-        monkeypatch.setattr(Multivector, "_product", spy)
-        for a, b in self.pairs():
-            if a.grade < b.grade:
-                a, b = b, a
-            if a.unit() == b.unit():
-                continue    # unit(B), the chain's first operand, is then unit(A)
-            operands.clear()
-            relative_angle(a, b)
-            assert operands
-            assert not any(x == a.unit() for x in operands)
+    @pytest.mark.parametrize("a_rows, b_rows", [
+        ([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0]]),          # B = e2 ^ e1: L = -1
+        ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]],
+         [[1, 0, 0, 0, 0], [0, 0.6, 0, 0.8, 0]]),                  # one plane, L of grade 1
+    ])
+    def test_lowest_blade_sign_enters_the_rebuild(self, a_rows, b_rows):
+        # B and -B share O, so the sign rule negates L for exactly one of the two
+        a = blade_from_spanning_vectors(a_rows)
+        lowest = []
+        for sign in (1.0, -1.0):
+            b = blade_from_spanning_vectors([np.multiply(sign, b_rows[0])] + b_rows[1:])
+            rep = relative_angle(a, b)
+            rebuilt = rotor_reconstruction(rep, a.magnitude, b.magnitude)
+            assert rebuilt.approx_eq(a.mv * b.mv.reverse(), 1e-12)
+            lowest.append(rep.lowest_blade)
+        assert lowest[0] == -lowest[1]
+        if rep.lowest_grade == 0:
+            assert Multivector.scalar(rep.lowest_blade.sig, -1.0) in lowest
 
     def test_nonfinite_scale_still_raises(self):
         rep = relative_angle(blade_of(E1 ^ E2), blade_of(E1 ^ E3))

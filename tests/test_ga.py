@@ -15,6 +15,7 @@ from subspace_angles.ga import (
     basis_vectors,
     mask_from_name,
     name_from_mask,
+    vector_product,
     wedge_vectors,
 )
 
@@ -293,6 +294,31 @@ class TestWedgeVectors:
         for rows in ([], [1.0, 2.0, 3.0], [[1.0, 2.0]], np.zeros((2, 4))):
             with pytest.raises(ValueError, match="rows of 3 coordinates"):
                 wedge_vectors(SIG3, rows)
+
+
+class TestVectorProduct:
+    """vector_product, the table-driven left product by a vector, against the kernel."""
+
+    SIGNATURES = [Signature(n) for n in range(1, MAX_DIMENSION + 1)] + [Signature(3, 1), Signature(4, 1)]
+
+    @staticmethod
+    def kernel(sig, v, coeffs):
+        return (Multivector.vector(sig, v) * Multivector(sig, coeffs)).coeffs
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda sig: f"Cl({sig.p},{sig.q})")
+    def test_matches_kernel(self, sig):
+        rng = np.random.default_rng(60 + sig.n + 20 * sig.q)
+        blade = wedge_vectors(sig, rng.standard_normal(((sig.n + 1) // 2, sig.n))).coeffs
+        for x in (rng.standard_normal(sig.size), blade):
+            v = rng.standard_normal(sig.n)
+            got = vector_product(sig, v, x)
+            scale = float(np.linalg.norm(v) * np.linalg.norm(x))
+            assert np.linalg.norm(got - self.kernel(sig, v, x)) <= 1e-15 * scale
+        for mask in rng.choice(sig.size, min(sig.size, 64), replace=False):
+            v = rng.standard_normal(sig.n)
+            x = np.zeros(sig.size)
+            x[mask] = rng.standard_normal()
+            assert np.array_equal(vector_product(sig, v, x), self.kernel(sig, v, x)), mask
 
 
 class TestOuterProduct:
