@@ -9,7 +9,8 @@ built from spanning vectors takes its frame from Gram-Schmidt; a blade
 read from a multivector takes it from one eigensolve of its projector,
 built from contraction_matrix, which also gives engine.bivector_split its
 matrix. The frame is not unique, only the reconstruction is contractual.
-pure_blade, the grade-and-square check, also validates conformal objects.
+pure_blade, one grade-and-factor test that reads no metric, also
+validates conformal objects.
 """
 
 from __future__ import annotations
@@ -58,19 +59,22 @@ class Blade:
 
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "Blade":
-        """Validate (pure_blade at BLADE_TOL, then _factor) and wrap."""
-        k, clean = pure_blade(mv, BLADE_TOL)
-        magnitude = clean.norm()
-        return cls(clean, k, magnitude, _factor(clean, k, magnitude))
+        """Validate (pure_blade at BLADE_TOL), keep its frame and wrap; a
+        frame of grade k > 0 needs a Euclidean metric (NonEuclideanError)."""
+        k, clean, frame = pure_blade(mv, BLADE_TOL)
+        if k and not mv.sig.is_euclidean:
+            raise NonEuclideanError("blade frames implemented for Euclidean blades")
+        return cls(clean, k, clean.norm(), frame)
 
 
-def pure_blade(mv: Multivector, tol: float) -> tuple[int, Multivector]:
-    """(k, part): mv's dominant grade and its grade-k part, off-grade dust stripped.
+def pure_blade(mv: Multivector, tol: float) -> tuple[int, Multivector, np.ndarray]:
+    """(k, part, frame): mv's dominant grade, its grade-k part with
+    off-grade dust stripped, and the part's frame (_factor).
 
     Raises NotABladeError when mv is zero, when the parts off grade k
-    exceed tol * |mv|, or when the non-scalar part of part * reverse(part)
-    exceeds tol * |part|^2 (a blade, simple or null, squares to a scalar);
-    |.| is the coefficient norm, so any signature is checked alike.
+    exceed tol * |mv|, or when the part does not factor within tol (see
+    _factor); |.| is the coefficient norm and the factorization reads no
+    metric, so any signature is checked alike.
     """
     scale = mv.coeff_norm()
     if scale == 0.0:
@@ -81,11 +85,7 @@ def pure_blade(mv: Multivector, tol: float) -> tuple[int, Multivector]:
     if off > tol * scale:
         raise NotABladeError(f"not of pure grade: grades {sorted(norms)}")
     part = mv.grade(k)
-    sq = part * part.reverse()
-    nonscalar = (sq - Multivector.scalar(mv.sig, sq.scalar_part())).coeff_norm()
-    if nonscalar > tol * max(part.coeff_norm() ** 2, 1e-300):
-        raise NotABladeError("x * reverse(x) has non-scalar part")
-    return k, part
+    return k, part, _factor(part, k, tol)
 
 
 def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
@@ -156,38 +156,35 @@ def contraction_matrix(mv: Multivector, k: int) -> np.ndarray:
     return c
 
 
-def _factor(mv: Multivector, k: int, magnitude: float) -> np.ndarray:
-    """Frame of a validated grade-k blade mv: (k, n) orthonormal rows.
+def _factor(mv: Multivector, k: int, tol: float) -> np.ndarray:
+    """Frame of a nonzero grade-k mv: (k, n) rows, orthonormal in the
+    coefficients, whose wedge is unit = mv / |mv|, |.| the coefficient norm.
 
     With C = contraction_matrix(unit, k), C C^T is the blade's projector
     (C's global sign cancels). The frame is the eigenvectors of the k
-    largest eigenvalues of C C^T, with the last row's orientation fixed so
-    that the wedge of the rows reproduces mv / magnitude; a frame that does
-    not reproduce it within BLADE_TOL means mv is no blade.
+    largest eigenvalues of C C^T, the last row oriented so that the plain
+    coefficient dot of their wedge with unit is >= 0; no step reads the
+    metric. Raises NotABladeError when 2 |wedge - unit| > tol; the factor 2
+    refuses e12 + eps e34 where its square's non-scalar part 2 eps e1234
+    reaches tol.
     """
-    sig = mv.sig
     if k == 0:
-        return np.zeros((0, sig.n))
-    if not sig.is_euclidean:
-        raise NonEuclideanError("factorization implemented for Euclidean blades")
-    if magnitude == 0.0:
-        raise NotABladeError("cannot factor the zero blade")
-
-    unit = mv / magnitude
+        return np.zeros((0, mv.sig.n))
+    unit = mv / mv.coeff_norm()
     c = contraction_matrix(unit, k)
     factors = np.ascontiguousarray(np.linalg.eigh(c @ c.T)[1][:, -k:].T)
 
-    rebuilt = wedge_vectors(sig, factors)  # of orthonormal vectors: their geometric product
-    if rebuilt.scalar_product(unit.reverse()) < 0.0:
+    rebuilt = wedge_vectors(mv.sig, factors)
+    if np.dot(rebuilt.coeffs, unit.coeffs) < 0.0:
         factors[-1] = -factors[-1]
         rebuilt = -rebuilt
-    if not rebuilt.approx_eq(unit, BLADE_TOL):
+    if 2.0 * (rebuilt - unit).coeff_norm() > tol:
         raise NotABladeError("orthogonal factors do not reproduce the input")
     return factors
 
 
 def is_blade(mv: Multivector) -> bool:
-    """True iff mv is pure-grade, squares to a scalar and factors cleanly."""
+    """True iff mv is pure-grade and factors cleanly (see pure_blade)."""
     try:
         Blade.from_multivector(mv)
     except NotABladeError:

@@ -124,7 +124,7 @@ class ConformalObject:
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "ConformalObject":
         base_dimension(mv.sig)  # validates the signature shape
-        _k, clean = pure_blade(mv, ROUND_TOL)
+        _k, clean, _frame = pure_blade(mv, ROUND_TOL)
         wedge = clean.outer(e_infinity(mv.sig))
         kind = "round" if wedge.coeff_norm() > ROUND_TOL * mv.coeff_norm() else "flat"
         return cls(clean, kind)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blades import Blade, _factor, contraction_matrix
+from .blades import BLADE_TOL, Blade, _factor, contraction_matrix
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
 from .ga import Multivector, vector_product, wedge_vectors
 
@@ -266,10 +266,10 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     an L of grade 0 is +-1, and its sign enters the starting scalar.
     """
     thetas = [theta for theta in report.angles if 0.0 < theta < math.pi / 2.0]
-    pairs = [_factor(plane, 2, 1.0) for plane in report.planes]
+    pairs = [_factor(plane, 2, BLADE_TOL) for plane in report.planes]
     lowest = report.lowest_blade
     scale = norm_a * norm_b * (lowest.scalar_part() if report.lowest_grade == 0 else 1.0)
-    flipped = _factor(lowest, report.lowest_grade, 1.0)
+    flipped = _factor(lowest, report.lowest_grade, BLADE_TOL)
     return _rotor_chain(thetas, pairs, flipped, Multivector.scalar(lowest.sig, scale))
 
 

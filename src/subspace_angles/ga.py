@@ -248,7 +248,7 @@ def mask_from_name(name: str, n: int) -> int:
         parts = list(body)
     mask = last = 0
     for part in parts:
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise ValueError(f"bad blade name {name!r}")
         idx = int(part)
         if not 1 <= idx <= n:

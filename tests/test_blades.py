@@ -12,7 +12,7 @@ from subspace_angles.blades import (
     is_blade,
     subspace_membership,
 )
-from subspace_angles.errors import DegenerateSpanError, NotABladeError
+from subspace_angles.errors import DegenerateSpanError, NonEuclideanError, NotABladeError
 from subspace_angles.ga import Multivector, Signature, basis_vectors, wedge_vectors
 from subspace_angles.problems import SubspaceProblem, run_problem
 
@@ -144,10 +144,12 @@ class TestContractionMatrix:
 
 
 class TestBladeValidationHalves:
-    """Each of the two checks in Blade.from_multivector rejects an input the other accepts."""
+    """Two inputs that once each needed a check of their own: a non-blade whose
+    square is a scalar, and a near blade that a max-norm reproduction check
+    accepted. The one factorization rule of pure_blade refuses both."""
 
     def test_factorization_rejects_square_scalar_non_blade(self):
-        # (e123 + e456) reverse(e123 + e456) = 2: only the factorization sees it is no blade
+        # (e123 + e456) reverse(e123 + e456) = 2: no square test sees that it is no blade
         sig = Signature(6)
         x = Multivector.basis_blade(sig, "e123") + Multivector.basis_blade(sig, "e456")
         with pytest.raises(NotABladeError):
@@ -155,7 +157,7 @@ class TestBladeValidationHalves:
         assert not is_blade(x)
 
     def test_scalar_test_rejects_near_blade(self):
-        # the factorization reproduces e12 within tolerance; the square's e1234 part does not vanish
+        # the wedge of its frame, e12, misses the unit input by 8e-10 in norm, and 2 * 8e-10 > BLADE_TOL
         sig = Signature(4)
         x = Multivector.basis_blade(sig, "e12") + Multivector.basis_blade(sig, "e34", 8e-10)
         with pytest.raises(NotABladeError):
@@ -258,6 +260,14 @@ class TestFrame:
         assert {b.sig.n for b in spanning_blades(52, 400)} == set(range(2, 13))
         assert {b.grade for b in conformal_carriers(52, 400)} == {1, 2, 3}
 
+    def test_non_euclidean_blade_has_no_frame(self):
+        # the frame is orthonormal in the coefficients; only a Euclidean metric agrees
+        sig = Signature(2, 1)
+        e1, e2, e3 = basis_vectors(sig)
+        for x in (e1 ^ e2, e1 ^ e3):
+            with pytest.raises(NonEuclideanError):
+                Blade.from_multivector(x)
+
     def test_grade_zero_frame_is_empty(self):
         for sig in (SIG3, Signature(2, 1)):
             b = Blade.from_multivector(Multivector.scalar(sig, -2.0))
@@ -294,9 +304,9 @@ class TestFrame:
             assert (b.magnitude * wedge_vectors(SIG3, b.frame)).approx_eq(E1 ^ E2, 1e-15)
 
     def test_conformal_run_reads_carriers_without_products(self, monkeypatch):
-        # the carrier is a coefficient slice and its frame one eigh of the contraction matrix;
-        # the products left are the validations and X ^ e_inf of the sphere; the engine's
-        # rotor chain multiplies by vectors through its own table
+        # the carrier is a coefficient slice, and validation factors in coefficient space, its
+        # frame kept by the blade; the products left are each object's X ^ e_inf kind test and
+        # the sphere's offset flat; the engine's rotor chain multiplies by vectors
         n = 3
         csig = cf.conformal_signature(n)
         xa = cf.flat(csig, [0.0, 0.0, 0.0], E1 ^ E2)
@@ -311,11 +321,10 @@ class TestFrame:
             frame = sys._getframe(1)  # the caller: past __mul__, outer, ... and comprehensions
             while frame.f_code.co_filename == ga.__file__ or frame.f_code.co_name.startswith("<"):
                 frame = frame.f_back
-            callers.append(frame.f_code.co_name)
+            callers.append(frame.f_code.co_qualname)
             return product(self, other, keep)
 
         monkeypatch.setattr(Multivector, "_product", recording)
         doc = run_problem(problem, oracle_enabled=True)
         assert doc["oracle"]["max_deviation"] <= 1e-9
-        assert not {"_factor", "euclidean_carrier", "_rotor_chain"} & set(callers)
-        assert len(callers) == 7
+        assert callers == ["ConformalObject.from_multivector"] * 2 + ["to_offset_flat"]

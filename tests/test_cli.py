@@ -99,6 +99,16 @@ class TestExitCodes:
         assert main(["run", str(point), "--mode", "conformal"]) == EXIT_FAILURE
         assert "CarrierError" in capsys.readouterr().err
 
+    def test_conformal_non_blade(self, tmp_path, capsys):
+        # once accepted as a blade (its square is a scalar) and refused later by the carrier
+        bad = tmp_path / "non_blade.json"
+        bad.write_text('{"n": 4, "A": {"e123": 1, "e456": 1}, "B": {"e1256": 1}}')
+        assert main(["run", str(bad), "--mode", "conformal"]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NotABladeError" in captured.err
+        assert "CarrierError" not in captured.err
+
     def test_file_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")

@@ -59,9 +59,25 @@ class TestObjectDetection:
 
     def test_non_blade_rejected(self):
         e = basis_vectors(CSIG)
-        bad = (e[0] ^ e[1]) + (e[2] ^ e[3])
-        with pytest.raises(NotABladeError):
-            cf.ConformalObject.from_multivector(bad)
+        # e123 + e456 in Cl(5,1) squares to the scalar 2, but does not factor
+        sig = cf.conformal_signature(4)
+        for bad in ((e[0] ^ e[1]) + (e[2] ^ e[3]),
+                    Multivector.basis_blade(sig, "e123") + Multivector.basis_blade(sig, "e456")):
+            with pytest.raises(NotABladeError):
+                cf.ConformalObject.from_multivector(bad)
+
+    @pytest.mark.parametrize("f, accepted", [(0.3, True), (0.8, False)])
+    def test_near_flat_edge(self, f, accepted):
+        # the unit flat through the origin along e12 is +-e1256; f ROUND_TOL e3456 is a miss
+        # of 2 f ROUND_TOL, against ROUND_TOL: accepted below f = 1/2, refused above
+        sig = cf.conformal_signature(4)
+        x = cf.flat(sig, [0.0] * 4, Multivector.basis_blade(Signature(4), "e12"))
+        x = x / x.coeff_norm() + Multivector.basis_blade(sig, "e3456", f * cf.ROUND_TOL)
+        if accepted:
+            assert cf.ConformalObject.from_multivector(x).kind == "flat"
+        else:
+            with pytest.raises(NotABladeError):
+                cf.ConformalObject.from_multivector(x)
 
     def test_spread_dust_is_judged_by_its_norm(self):
         # ten grade-2 coefficients, each below ROUND_TOL |X|, whose norm is above it

@@ -458,6 +458,10 @@ class TestNamesAndMisc:
         for bad in ["x1", "e0_1", "e11", "e123x", "e21", "e132"]:
             with pytest.raises(ValueError):
                 mask_from_name(bad, 3)
+        # Arabic-Indic 1 4 and a superscript 3 pass str.isdigit, but are no ASCII indices
+        for bad in ["e\u0661\u0664", "e\u00b3"]:
+            with pytest.raises(ValueError, match="bad blade name"):
+                mask_from_name(bad, 4)
         with pytest.raises(ValueError, match="ascend"):
             mask_from_name("e10_1", 10)
 
