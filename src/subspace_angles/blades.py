@@ -184,9 +184,10 @@ def _factor(mv: Multivector, k: int, tol: float) -> np.ndarray:
 
 
 def is_blade(mv: Multivector) -> bool:
-    """True iff mv is pure-grade and factors cleanly (see pure_blade)."""
+    """True iff mv is pure-grade and factors within BLADE_TOL (pure_blade);
+    that check reads no metric, so it answers for any signature."""
     try:
-        Blade.from_multivector(mv)
+        pure_blade(mv, BLADE_TOL)
     except NotABladeError:
         return False
     return True

@@ -106,6 +106,24 @@ class TestIsBlade:
         with pytest.raises(NotABladeError):
             Blade.from_multivector(E1 + (E2 ^ E3))
 
+    @pytest.mark.parametrize("p, q", [(2, 1), (4, 1)])
+    def test_answers_over_a_non_euclidean_signature(self, p, q):
+        # blade-ness is decided in coefficient space, so no metric is needed to answer
+        sig = Signature(p, q)
+        e = basis_vectors(sig)
+        assert is_blade(e[0] ^ e[-1])
+        assert is_blade((e[0] + 2.0 * e[1]) ^ (e[1] - e[-1]))
+        with pytest.raises(NonEuclideanError):
+            Blade.from_multivector(e[0] ^ e[-1])
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (4, 1)])
+    def test_non_blade_over_a_non_euclidean_signature(self, p, q):
+        sig = Signature(p, q)
+        e = basis_vectors(sig)
+        assert not is_blade(e[0] + (e[1] ^ e[2]))
+        if sig.n >= 4:
+            assert not is_blade((e[0] ^ e[1]) + (e[2] ^ e[3]))
+
 
 class TestContractionMatrix:
     @staticmethod

@@ -1,4 +1,5 @@
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from subspace_angles.errors import DegenerateSpanError
 from subspace_angles.ga import Multivector, Signature
 from subspace_angles.engine import ANGLE_COS_TOL
 from subspace_angles.oracle import (
+    EPS,
     RANK_COS_TOL,
     PrincipalPairs,
+    _jacobi,
     orthonormal_basis,
     principal_angles,
     rank_counts,
@@ -18,6 +21,40 @@ from subspace_angles.oracle import (
 from subspace_angles.blades import subspace_membership
 
 SQ2 = math.sqrt(0.5)
+
+
+def random_frame(rng, n):
+    """A random n x n orthogonal matrix (rows orthonormal)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def mixed_span(rng, basis):
+    """Rows spanning the same space as basis, through a matrix of condition <= 4."""
+    k = basis.shape[0]
+    return (random_frame(rng, k) * rng.uniform(0.5, 2.0, k)) @ random_frame(rng, k) @ basis
+
+
+def dot(x, y):
+    return sum(map(mul, x, y))
+
+
+def settled(columns, noise):
+    """Whether every column pair meets the Jacobi loop's stopping rule."""
+    tol = math.sqrt(len(columns[0])) * EPS
+    sq = [dot(c, c) for c in columns]
+    return all(min(sq[i], sq[j]) <= noise
+               or abs(dot(columns[i], columns[j])) <= tol * math.sqrt(sq[i] * sq[j])
+               for i in range(len(columns)) for j in range(i + 1, len(columns)))
+
+
+# M = Q_A Q_B^T of a pair with cosines 0, 0.504, 0.958 and 0.998 (n = 11, grades 4 and 4).
+# A rule tighter than the dot product's rounding floor rotated it until the sweep cap.
+CAPPED_M = [[float.fromhex(x) for x in row] for row in [
+    ["0x1.9d416176e0b64p-4", "-0x1.1caa09d576183p-3", "-0x1.39b5a02592034p-6", "0x1.75f3e762ffc2ep-3"],
+    ["0x1.4b841e54c5423p-1", "-0x1.a7e550953eb14p-3", "0x1.0b2204c47253cp-4", "0x1.e6426006e8d13p-5"],
+    ["-0x1.7e96488dddc28p-4", "0x1.ed29a8f244232p-2", "0x1.2f20ddae88346p-3", "-0x1.7a5b1f28f9e1fp-1"],
+    ["0x1.021582fd96276p-1", "0x1.6ab3763ce2192p-8", "-0x1.638f788a1f8d3p-1", "-0x1.332e313d77735p-2"]]]
 
 
 class TestOrthonormalBasis:
@@ -94,6 +131,33 @@ class TestSvdSmall:
         rng = np.random.default_rng(22)
         self._check(rng.uniform(-1, 1, (2, 5)))
 
+    def test_rotations_stop_at_the_rounding_floor(self):
+        # every pair the loop returns meets its own rule: the loop ended by
+        # converging, within 8 sweeps, not at MAX_SWEEPS
+        rng = np.random.default_rng(30)
+        cosines = np.diag([0.0, 0.504, 0.958, 0.998])
+        matrices = [np.array(CAPPED_M)]
+        for _ in range(100):
+            matrices.append(random_frame(rng, 4) @ cosines @ random_frame(rng, 4))
+        for m in matrices:
+            columns = m.T.tolist()
+            vectors = np.eye(m.shape[1]).tolist()
+            noise = EPS * EPS * sum(dot(c, c) for c in columns)
+            assert _jacobi(columns, vectors) <= 8
+            assert settled(columns, noise)
+            self._check(m)
+
+    def test_rank_deficient_columns_settle(self):
+        # three columns in an exact 2-d subspace (R of a pair whose angles are all zero):
+        # one shrinks by a factor of about eps per sweep, so only the noise rule stops it
+        # before it underflows and stalls the loop at MAX_SWEEPS
+        columns = [[0.0, 0.0, 1.3877787807814457e-17],
+                   [1.1102230246251565e-16, 0.0, 1.1102230246251565e-16],
+                   [-1.1102230246251565e-16, 0.0, 0.0]]
+        noise = EPS * EPS * sum(dot(c, c) for c in columns)
+        assert _jacobi(columns) <= 8
+        assert settled(columns, noise)
+
 
 class TestPrincipalAngles:
     def test_line_pair_45_degrees(self):
@@ -139,6 +203,26 @@ class TestPrincipalAngles:
                     want = 1.0 if i == j else 0.0
                     assert pairs.a_vectors[i] @ pairs.a_vectors[j] == pytest.approx(want, abs=1e-10)
                     assert pairs.b_vectors[i] @ pairs.b_vectors[j] == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("with_generic", [False, True])
+    def test_tiny_angle_beside_a_zero(self, with_generic):
+        # cos(2e-8) and cos(0) are a few ulps apart, so the SVD of cosines
+        # mixes their principal vectors; the sines still tell them apart
+        rng = np.random.default_rng(31 + with_generic)
+        for _ in range(20):
+            n = int(rng.integers(5, 9))
+            frame = random_frame(rng, n)
+            tiny = 2e-8 * rng.uniform(0.8, 1.25)
+            b_basis = [math.cos(tiny) * frame[0] + math.sin(tiny) * frame[3], frame[1]]
+            truth = [tiny, 0.0]
+            if with_generic:
+                g = rng.uniform(0.2, 1.4)
+                b_basis.insert(0, math.cos(g) * frame[2] + math.sin(g) * frame[4])
+                truth.insert(0, g)
+            pairs = principal_angles(orthonormal_basis(mixed_span(rng, frame[:3])),
+                                     orthonormal_basis(mixed_span(rng, np.array(b_basis))))
+            got = sorted(pairs.angles.tolist(), reverse=True)
+            assert np.max(np.abs(np.array(got) - truth)) <= 1e-14
 
     def test_small_angle_sine_route(self):
         theta = 1e-6

@@ -68,18 +68,17 @@ def run_digest_truth(*args):
 
 
 def test_report_digest_truth():
-    # the benchmark's own verdict: no engine failure, only the oracle's known tiny-angle form;
-    # cli_batch runs the conformal carriers, whose frames feed both the engine and the oracle
+    # the benchmark's own verdict: no failure of either route, the oracle's tiny angles
+    # included; cli_batch runs the conformal carriers, whose frames feed both routes
     code, rows = run_digest_truth("--workloads", "corpus_small", "wide_dense", "cli_batch")
     assert code == 0
     assert [row.split()[:2] for row in rows] == [
         ["corpus_small", "1"], ["wide_dense", "1"], ["cli_batch", "1"]]
     for row in rows:
         fields = dict(kv.split("=") for kv in row.split(" reasons:")[0].split()[2:])
+        assert int(fields["failed"]) == 0 and row.endswith(" reasons: -")
         assert int(fields["unexplained"]) == 0
         assert float(fields["engine_err"]) <= 1e-8
+        assert float(fields["oracle_err"]) <= 1e-12
         assert float(fields["residual_max"]) <= 1e-6
-        assert row.split(" reasons: ")[1] in ("-", f"oracle angle: {fields['failed']}")
-        if row.startswith("cli_batch"):
-            assert int(fields["failed"]) == 0 and row.endswith(" reasons: -")
 
