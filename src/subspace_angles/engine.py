@@ -23,7 +23,10 @@ R = (c_1 + i_1 s_1) ... L carries unit(B) onto unit(A). The residual
 |R unit(B) - unit(A)| = |R - M| also ties frames to blades. The chain
 needs only left products by vectors (ga.vector_product): L = l_1 ... l_m
 for its orthonormal rows, and i_k = x_k y_k for the orthonormal pair of
-plane k, so each factor acts as c X + s x (y X).
+plane k, so each factor acts as c X + s x (y X). A vector maps the even
+part of the algebra onto the odd part and back, so unit(B) and every
+intermediate of the chain have one parity, and the chain runs on the
+2^(n-1) coefficients of that parity: n 2^(n-1) terms per product.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .blades import BLADE_TOL, Blade, _factor, contraction_matrix
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, vector_product, wedge_vectors
+from .ga import Multivector, _parity_masks, vector_product, wedge_vectors
 
 # A principal angle counts as zero when its cosine is >= 1 - this value and
 # as right when its cosine is <= this value; the rule of oracle.rank_counts,
@@ -220,7 +223,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
 
     lowest = _unit_wedge(sig, flipped) if flipped else Multivector.scalar(sig, 1.0)
     unit_a = a.unit()
-    carried = _rotor_chain(thetas, [pair for _, pair in interior], flipped, b.unit())
+    carried = _rotor_chain(thetas, [pair for _, pair in interior], flipped, b.unit(), r & 1)
     if carried.scalar_product(unit_a.reverse()) < 0.0:
         lowest, carried = -lowest, -carried
     residual = (carried - unit_a).coeff_norm()
@@ -270,20 +273,29 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     lowest = report.lowest_blade
     scale = norm_a * norm_b * (lowest.scalar_part() if report.lowest_grade == 0 else 1.0)
     flipped = _factor(lowest, report.lowest_grade, BLADE_TOL)
-    return _rotor_chain(thetas, pairs, flipped, Multivector.scalar(lowest.sig, scale))
+    return _rotor_chain(thetas, pairs, flipped, Multivector.scalar(lowest.sig, scale), 0)
 
 
-def _rotor_chain(angles, pairs, flipped, x: Multivector) -> Multivector:
+def _rotor_chain(angles, pairs, flipped, x: Multivector, parity: int) -> Multivector:
     """(c_1 + i_1 s_1)...(c_k + i_k s_k) L x with i_k = x_k ^ y_k for the
     orthonormal pairs (x_k, y_k) and L = l_1 ... l_m for the orthonormal rows
     of flipped, built from the right end by left products with vectors:
     l_m x first, up to l_1, then each factor from the last plane's to the
-    first's, acting as c X + s x_k (y_k X), as x_k ^ y_k = x_k y_k."""
+    first's, acting as c X + s x_k (y_k X), as x_k ^ y_k = x_k y_k.
+
+    x has the one parity given (its other coefficients are zero), and each
+    vector flips it, so the chain runs on the 2^(n-1) coefficients of the
+    current parity (ga.vector_product, n * 2^(n-1) terms a step): x's half
+    is gathered once and the last half scattered into one full array."""
     sig = x.sig
-    out = x.coeffs
+    masks = _parity_masks(sig.n)
+    out = x.coeffs[masks[parity]]
     for row in flipped[::-1]:
-        out = vector_product(sig, row, out)
+        out = vector_product(sig, row, out, parity)
+        parity ^= 1
     for theta, (u, w) in reversed(list(zip(angles, pairs))):
-        turned = vector_product(sig, u, vector_product(sig, w, out))
+        turned = vector_product(sig, u, vector_product(sig, w, out, parity), parity ^ 1)
         out = math.cos(theta) * out + math.sin(theta) * turned
-    return Multivector(sig, out, _copy=False)
+    full = np.zeros(sig.size)
+    full[masks[parity]] = out
+    return Multivector(sig, full, _copy=False)

@@ -148,31 +148,52 @@ def _signs(ai: np.ndarray, bi: np.ndarray, sig: Signature) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _vector_table(sig: Signature) -> tuple[np.ndarray, np.ndarray]:
-    """Table of the left product by a vector: (src, sign), each (n, 2^n).
+def _parity_masks(n: int) -> np.ndarray:
+    """The masks below 2^n of even (row 0) and of odd (row 1) grade, ascending.
 
-    src[i, T] = T ^ 2^i is the mask that e_i carries onto T, and sign[i, T]
-    the sign of e_i e_src (from _signs, so the metric is included). At
-    n = 12, 49152 entries of each, about 0.8 MB per signature.
+    Masks 2k and 2k + 1 differ in bit 0 alone, so each row holds exactly
+    one of them: mask M sits at position M >> 1 of its row.
     """
-    masks = np.arange(sig.size, dtype=np.int64)
+    m = np.stack([np.flatnonzero(_grades(n) % 2 == p) for p in (0, 1)])
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=None)
+def _vector_table(sig: Signature) -> tuple[np.ndarray, np.ndarray]:
+    """Signed-gather tables of the left product by a vector, one per result
+    parity, each int64 of shape (n, 2^(n-1)).
+
+    A vector maps the even masks onto the odd ones and back, so each
+    output mask T of parity p (the c-th of _parity_masks(n)[p]) takes one
+    term per i, from the mask S = T ^ 2^i of the other parity. Entry
+    [i, c] is S's position among those masks, S >> 1, plus 2^(n-1) where
+    e_i e_S has sign -1 (from _signs, so the metric is included): it
+    indexes the other half's coefficients followed by their negatives.
+    At n = 12, 2 x 24576 entries, about 393 KB per signature.
+    """
     bits = (1 << np.arange(sig.n, dtype=np.int64))[:, None]
-    src = masks ^ bits
-    sign = _signs(bits, src, sig)
-    for arr in (src, sign):
-        arr.setflags(write=False)
-    return src, sign
+    half = sig.size >> 1
+    tables = []
+    for out in _parity_masks(sig.n):
+        src = out ^ bits
+        table = (src >> 1) + np.where(_signs(bits, src, sig) < 0.0, half, 0)
+        table.setflags(write=False)
+        tables.append(table)
+    return tuple(tables)
 
 
-def vector_product(sig: Signature, v: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of v X for the vector coordinates v and X's coefficients.
+def vector_product(sig: Signature, v: np.ndarray, half: np.ndarray, parity: int) -> np.ndarray:
+    """The other-parity half of v X, for the vector coordinates v and the
+    coefficients half of X on the masks _parity_masks(n)[parity] (X has
+    no other part).
 
-    n * 2^n terms, as every mask T receives one term e_i e_{T ^ 2^i} per i,
+    One signed gather and one matrix-vector product: n * 2^(n-1) terms,
+    as every output mask T receives one term e_i e_{T ^ 2^i} per i,
     against up to 4^n for the general kernel (Dorst, Fontijne & Mann,
     Geometric Algebra for Computer Science, ch. 19).
     """
-    src, sign = _vector_table(sig)
-    return v @ (sign * coeffs[src])
+    return v @ np.concatenate((half, -half))[_vector_table(sig)[parity ^ 1]]
 
 
 @lru_cache(maxsize=None)

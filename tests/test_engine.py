@@ -464,6 +464,16 @@ class TestRotorChain:
         for _ in range(40):
             a_rows, b_rows, _ = sample_spans(rng)
             out.append((blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)))
+        # the sizes the half chain is for (sample_spans stops at n = 8): B of odd
+        # grade with L of grade 1, B of even grade, and B with a direction
+        # perpendicular to A, so L holds a right-angle plane
+        for n, ra, rb in ((11, 4, 3), (12, 5, 4), (12, 4, 4)):
+            a_rows = rng.standard_normal((ra, n))
+            b_rows = rng.standard_normal((rb, n))
+            if ra == rb:
+                q, _ = np.linalg.qr(a_rows.T, mode="complete")
+                b_rows[0] = q[:, ra:] @ rng.standard_normal(n - ra)
+            out.append((blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)))
         return out
 
     def test_carries_b_onto_a(self):

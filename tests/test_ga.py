@@ -10,7 +10,9 @@ from subspace_angles.ga import (
     MAX_DIMENSION,
     Multivector,
     Signature,
+    _parity_masks,
     _signs,
+    _vector_table,
     basis_blade_product,
     basis_vectors,
     mask_from_name,
@@ -297,7 +299,8 @@ class TestWedgeVectors:
 
 
 class TestVectorProduct:
-    """vector_product, the table-driven left product by a vector, against the kernel."""
+    """vector_product, the signed-gather left product by a vector on one parity
+    half, against the kernel."""
 
     SIGNATURES = [Signature(n) for n in range(1, MAX_DIMENSION + 1)] + [Signature(3, 1), Signature(4, 1)]
 
@@ -305,20 +308,39 @@ class TestVectorProduct:
     def kernel(sig, v, coeffs):
         return (Multivector.vector(sig, v) * Multivector(sig, coeffs)).coeffs
 
+    @staticmethod
+    def halves(sig, v, coeffs):
+        """v X reassembled from the products of X's two parity halves, each
+        scattered onto the masks of the other parity."""
+        masks = _parity_masks(sig.n)
+        out = np.zeros(sig.size)
+        for parity in (0, 1):
+            out[masks[parity ^ 1]] = vector_product(sig, v, coeffs[masks[parity]], parity)
+        return out
+
     @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda sig: f"Cl({sig.p},{sig.q})")
     def test_matches_kernel(self, sig):
+        half = sig.size // 2
+        for table in _vector_table(sig):
+            assert table.dtype == np.int64 and table.shape == (sig.n, half)
+            assert 0 <= table.min() and table.max() < sig.size
+            # each row takes every coefficient of the other half exactly once
+            assert (np.sort(table % half, axis=1) == np.arange(half)).all()
         rng = np.random.default_rng(60 + sig.n + 20 * sig.q)
-        blade = wedge_vectors(sig, rng.standard_normal(((sig.n + 1) // 2, sig.n))).coeffs
-        for x in (rng.standard_normal(sig.size), blade):
-            v = rng.standard_normal(sig.n)
-            got = vector_product(sig, v, x)
-            scale = float(np.linalg.norm(v) * np.linalg.norm(x))
-            assert np.linalg.norm(got - self.kernel(sig, v, x)) <= 1e-15 * scale
+        x = rng.standard_normal(sig.size)
+        masks = _parity_masks(sig.n)
+        for parity in (0, 1):
+            one = x.copy()
+            one[masks[parity ^ 1]] = 0.0       # X of one parity: v X has the other one
+            for coeffs in (x, one):
+                v = rng.standard_normal(sig.n)
+                err = np.linalg.norm(self.halves(sig, v, coeffs) - self.kernel(sig, v, coeffs))
+                assert err <= 1e-15 * float(np.linalg.norm(v) * np.linalg.norm(coeffs))
         for mask in rng.choice(sig.size, min(sig.size, 64), replace=False):
             v = rng.standard_normal(sig.n)
             x = np.zeros(sig.size)
             x[mask] = rng.standard_normal()
-            assert np.array_equal(vector_product(sig, v, x), self.kernel(sig, v, x)), mask
+            assert np.array_equal(self.halves(sig, v, x), self.kernel(sig, v, x)), mask
 
 
 class TestOuterProduct:

@@ -59,6 +59,22 @@ def test_report_digest_names_the_differing_pairs(tmp_path):
     assert code == 0 and rows[-1] == "identical" and len(rows) == 2
 
 
+def test_report_digest_except_leaves_one_field_out(tmp_path):
+    # a copy whose residuals double: the run JSON and the selftest summary both move,
+    # and --except residual leaves out exactly what moved
+    src = Path(subspace_angles.__file__).resolve().parents[1]
+    shutil.copytree(src / "subspace_angles", tmp_path / "subspace_angles",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    engine = tmp_path / "subspace_angles" / "engine.py"
+    text = engine.read_text()
+    assert "residual=residual," in text
+    engine.write_text(text.replace("residual=residual,", "residual=2.0 * residual,"))
+    code, rows = run_digest("--src", str(src), "--src", str(tmp_path))
+    assert code == 1 and rows[-1] == "1 digests differ"
+    code, rows = run_digest("--except", "residual", "--src", str(src), "--src", str(tmp_path))
+    assert code == 0 and rows[-1] == "identical"
+
+
 def run_digest_truth(*args):
     src = str(Path(subspace_angles.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py"), "--truth",

@@ -30,6 +30,14 @@ digests follow each row, comma-separated; with several, every differing
 row is followed by the indices of the pairs that differ, counted from 0
 in the order of perfbench/inputs.py.
 
+--except FIELD leaves one `AngleReport` field out of every hash, and
+with it the `FIELD` key of each `angles run` JSON and the `max_FIELD` key
+of the selftest summary, where they exist (for `residual`: `residual`
+and `max_residual`).  Two versions that agree under `--except residual`
+differ at most in their residuals:
+
+    python3 tools/report_digest.py --except residual --src /path/to/parent/src --src src
+
 --truth prints, instead of digests, the benchmark's own verdict on each
 (workload, seed): every report is checked against the true angles by the
 `Tally` of perfbench/run.py (imported, never changed), and the row gives
@@ -63,8 +71,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("corpus_small", "wide_dense", "cli_batch")
 
 
-def feed(h, value) -> None:
-    """Add an unambiguous byte encoding of value to the hash h."""
+def feed(h, value, omit=None) -> None:
+    """Add an unambiguous byte encoding of value to the hash h, leaving out
+    the AngleReport field named omit."""
     if isinstance(value, BaseException):
         h.update(b"E" + repr(value).encode())
     elif hasattr(value, "coeffs") and hasattr(value, "sig"):          # Multivector
@@ -72,8 +81,9 @@ def feed(h, value) -> None:
     elif dataclasses.is_dataclass(value):
         h.update(b"D" + type(value).__name__.encode())
         for field in dataclasses.fields(value):
-            h.update(field.name.encode())
-            feed(h, getattr(value, field.name))
+            if field.name != omit or type(value).__name__ != "AngleReport":
+                h.update(field.name.encode())
+                feed(h, getattr(value, field.name), omit)
     elif isinstance(value, np.ndarray):
         h.update(b"A" + value.dtype.str.encode() + repr(value.shape).encode() + value.tobytes())
     elif isinstance(value, (float, np.floating)):
@@ -81,12 +91,12 @@ def feed(h, value) -> None:
     elif isinstance(value, (tuple, list)):
         h.update(b"L" + str(len(value)).encode())
         for item in value:
-            feed(h, item)
+            feed(h, item, omit)
     elif isinstance(value, dict):
         h.update(b"P" + str(len(value)).encode())
         for key in sorted(value):
             feed(h, key)
-            feed(h, value[key])
+            feed(h, value[key], omit)
     else:                                                              # int, bool, str, None
         h.update(b"R" + repr(value).encode())
 
@@ -101,15 +111,16 @@ def attempt(fn, *args, **kwargs):
 class Digest:
     """The row's SHA-256 over all pairs, plus one SHA-256 per pair."""
 
-    def __init__(self):
+    def __init__(self, omit=None):
         self.row = hashlib.sha256()
         self.pairs: list[str] = []
+        self.omit = omit
 
     def add_pair(self, values) -> None:
         pair = hashlib.sha256()
         for value in values:
-            feed(self.row, value)
-            feed(pair, value)
+            feed(self.row, value, self.omit)
+            feed(pair, value, self.omit)
         self.pairs.append(pair.hexdigest())
 
 
@@ -122,8 +133,8 @@ def pair_bivector(sa, pair):
     return f
 
 
-def library_digest(sa, pairs) -> Digest:
-    d = Digest()
+def library_digest(sa, pairs, omit) -> Digest:
+    d = Digest(omit)
     for pair in pairs:
         blades = [attempt(sa.blade_from_spanning_vectors, rows) for rows in (pair.a_rows, pair.b_rows)]
         values = [blades]
@@ -140,7 +151,11 @@ def library_digest(sa, pairs) -> Digest:
     return d
 
 
-def cli_digest(inputs, seed: int) -> Digest:
+def without(doc: dict, key) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def cli_digest(inputs, seed: int, omit) -> Digest:
     from subspace_angles.cli import render_json
     from subspace_angles.problems import parse_problem, run_problem, selftest
 
@@ -148,26 +163,30 @@ def cli_digest(inputs, seed: int) -> Digest:
     for mode, problems in (("euclidean", inputs.euclidean_problems(seed)),
                            ("conformal", inputs.conformal_problems(seed))):
         for problem in problems:
-            doc = attempt(lambda: render_json(run_problem(
-                parse_problem(json.dumps(problem.doc), mode=mode), oracle_enabled=True)))
+            doc = attempt(lambda: render_json(without(run_problem(
+                parse_problem(json.dumps(problem.doc), mode=mode), oracle_enabled=True), omit)))
             d.add_pair([doc])
-    d.add_pair([attempt(selftest, seed=seed)])
+    summary = attempt(selftest, seed=seed)
+    d.add_pair([summary if isinstance(summary, Exception) else without(summary, f"max_{omit}")])
     return d
 
 
-def digests(src: str, workloads, seeds) -> list[tuple[str, int, Digest]]:
+def digests(src: str, workloads, seeds, omit=None) -> list[tuple[str, int, Digest]]:
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
     import subspace_angles as sa
 
+    fields = [field.name for field in dataclasses.fields(sa.AngleReport)]
+    if omit is not None and omit not in fields:
+        raise SystemExit(f"--except takes an AngleReport field: {', '.join(fields)}")
     out = []
     for workload in workloads:
         for seed in seeds:
             if workload == "cli_batch":
-                digest = cli_digest(inputs, seed)
+                digest = cli_digest(inputs, seed, omit)
             else:
-                digest = library_digest(sa, getattr(inputs, workload)(seed))
+                digest = library_digest(sa, getattr(inputs, workload)(seed), omit)
             out.append((workload, seed, digest))
     return out
 
@@ -227,15 +246,19 @@ def main(argv=None) -> int:
                         help="also hash each pair, and name the pairs of a differing row")
     parser.add_argument("--truth", action="store_true",
                         help="print the benchmark's verdict against the true angles instead")
+    parser.add_argument("--except", dest="omit", metavar="FIELD",
+                        help="leave this AngleReport field (and its CLI JSON keys) out of the hash")
     args = parser.parse_args(argv)
     srcs = args.src or [str(ROOT / "src")]
     if args.truth:
         if len(srcs) != 1:
             parser.error("--truth takes one --src")
+        if args.omit:
+            parser.error("--except applies to digests, not to --truth")
         return truth(srcs[0], args.workloads, args.seeds)
 
     if len(srcs) == 1:
-        for workload, seed, digest in digests(srcs[0], args.workloads, args.seeds):
+        for workload, seed, digest in digests(srcs[0], args.workloads, args.seeds, args.omit):
             line = f"{workload} {seed} {digest.row.hexdigest()}"
             if args.per_pair:
                 line += " " + ",".join(p[:16] for p in digest.pairs)
@@ -247,7 +270,8 @@ def main(argv=None) -> int:
         proc = subprocess.run([sys.executable, __file__, "--src", src,
                                "--workloads", *args.workloads,
                                "--seeds", *map(str, args.seeds),
-                               *(["--per-pair"] if args.per_pair else [])],
+                               *(["--per-pair"] if args.per_pair else []),
+                               *(["--except", args.omit] if args.omit else [])],
                               capture_output=True, text=True, check=True)
         columns.append([line.split() for line in proc.stdout.splitlines()])
     differ = 0
