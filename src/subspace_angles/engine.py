@@ -27,6 +27,9 @@ plane k, so each factor acts as c X + s x (y X). A vector maps the even
 part of the algebra onto the odd part and back, so unit(B) and every
 intermediate of the chain have one parity, and the chain runs on the
 2^(n-1) coefficients of that parity: n 2^(n-1) terms per product.
+The self-check runs on coefficient arrays: unit(A), unit(B), the carried
+chain, its sign test and its residual are plain 2^n arrays, and the only
+Multivectors a report makes are its planes and its lowest blade.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .blades import BLADE_TOL, Blade, _factor, contraction_matrix
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, _parity_masks, vector_product, wedge_vectors
+from .ga import Multivector, _parity_masks, _wedge_coeffs, vector_product
 
 # A principal angle counts as zero when its cosine is >= 1 - this value and
 # as right when its cosine is <= this value; the rule of oracle.rank_counts,
@@ -118,15 +121,15 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _unit_wedge(sig, rows) -> Multivector:
-    """rows[0] ^ ... ^ rows[k-1], scaled to unit coefficient norm."""
-    blade = wedge_vectors(sig, rows)
-    return blade / blade.coeff_norm()
+def _unit_wedge(sig, rows) -> np.ndarray:
+    """Coefficients of rows[0] ^ ... ^ rows[k-1], scaled to unit coefficient norm."""
+    c = _wedge_coeffs(sig, rows)
+    return c / math.sqrt(np.dot(c, c))
 
 
 def _plane_from_pair(f: Multivector, u: np.ndarray, v: np.ndarray) -> tuple[float, Multivector]:
     """Unit simple bivector of span{u, v}, oriented so f's coefficient is >= 0."""
-    plane = _unit_wedge(f.sig, (u, v))
+    plane = Multivector(f.sig, _unit_wedge(f.sig, (u, v)), _copy=False)
     coeff = f.scalar_product(plane.reverse())
     if coeff < 0.0:
         plane = -plane
@@ -159,7 +162,8 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
 
 def _clusters(w: np.ndarray) -> list[np.ndarray]:
     """Runs of the ascending values w whose neighbours lie within EQUAL_ANGLE_TOL."""
-    return np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > EQUAL_ANGLE_TOL) + 1)
+    cuts = [0, *(np.flatnonzero(np.diff(w) > EQUAL_ANGLE_TOL) + 1), w.size]
+    return [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> AngleReport:
@@ -197,10 +201,12 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         local = _planes(basis.T @ skew @ basis, SPLIT_FLOOR)
         pairs += [(basis @ x, basis @ y) for x, y in local]
         if w[idx[0]] < 0.0:
-            if local:
-                spanned = np.column_stack([u for pair in local for u in pair])
-                basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
-            flipped += list(basis.T)
+            # the cluster directions outside its planes; none when the planes fill it
+            if 2 * len(local) < basis.shape[1]:
+                if local:
+                    spanned = np.column_stack([u for pair in local for u in pair])
+                    basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
+                flipped += list(basis.T)
 
     t_exact, odd = divmod(len(flipped) - q, 2)
     s_exact = r - len(pairs) - t_exact
@@ -218,15 +224,22 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         interior.append((0.5 * math.atan2(abs(turn), float(x @ ox)), (x, y)))
     interior.sort(key=lambda pair: -pair[0])
     thetas = [theta for theta, _ in interior]
-    planes = tuple(_unit_wedge(sig, pair) for _, pair in interior)
+    planes = tuple(Multivector(sig, _unit_wedge(sig, pair), _copy=False) for _, pair in interior)
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
 
-    lowest = _unit_wedge(sig, flipped) if flipped else Multivector.scalar(sig, 1.0)
-    unit_a = a.unit()
-    carried = _rotor_chain(thetas, [pair for _, pair in interior], flipped, b.unit(), r & 1)
-    if carried.scalar_product(unit_a.reverse()) < 0.0:
+    if flipped:
+        lowest = _unit_wedge(sig, flipped)
+    else:
+        lowest = np.zeros(sig.size)
+        lowest[0] = 1.0
+    unit_a = a.mv.coeffs / a.magnitude
+    carried = _rotor_chain(sig, thetas, [pair for _, pair in interior], flipped,
+                           b.mv.coeffs / b.magnitude, r & 1)
+    # <carried reverse(unit_a)>_0: over Cl(n,0) the reverse signs square to 1
+    if np.dot(carried, unit_a) < 0.0:
         lowest, carried = -lowest, -carried
-    residual = (carried - unit_a).coeff_norm()
+    d = carried - unit_a
+    residual = math.sqrt(np.dot(d, d))
 
     cosines = [math.cos(theta) for theta in angles]
     s = sum(c >= 1.0 - grade_tol for c in cosines)
@@ -252,7 +265,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         lowest_grade=len(flipped),
         residual=residual,
         has_equal_angles=any(x - y <= EQUAL_ANGLE_TOL for x, y in zip(thetas, thetas[1:])),
-        lowest_blade=lowest,
+        lowest_blade=Multivector(sig, lowest, _copy=False),
     )
 
 
@@ -271,25 +284,26 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     thetas = [theta for theta in report.angles if 0.0 < theta < math.pi / 2.0]
     pairs = [_factor(plane, 2, BLADE_TOL) for plane in report.planes]
     lowest = report.lowest_blade
-    scale = norm_a * norm_b * (lowest.scalar_part() if report.lowest_grade == 0 else 1.0)
     flipped = _factor(lowest, report.lowest_grade, BLADE_TOL)
-    return _rotor_chain(thetas, pairs, flipped, Multivector.scalar(lowest.sig, scale), 0)
+    start = np.zeros(lowest.sig.size)
+    start[0] = norm_a * norm_b * (lowest.scalar_part() if report.lowest_grade == 0 else 1.0)
+    return Multivector(lowest.sig, _rotor_chain(lowest.sig, thetas, pairs, flipped, start, 0), _copy=False)
 
 
-def _rotor_chain(angles, pairs, flipped, x: Multivector, parity: int) -> Multivector:
+def _rotor_chain(sig, angles, pairs, flipped, x: np.ndarray, parity: int) -> np.ndarray:
     """(c_1 + i_1 s_1)...(c_k + i_k s_k) L x with i_k = x_k ^ y_k for the
     orthonormal pairs (x_k, y_k) and L = l_1 ... l_m for the orthonormal rows
     of flipped, built from the right end by left products with vectors:
     l_m x first, up to l_1, then each factor from the last plane's to the
     first's, acting as c X + s x_k (y_k X), as x_k ^ y_k = x_k y_k.
 
-    x has the one parity given (its other coefficients are zero), and each
-    vector flips it, so the chain runs on the 2^(n-1) coefficients of the
-    current parity (ga.vector_product, n * 2^(n-1) terms a step): x's half
-    is gathered once and the last half scattered into one full array."""
-    sig = x.sig
+    x, the 2^n coefficients of a multivector of Cl(n,0), has the one parity
+    given (its other coefficients are zero), and each vector flips it, so the
+    chain runs on the 2^(n-1) coefficients of the current parity
+    (ga.vector_product, n * 2^(n-1) terms a step): x's half is gathered once
+    and the last half scattered into the one full array returned."""
     masks = _parity_masks(sig.n)
-    out = x.coeffs[masks[parity]]
+    out = x[masks[parity]]
     for row in flipped[::-1]:
         out = vector_product(sig, row, out, parity)
         parity ^= 1
@@ -298,4 +312,4 @@ def _rotor_chain(angles, pairs, flipped, x: Multivector, parity: int) -> Multive
         out = math.cos(theta) * out + math.sin(theta) * turned
     full = np.zeros(sig.size)
     full[masks[parity]] = out
-    return Multivector(sig, full, _copy=False)
+    return full

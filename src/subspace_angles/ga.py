@@ -237,6 +237,11 @@ def wedge_vectors(sig: Signature, rows) -> Multivector:
     which changes no byte. A non-finite intermediate always reaches the
     result, so overflow still raises from the constructor.
     """
+    return Multivector(sig, _wedge_coeffs(sig, rows), _copy=False)
+
+
+def _wedge_coeffs(sig: Signature, rows) -> np.ndarray:
+    """The 2^n coefficients of wedge_vectors(sig, rows), unchecked for finiteness."""
     rows = [np.asarray(row, dtype=float) for row in rows]
     if not rows or any(row.shape != (sig.n,) for row in rows):
         raise ValueError(f"need k >= 1 rows of {sig.n} coordinates")
@@ -249,7 +254,7 @@ def wedge_vectors(sig: Signature, rows) -> Multivector:
             acc += term
     c = np.zeros(sig.size)
     c[_grade_masks(sig.n, len(rows))] = acc
-    return Multivector(sig, c, _copy=False)
+    return c
 
 
 def mask_from_name(name: str, n: int) -> int:

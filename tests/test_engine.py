@@ -5,8 +5,11 @@ import pytest
 
 from conftest import random_blade, random_rotor
 
+from subspace_angles import engine
 from subspace_angles.blades import Blade, blade_from_spanning_vectors
 from subspace_angles.engine import (
+    EQUAL_ANGLE_TOL,
+    RESIDUAL_BOUND,
     bivector_split,
     relative_angle,
     rotor_reconstruction,
@@ -16,7 +19,7 @@ from subspace_angles.errors import (
     NonEuclideanError,
     NotABladeError,
 )
-from subspace_angles.ga import Multivector, Signature, basis_vectors
+from subspace_angles.ga import Multivector, Signature, basis_vectors, wedge_vectors
 from subspace_angles.oracle import orthonormal_basis, principal_angles
 from subspace_angles.problems import parse_problem, run_problem
 from subspace_angles.sampling import sample_spans
@@ -28,6 +31,13 @@ SQ2 = math.sqrt(0.5)
 
 def blade_of(mv):
     return Blade.from_multivector(mv)
+
+
+def known_pair(thetas, ra, frame):
+    """Blades A = span(f_0..f_{ra-1}) and B with rows cos t_k f_k + sin t_k f_{ra+k},
+    f the rows of frame, so that thetas are their interior principal angles."""
+    rows = [math.cos(t) * frame[k] + math.sin(t) * frame[ra + k] for k, t in enumerate(thetas)]
+    return blade_from_spanning_vectors(frame[:ra]), blade_from_spanning_vectors(rows)
 
 
 class TestCosTotal:
@@ -428,12 +438,12 @@ class TestRotorReconstruction:
         rebuilt = rotor_reconstruction(rep, 1.0, 1.0)
         assert rebuilt.approx_eq(a.mv * b.mv.reverse(), 1e-9)
 
+    NEAR_RIGHT = (math.pi / 2 - 1e-7, 0.4)
+
     def test_near_right_angle_counted_by_t(self):
         # t counts the first angle (cos 1e-7 <= grade_tol), which still has a plane
-        theta1, theta2 = math.pi / 2 - 1e-7, 0.4
-        a = blade_from_spanning_vectors([[1, 0, 0, 0], [0, 1, 0, 0]])
-        b = blade_from_spanning_vectors([[math.cos(theta1), 0, math.sin(theta1), 0],
-                                         [0, math.cos(theta2), 0, math.sin(theta2)]])
+        theta1, theta2 = self.NEAR_RIGHT
+        a, b = known_pair(self.NEAR_RIGHT, 2, np.eye(4))
         rep = relative_angle(a, b, grade_tol=1e-6)
         assert (rep.s, rep.t, len(rep.planes)) == (0, 1, 2)
         assert np.allclose(rep.angles, [theta1, theta2], rtol=0.0, atol=1e-15)
@@ -498,6 +508,24 @@ class TestRotorChain:
         reports = [relative_angle(a, b) for a, b in pairs]
         assert any(rep.planes for rep in reports) and any(rep.lowest_grade for rep in reports)
 
+    def test_relative_angle_makes_only_the_report_multivectors(self, monkeypatch):
+        # the self-check runs on coefficient arrays: one Multivector per plane and
+        # one lowest_blade, built once with its sign
+        made = []
+        init = Multivector.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        pairs = self.pairs()
+        monkeypatch.setattr(Multivector, "__init__", counted)
+        for a, b in pairs:
+            made.clear()
+            rep = relative_angle(a, b)
+            assert len(made) == len(rep.planes) + 1
+            assert made[-1] is rep.lowest_blade
+
     @pytest.mark.parametrize("a_rows, b_rows", [
         ([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0]]),          # B = e2 ^ e1: L = -1
         ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]],
@@ -523,3 +551,98 @@ class TestRotorChain:
             for scale in (math.inf, math.nan, 1e300):
                 with pytest.raises(ValueError, match="finite"):
                     rotor_reconstruction(rep, scale, 1e300)
+
+
+def count_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+class TestFlippedComplement:
+    """A cluster with cos 2 theta < 0 holds planes and directions O negates; a QR
+    finds the negated ones only when the planes leave room for them."""
+
+    def test_plane_beside_an_extra_direction(self, monkeypatch):
+        # one 3-dim cluster at cos 2 theta ~ -1: the first plane and A's extra e3
+        thetas = (math.pi / 2 - 1e-6, 0.4)
+        a, b = known_pair(thetas, 3, np.eye(5))
+        calls = count_qr(monkeypatch)
+        rep = relative_angle(a, b)
+        assert len(calls) == 1
+        assert (rep.lowest_grade, len(rep.planes)) == (1, 2)
+        assert np.allclose(rep.angles, thetas, rtol=0.0, atol=1e-15)
+
+    def test_planes_that_fill_their_clusters_skip_the_qr(self, monkeypatch):
+        pairs = [known_pair(TestRotorReconstruction.NEAR_RIGHT, 2, np.eye(4))] + TestRotorChain.pairs()
+        calls = count_qr(monkeypatch)
+        reports = [relative_angle(a, b) for a, b in pairs]
+        assert calls == []
+        assert any(rep.planes and rep.lowest_grade for rep in reports)
+
+
+class TestClusterEdge:
+    """Two interior angles whose cos 2 theta lie about EQUAL_ANGLE_TOL apart, in a
+    random frame of R^6: just under it they share one cluster, just over it each
+    plane gets its own from nearly degenerate eigenvectors."""
+
+    @staticmethod
+    def report(monkeypatch, thetas):
+        sizes = []
+        clusters = engine._clusters
+
+        def spy(w):
+            out = clusters(w)
+            sizes.extend(len(idx) for idx in out)
+            return out
+
+        monkeypatch.setattr(engine, "_clusters", spy)
+        frame = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
+        rep = relative_angle(*known_pair(thetas, 2, frame))
+        assert np.allclose(rep.angles, sorted(thetas, reverse=True), rtol=0.0, atol=1e-13)
+        assert rep.residual <= RESIDUAL_BOUND
+        return rep, sorted(sizes)
+
+    @pytest.mark.parametrize("theta", [0.7, 1.2])
+    @pytest.mark.parametrize("times, sizes", [(0.9, [2, 4]), (1.1, [2, 2, 2])])
+    def test_cos_2theta_gap_decides_the_clusters(self, monkeypatch, theta, times, sizes):
+        other = 0.5 * math.acos(math.cos(2.0 * theta) - times * EQUAL_ANGLE_TOL)
+        rep, got = self.report(monkeypatch, (theta, other))
+        assert got == sizes
+        # the flag compares the angles, here under EQUAL_ANGLE_TOL apart either way
+        assert rep.has_equal_angles
+
+    @pytest.mark.parametrize("theta", [0.7, 1.2])
+    @pytest.mark.parametrize("times", [0.9, 1.1])
+    def test_angle_gap_decides_the_flag(self, monkeypatch, theta, times):
+        rep, _ = self.report(monkeypatch, (theta, theta + times * EQUAL_ANGLE_TOL))
+        assert rep.has_equal_angles == (times < 1.0)
+
+
+def test_planes_are_oriented_from_a_toward_b():
+    # each plane has a positive coefficient dot with a_k ^ b_k, the oracle's
+    # principal vectors, A the larger-grade operand; checked where a_k and b_k
+    # are defined: single-angle clusters off 0 and pi/2
+    rng = np.random.default_rng(7)
+    dots = []
+    for _ in range(300):
+        a_rows, b_rows, _ = sample_spans(rng)
+        a, b = blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)
+        rep = relative_angle(a, b)
+        pairs = principal_angles(orthonormal_basis(a_rows), orthonormal_basis(b_rows))
+        interior = [theta for theta in rep.angles if 0.0 < theta < math.pi / 2]
+        for theta, plane in zip(interior, rep.planes):
+            near = np.abs(np.cos(2.0 * pairs.angles) - math.cos(2.0 * theta)) <= EQUAL_ANGLE_TOL
+            if not 1e-6 <= theta <= math.pi / 2 - 1e-6 or np.count_nonzero(near) != 1:
+                continue
+            k = int(np.flatnonzero(near)[0])
+            ab = wedge_vectors(a.sig, [pairs.a_vectors[k], pairs.b_vectors[k]])
+            dots.append(np.dot(plane.coeffs, ab.coeffs) / ab.coeff_norm())
+    assert len(dots) >= 200
+    assert min(dots) > 0.0
