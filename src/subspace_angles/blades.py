@@ -60,11 +60,13 @@ class Blade:
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "Blade":
         """Validate (pure_blade at BLADE_TOL), keep its frame and wrap; a
-        frame of grade k > 0 needs a Euclidean metric (NonEuclideanError)."""
+        frame of grade k > 0 needs a Euclidean metric (NonEuclideanError).
+        The magnitude is the coefficient norm, which _factor normalises
+        the frame's wedge by; on every blade accepted here it equals norm()."""
         k, clean, frame = pure_blade(mv, BLADE_TOL)
         if k and not mv.sig.is_euclidean:
             raise NonEuclideanError("blade frames implemented for Euclidean blades")
-        return cls(clean, k, clean.norm(), frame)
+        return cls(clean, k, clean.coeff_norm(), frame)
 
 
 def pure_blade(mv: Multivector, tol: float) -> tuple[int, Multivector, np.ndarray]:

@@ -127,6 +127,18 @@ class TestCarrier:
             diff_minus = (carrier.unit() + d.unit()).coeff_norm()
             assert min(diff_plus, diff_minus) <= 1e-9
 
+    def test_unit_divides_by_the_coefficient_norm(self):
+        # the frame's wedge is part / part.coeff_norm(); unit() must carry those
+        # bytes, also where norm() rounds one ulp away from it
+        rng = np.random.default_rng(51)
+        apart = 0
+        for _ in range(40):
+            carrier = cf.euclidean_carrier(random_flat(rng, int(rng.integers(1, N + 1)))[0])
+            part = carrier.mv
+            apart += part.norm() != part.coeff_norm()
+            assert carrier.unit().coeffs.tobytes() == (part / part.coeff_norm()).coeffs.tobytes()
+        assert apart > 0
+
     def test_sphere_carrier_is_full_space(self):
         sphere = cf.ConformalObject.from_multivector(cf.sphere(CSIG, [2.0, 0.0, 1.0], 1.5))
         carrier = cf.euclidean_carrier(sphere)
