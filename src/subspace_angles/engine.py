@@ -68,10 +68,13 @@ class AngleReport:
     order: the directions at a right angle (exactly pi/2) first, then
     the interior angles strictly inside (0, pi/2), then the shared
     directions (exactly 0.0). planes pairs one unit principal bivector
-    with each interior angle, in the same order. s and t count the
-    angles whose cosine is within grade_tol of 1 and of 0, so a
-    near-zero or near-right interior angle is counted there and still
-    has its computed value and its plane. lowest_blade is the unit
+    with each interior angle, in the same order, oriented from A toward B:
+    plane k has a positive coefficient dot with a_k ^ b_k, for principal
+    vectors a_k of A and b_k of B with a_k . b_k = cos theta_k, where A is
+    the operand of larger grade (the first one when the grades are
+    equal). s and t count the angles whose cosine is within grade_tol
+    of 1 and of 0, so a near-zero or near-right interior angle is
+    counted there and still has its computed value and its plane. lowest_blade is the unit
     blade of the directions O sends to their negatives: the right-angle
     planes plus, for blades of different grade, the extra dimensions of
     the larger blade; lowest_grade is its grade. Rotor reconstruction
@@ -200,13 +203,13 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         basis = v[:, idx]
         local = _planes(basis.T @ skew @ basis, SPLIT_FLOOR)
         pairs += [(basis @ x, basis @ y) for x, y in local]
-        if w[idx[0]] < 0.0:
-            # the cluster directions outside its planes; none when the planes fill it
-            if 2 * len(local) < basis.shape[1]:
-                if local:
-                    spanned = np.column_stack([u for pair in local for u in pair])
-                    basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
-                flipped += list(basis.T)
+        # O negates the directions of a cos 2 theta < 0 cluster outside its
+        # planes: none when the planes fill it, so the QR runs only when they don't
+        if w[idx[0]] < 0.0 and 2 * len(local) < basis.shape[1]:
+            if local:
+                spanned = np.column_stack([u for pair in local for u in pair])
+                basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
+            flipped += list(basis.T)
 
     t_exact, odd = divmod(len(flipped) - q, 2)
     s_exact = r - len(pairs) - t_exact

@@ -553,27 +553,27 @@ class TestRotorChain:
                     rotor_reconstruction(rep, scale, 1e300)
 
 
-def count_qr(monkeypatch):
-    calls = []
-    qr = np.linalg.qr
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return qr(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted)
-    return calls
-
-
 class TestFlippedComplement:
     """A cluster with cos 2 theta < 0 holds planes and directions O negates; a QR
     finds the negated ones only when the planes leave room for them."""
+
+    @staticmethod
+    def count_qr(monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        return calls
 
     def test_plane_beside_an_extra_direction(self, monkeypatch):
         # one 3-dim cluster at cos 2 theta ~ -1: the first plane and A's extra e3
         thetas = (math.pi / 2 - 1e-6, 0.4)
         a, b = known_pair(thetas, 3, np.eye(5))
-        calls = count_qr(monkeypatch)
+        calls = self.count_qr(monkeypatch)
         rep = relative_angle(a, b)
         assert len(calls) == 1
         assert (rep.lowest_grade, len(rep.planes)) == (1, 2)
@@ -581,7 +581,7 @@ class TestFlippedComplement:
 
     def test_planes_that_fill_their_clusters_skip_the_qr(self, monkeypatch):
         pairs = [known_pair(TestRotorReconstruction.NEAR_RIGHT, 2, np.eye(4))] + TestRotorChain.pairs()
-        calls = count_qr(monkeypatch)
+        calls = self.count_qr(monkeypatch)
         reports = [relative_angle(a, b) for a, b in pairs]
         assert calls == []
         assert any(rep.planes and rep.lowest_grade for rep in reports)
