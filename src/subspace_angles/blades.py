@@ -5,7 +5,9 @@ and stands for the k-dimensional subspace of vectors whose wedge with it
 vanishes. Every Blade carries a frame: k orthonormal vectors whose
 geometric product is the unit blade, so the blade is its magnitude times
 that product; the frame is the blade's orthogonal factorization. A blade
-built from spanning vectors takes its frame from Gram-Schmidt; a blade
+built from spanning vectors takes its frame from Gram-Schmidt, run on
+lists of Python floats: rows have at most 12 entries, where one NumPy
+call per projection costs more than its arithmetic; a blade
 read from a multivector takes it from one eigensolve of its projector,
 built from contraction_matrix, which also gives engine.bivector_split its
 matrix. The frame is not unique, only the reconstruction is contractual.
@@ -15,7 +17,9 @@ validates conformal objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -119,29 +123,32 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
 
 
 def _mgs(rows: list[np.ndarray]) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Modified Gram-Schmidt with one re-orthogonalization pass, on lists of
+    floats (see the module docstring).
 
-    Returns a (k, n) array of orthonormal rows; raises DegenerateSpanError
-    when some vector's residual falls below DEPENDENCE_TOL relative to its
-    original norm, and ValueError when its squared norm overflows.
+    Returns a (k, n) array of orthonormal rows q_j with q_j . v_j > 0;
+    raises DegenerateSpanError when some vector's residual falls below
+    DEPENDENCE_TOL relative to its original norm, and ValueError when its
+    squared norm overflows.
     """
-    basis: list[np.ndarray] = []
+    basis: list[list[float]] = []
     for v in rows:
-        original = np.sqrt(v @ v)
+        u = v.tolist()
+        original = math.sqrt(sum(map(mul, u, u)))
         if original == 0.0:
             raise DegenerateSpanError("zero vector in spanning set")
-        if not np.isfinite(original):
+        if not math.isfinite(original):
             raise ValueError(f"vector {len(basis)} overflows: its squared norm is not finite")
-        u = v.copy()
         for _ in range(2):
             for b in basis:
-                u = u - (u @ b) * b
-        res = np.sqrt(u @ u)
+                p = sum(map(mul, u, b))
+                u = [x - p * y for x, y in zip(u, b)]
+        res = math.sqrt(sum(map(mul, u, u)))
         if res < DEPENDENCE_TOL * original:
             raise DegenerateSpanError(
                 f"vector {len(basis)} is dependent (residual {res:.3e})"
             )
-        basis.append(u / res)
+        basis.append([x / res for x in u])
     return np.array(basis)
 
 

@@ -13,8 +13,11 @@ subspace projectors (Halmos, "Two subspaces", 1969), which
 
 So the engine builds each projector as P = F^T F from the orthonormal
 frame F its blade carries (see Blade), splits S = (O + O^T)/2 into
-clusters of equal cos 2 theta and each cluster by the rotation rates of
-K = (O - O^T)/2, and takes every angle as
+clusters of equal cos 2 theta, and reads each cluster from one product,
+O in S's eigenbasis, where it is a diagonal block: the block's
+antisymmetric part gives the rotation rates that split the cluster into
+planes, and each plane's cos 2 theta and sin 2 theta come from the block
+in cluster coordinates. It takes every angle as
 theta = atan2(sin 2 theta, cos 2 theta) / 2, which is as accurate near 0
 as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
 s and t count the angles by the oracle's per-angle rule, and M is never
@@ -163,10 +166,11 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     return sorted((p for p in parts if p[0] > floor), key=lambda p: -p[0])
 
 
-def _clusters(w: np.ndarray) -> list[np.ndarray]:
-    """Runs of the ascending values w whose neighbours lie within EQUAL_ANGLE_TOL."""
-    cuts = [0, *(np.flatnonzero(np.diff(w) > EQUAL_ANGLE_TOL) + 1), w.size]
-    return [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+def _clusters(w: np.ndarray) -> list[range]:
+    """Index ranges of the runs of the ascending values w whose neighbours
+    lie within EQUAL_ANGLE_TOL."""
+    cuts = [0, *(np.flatnonzero(np.diff(w) > EQUAL_ANGLE_TOL) + 1).tolist(), w.size]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> AngleReport:
@@ -195,36 +199,35 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
 
     eye = np.eye(sig.n)
     o = (2.0 * (a.frame.T @ a.frame) - eye) @ (2.0 * (b.frame.T @ b.frame) - eye)
-    skew = 0.5 * (o - o.T)
     w, v = np.linalg.eigh(0.5 * (o + o.T))
-    pairs = []      # orthonormal (x, y) of each principal plane
+    rot = v.T @ o @ v   # O in S's eigenbasis: a cluster's block and basis are views
+    interior = []   # (theta, (x, y)) of each principal plane
     flipped = []    # directions O sends to their negatives: L's
-    for idx in _clusters(w):
-        basis = v[:, idx]
-        local = _planes(basis.T @ skew @ basis, SPLIT_FLOOR)
-        pairs += [(basis @ x, basis @ y) for x, y in local]
+    for cluster in _clusters(w):
+        lo, hi = cluster.start, cluster.stop
+        basis, block = v[:, lo:hi], rot[lo:hi, lo:hi]
+        local = _planes(0.5 * (block - block.T), SPLIT_FLOOR)
+        for x, y in local:
+            bx = block @ x
+            turn = float(y @ bx)
+            if turn > 0.0:      # orient the plane so that O turns y toward x
+                y = -y
+            interior.append((0.5 * math.atan2(abs(turn), float(x @ bx)), (basis @ x, basis @ y)))
         # O negates the directions of a cos 2 theta < 0 cluster outside its
         # planes: none when the planes fill it, so the QR runs only when they don't
-        if w[idx[0]] < 0.0 and 2 * len(local) < basis.shape[1]:
+        if w[lo] < 0.0 and 2 * len(local) < hi - lo:
             if local:
                 spanned = np.column_stack([u for pair in local for u in pair])
                 basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
             flipped += list(basis.T)
 
     t_exact, odd = divmod(len(flipped) - q, 2)
-    s_exact = r - len(pairs) - t_exact
+    s_exact = r - len(interior) - t_exact
     if odd or t_exact < 0 or s_exact < 0:
         raise AmbiguousRankError(
-            f"{len(pairs)} principal planes and {len(flipped)} reversed directions "
+            f"{len(interior)} principal planes and {len(flipped)} reversed directions "
             f"do not fit blades of grades {a.grade} and {b.grade}")
 
-    interior = []
-    for x, y in pairs:
-        ox = o @ x
-        turn = float(y @ ox)
-        if turn > 0.0:          # orient the plane so that O turns y toward x
-            y = -y
-        interior.append((0.5 * math.atan2(abs(turn), float(x @ ox)), (x, y)))
     interior.sort(key=lambda pair: -pair[0])
     thetas = [theta for theta, _ in interior]
     planes = tuple(Multivector(sig, _unit_wedge(sig, pair), _copy=False) for _, pair in interior)

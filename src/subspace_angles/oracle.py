@@ -5,12 +5,13 @@ matrix of mutual inner products M = Q_A Q_B^T gives r pairs of principal
 unit vectors a_k, b_k and singular values sigma_k = cos(theta_k) =
 a_k . b_k, at O(r^3) cost.
 
-The SVD is one-sided Jacobi (Demmel & Veselic, 1992) on columns held as
-plain Python floats: they have at most 12 entries, where one NumPy call
-per dot product costs more than the arithmetic. A column pair is rotated
-only while its computed cosine exceeds sqrt(rows)*eps, the rounding floor
-of the dot product (LAPACK's DGESVJ rule); a tighter bound can never be
-met, and the loop would rotate by angles of about 1e-16 until its cap.
+Gram-Schmidt and the SVD, one-sided Jacobi (Demmel & Veselic, 1992), both
+run on rows and columns held as lists of Python floats: they have at most
+12 entries, where one NumPy call per dot product costs more than the
+arithmetic. A Jacobi column pair is rotated only while its computed
+cosine exceeds sqrt(rows)*eps, the rounding floor of the dot product
+(LAPACK's DGESVJ rule); a tighter bound can never be met, and the loop
+would rotate by angles of about 1e-16 until its cap.
 
 Cosines near 1 cannot resolve small angles: cos(2e-8) and cos(0) are a few
 ulps apart, so the SVD of M mixes their principal vectors. Where
@@ -68,26 +69,34 @@ class PrincipalPairs:
 def orthonormal_basis(vectors) -> np.ndarray:
     """Orthonormalize spanning vectors (rows); same span, or raises.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass. A vector
+    Modified Gram-Schmidt with one re-orthogonalization pass, on lists of
+    floats; row j of the result has a positive dot with vector j. A vector
     whose residual falls below DEPENDENCE_TOL times its original norm
-    makes the span degenerate.
+    makes the span degenerate (DegenerateSpanError); a vector with a
+    non-finite entry, or whose squared norm overflows, raises ValueError.
     """
-    rows = [np.asarray(v, dtype=float) for v in vectors]
-    if not rows:
+    rows = np.asarray(vectors, dtype=float)
+    if rows.size == 0:
         raise DegenerateSpanError("empty spanning set")
-    basis: list[np.ndarray] = []
-    for v in rows:
-        original = math.sqrt(float(v @ v))
+    if rows.ndim != 2:
+        raise ValueError("expected a sequence of length-n vectors, one per row")
+    basis: list[list[float]] = []
+    for u in rows.tolist():
+        original = math.sqrt(_dot(u, u))
         if original == 0.0:
             raise DegenerateSpanError("zero vector in spanning set")
-        u = v.copy()
+        if not math.isfinite(original):
+            if all(map(math.isfinite, u)):
+                raise ValueError(f"vector {len(basis)} overflows: its squared norm is not finite")
+            raise ValueError(f"vector {len(basis)} has a non-finite entry")
         for _ in range(2):
             for b in basis:
-                u = u - (u @ b) * b
-        res = math.sqrt(float(u @ u))
+                p = _dot(u, b)
+                u = [x - p * y for x, y in zip(u, b)]
+        res = math.sqrt(_dot(u, u))
         if res < DEPENDENCE_TOL * original:
             raise DegenerateSpanError(f"vector {len(basis)} is dependent")
-        basis.append(u / res)
+        basis.append([x / res for x in u])
     return np.array(basis)
 
 

@@ -1,8 +1,10 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
+from subspace_angles import blades, oracle
 from subspace_angles import conformal as cf
 from subspace_angles import ga
 from subspace_angles.blades import (
@@ -14,6 +16,7 @@ from subspace_angles.blades import (
 )
 from subspace_angles.errors import DegenerateSpanError, NonEuclideanError, NotABladeError
 from subspace_angles.ga import Multivector, Signature, basis_vectors, wedge_vectors
+from subspace_angles.oracle import orthonormal_basis
 from subspace_angles.problems import SubspaceProblem, run_problem
 
 SIG3 = Signature(3)
@@ -62,6 +65,78 @@ class TestBladeFromSpanningVectors:
                 continue
             vol = np.sqrt(np.linalg.det(rows @ rows.T))
             assert abs(b.magnitude - vol) <= 1e-9 * vol
+
+
+EPS = sys.float_info.epsilon
+
+
+def mgs2_reference(rows) -> np.ndarray:
+    """Modified Gram-Schmidt with one re-orthogonalization pass, one NumPy call
+    per projection: the loop that blades._mgs and oracle.orthonormal_basis each
+    ran before they moved to lists of floats, kept as their reference."""
+    basis = []
+    for v in np.asarray(rows, dtype=float):
+        u = v.copy()
+        for _ in range(2):
+            for b in basis:
+                u = u - (u @ b) * b
+        basis.append(u / np.sqrt(u @ u))
+    return np.array(basis)
+
+
+def orthogonal(rng, n) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def conditioned_span(rng, k, n, cond) -> np.ndarray:
+    """k random rows in R^n whose singular values run from 1 down to 1/cond."""
+    return (orthogonal(rng, k) * np.geomspace(1.0, 1.0 / cond, k)) @ orthogonal(rng, n)[:k]
+
+
+def nearly_dependent_span(rng, k, n, residual) -> np.ndarray:
+    """k rows in R^n, the last of unit norm and at distance residual from the span
+    of the others, so its Gram-Schmidt residual is residual times its norm."""
+    frame = orthogonal(rng, n)
+    inside = rng.standard_normal(k - 1) @ frame[:k - 1]
+    last = math.sqrt(1.0 - residual * residual) * inside / math.sqrt(inside @ inside)
+    return np.vstack([conditioned_span(rng, k - 1, k - 1, 4.0) @ frame[:k - 1],
+                      last + residual * frame[k - 1]])
+
+
+# Gram-Schmidt in both routes: the engine's frames and the oracle's bases
+ROUTES = {"blades": lambda rows: blade_from_spanning_vectors(rows).frame,
+          "oracle": orthonormal_basis}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+class TestGramSchmidt:
+    """Both Gram-Schmidt loops run on lists of floats. Each agrees with the NumPy
+    loop it replaced within COND * EPS per entry, the first-order sensitivity of
+    Q to rounding in rows of condition <= COND, and keeps DEPENDENCE_TOL's edge."""
+
+    COND = 1e3
+
+    def test_matches_numpy_reference(self, route):
+        rng = np.random.default_rng(61)
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                for _ in range(3):
+                    rows = conditioned_span(rng, k, n, self.COND)
+                    q = ROUTES[route](rows)
+                    assert np.max(np.abs(q - mgs2_reference(rows))) <= self.COND * EPS
+                    assert np.max(np.abs(q @ q.T - np.eye(k))) <= 8 * EPS
+                    assert np.all(np.einsum("ij,ij->i", q, rows) > 0.0)
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (6, 3), (12, 6)])
+    def test_dependence_edge(self, route, n, k):
+        # the last row's residual is 0.5x and 2x DEPENDENCE_TOL of its norm
+        assert blades.DEPENDENCE_TOL == oracle.DEPENDENCE_TOL
+        rng = np.random.default_rng(n)
+        with pytest.raises(DegenerateSpanError, match=f"vector {k - 1} is dependent"):
+            ROUTES[route](nearly_dependent_span(rng, k, n, 0.5 * blades.DEPENDENCE_TOL))
+        q = ROUTES[route](nearly_dependent_span(rng, k, n, 2.0 * blades.DEPENDENCE_TOL))
+        assert q.shape == (k, n)
 
 
 class TestOverflow:

@@ -10,6 +10,7 @@ from subspace_angles.blades import Blade, blade_from_spanning_vectors
 from subspace_angles.engine import (
     EQUAL_ANGLE_TOL,
     RESIDUAL_BOUND,
+    SPLIT_FLOOR,
     bivector_split,
     relative_angle,
     rotor_reconstruction,
@@ -623,6 +624,31 @@ class TestClusterEdge:
     def test_angle_gap_decides_the_flag(self, monkeypatch, theta, times):
         rep, _ = self.report(monkeypatch, (theta, theta + times * EQUAL_ANGLE_TOL))
         assert rep.has_equal_angles == (times < 1.0)
+
+
+class TestSplitFloorEdge:
+    """One plane turned at the rate sin 2 theta = c * SPLIT_FLOOR, in a random frame
+    of R^4, A of grade ra: under the floor its direction counts as shared, over it
+    the plane is kept with its angle."""
+
+    @staticmethod
+    def report(c, ra):
+        theta = 0.5 * math.asin(c * SPLIT_FLOOR)
+        frame = np.linalg.qr(np.random.default_rng(8).standard_normal((4, 4)))[0]
+        return theta, relative_angle(*known_pair((theta,), ra, frame))
+
+    @pytest.mark.parametrize("ra", [1, 2])
+    def test_under_the_floor_the_direction_is_shared(self, ra):
+        _, rep = self.report(0.5, ra)
+        assert rep.angles == (0.0,) and rep.planes == ()
+        assert (rep.s, rep.t, rep.lowest_grade) == (1, 0, ra - 1)
+        assert rep.residual <= 1e-12
+
+    @pytest.mark.parametrize("ra", [1, 2])
+    def test_over_the_floor_the_plane_is_kept(self, ra):
+        theta, rep = self.report(2.0, ra)
+        assert len(rep.planes) == 1 and (rep.s, rep.lowest_grade) == (1, ra - 1)
+        assert abs(rep.angles[0] - theta) <= 1e-14
 
 
 def test_planes_are_oriented_from_a_toward_b():

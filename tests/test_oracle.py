@@ -93,6 +93,23 @@ class TestOrthonormalBasis:
             assert np.max(np.abs(proj)) <= 1e-10 * np.max(np.abs(rows))
 
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1e155, 0, 0]], "vector 0 overflows"),
+        ([[1, 0, 0], [0, 1e155, 0]], "vector 1 overflows"),
+        ([[math.inf, 0, 0]], "vector 0 has a non-finite entry"),
+        ([[1, 0, 0], [0, -math.inf, 0]], "vector 1 has a non-finite entry"),
+        ([[math.nan, 0, 0]], "vector 0 has a non-finite entry"),
+    ])
+    def test_unnormalisable_vector_raises(self, rows, message):
+        # these once came back as a zero row or a NaN row
+        with pytest.raises(ValueError, match=message):
+            orthonormal_basis(rows)
+
+    def test_flat_list_of_numbers_rejected(self):
+        with pytest.raises(ValueError, match="sequence of length-n vectors"):
+            orthonormal_basis([1.0, 2.0, 3.0])
+
+
 class TestSvdSmall:
     def test_identity(self):
         u, s, v = svd_small(np.eye(2))

@@ -75,6 +75,35 @@ def test_report_digest_except_leaves_one_field_out(tmp_path):
     assert code == 0 and rows[-1] == "identical"
 
 
+def test_report_digest_max_diff_measures_the_moves(tmp_path):
+    # a copy whose residuals double moves one float field of each document and of the
+    # selftest summary; one whose s grows by one moves a discrete field everywhere
+    src = Path(subspace_angles.__file__).resolve().parents[1]
+    edits = {"doubled": ("residual=residual,", "residual=2.0 * residual,"),
+             "shifted": ("        s=s,", "        s=s + 1,")}
+    for name, (old, new) in edits.items():
+        shutil.copytree(src / "subspace_angles", tmp_path / name / "subspace_angles",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        engine = tmp_path / name / "subspace_angles" / "engine.py"
+        text = engine.read_text()
+        assert text.count(old) == 1
+        engine.write_text(text.replace(old, new))
+
+    code, rows = run_digest("--max-diff", "--src", str(src), "--src", str(tmp_path / "doubled"))
+    assert code == 0 and len(rows) == 2 and rows[-1] == "no discrete field moved"
+    assert rows[0].startswith("cli_batch 1 ")
+    gaps = dict(field.split("=") for field in rows[0].split()[2:])
+    assert gaps.pop("moved") == "0" and int(gaps.pop("pairs")) > 1
+    assert float(gaps.pop("residual")) > 0.0 and float(gaps.pop("max_residual")) > 0.0
+    assert {"angles", "planes", "oracle_angles", "max_angle_deviation"} <= set(gaps)
+    assert all(float(gap) == 0.0 for gap in gaps.values())
+
+    code, rows = run_digest("--max-diff", "--src", str(src), "--src", str(tmp_path / "shifted"))
+    pairs = int(dict(field.split("=") for field in rows[0].split()[2:])["pairs"])
+    assert code == 1 and rows[-1] == f"{pairs} pairs moved"
+    assert rows[1] == "  pairs moved: " + " ".join(map(str, range(pairs)))
+
+
 def run_digest_truth(*args):
     src = str(Path(subspace_angles.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py"), "--truth",

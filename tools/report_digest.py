@@ -38,6 +38,22 @@ differ at most in their residuals:
 
     python3 tools/report_digest.py --except residual --src /path/to/parent/src --src src
 
+--max-diff, with two --src, says how far the second version moves the
+reports of the first, instead of whether they are identical.  Both
+versions are imported side by side in one process and run on the same
+inputs; per (workload, seed) it prints the largest absolute difference
+of each float field: every float field of the `relative_angle` report
+(plane and `lowest_blade` coefficients included), the coefficients of
+`rotor_reconstruction` and the oracle's angles, and for cli_batch the
+same fields of each `angles run --oracle` JSON plus the selftest's
+`max_angle_deviation` and `max_residual`.  It also counts the pairs
+whose discrete results differ: s, t, `lowest_grade`, the number of
+planes, `has_equal_angles`, the type of a raised exception (and the
+selftest's `mismatches` and `ok`).  Those pairs are named by index, and
+the exit status is 1 when there are any:
+
+    python3 tools/report_digest.py --max-diff --src /path/to/parent/src --src src
+
 --truth prints, instead of digests, the benchmark's own verdict on each
 (workload, seed): every report is checked against the true angles by the
 `Tally` of perfbench/run.py (imported, never changed), and the row gives
@@ -59,7 +75,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import struct  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -191,6 +209,135 @@ def digests(src: str, workloads, seeds, omit=None) -> list[tuple[str, int, Diges
     return out
 
 
+def load_package(src: str, name: str):
+    """The subspace_angles package under src, imported as the top-level module
+    name, so that two versions of it can run side by side in one process."""
+    path = Path(src).resolve() / "subspace_angles"
+    spec = importlib.util.spec_from_file_location(name, path / "__init__.py",
+                                                  submodule_search_locations=[str(path)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def kind(value):
+    """The type name of a raised exception, None for a result."""
+    return type(value).__name__ if isinstance(value, Exception) else None
+
+
+def library_values(sa, pair) -> tuple[dict, dict]:
+    """(discrete, floats) of one pair: the exception types, counts and flags
+    that must not move, and the float arrays whose moves are measured."""
+    blades = [attempt(sa.blade_from_spanning_vectors, rows) for rows in (pair.a_rows, pair.b_rows)]
+    discrete, floats = {"blades": [kind(b) for b in blades]}, {}
+    if not any(discrete["blades"]):
+        report = attempt(sa.relative_angle, *blades)
+        discrete["report"] = kind(report)
+        if not discrete["report"]:
+            discrete.update(s=report.s, t=report.t, lowest_grade=report.lowest_grade,
+                            planes=len(report.planes), has_equal_angles=report.has_equal_angles)
+            floats.update(angles=np.array(report.angles),
+                          planes=np.array([p.coeffs for p in report.planes]),
+                          cos_total=np.array([report.cos_total]),
+                          cos_interior=np.array([report.cos_interior]),
+                          sin_interior_product=np.array([report.sin_interior_product]),
+                          residual=np.array([report.residual]),
+                          lowest_blade=report.lowest_blade.coeffs)
+            rotor = attempt(sa.rotor_reconstruction, report, blades[0].magnitude, blades[1].magnitude)
+            discrete["rotor_reconstruction"] = kind(rotor)
+            if not discrete["rotor_reconstruction"]:
+                floats["rotor_reconstruction"] = rotor.coeffs
+    oracle = attempt(lambda: sa.principal_angles(sa.orthonormal_basis(pair.a_rows),
+                                                 sa.orthonormal_basis(pair.b_rows)))
+    discrete["oracle"] = kind(oracle)
+    if not discrete["oracle"]:
+        floats["oracle_angles"] = oracle.angles
+    return discrete, floats
+
+
+def cli_values(sa, mode: str, problem) -> tuple[dict, dict]:
+    """(discrete, floats) of one `angles run --oracle` JSON document; the
+    planes' sparse coefficient maps are keyed by plane and basis blade."""
+    problems = sys.modules[sa.__name__ + ".problems"]
+    doc = attempt(lambda: problems.run_problem(problems.parse_problem(json.dumps(problem.doc), mode=mode),
+                                               oracle_enabled=True))
+    if isinstance(doc, Exception):
+        return {"run": kind(doc)}, {}
+    discrete = {"run": None, "s": doc["s"], "t": doc["t"], "lowest_grade": doc["lowest_grade"],
+                "planes": len(doc["planes"])}
+    floats = {"angles": np.array(doc["angles_rad"]),
+              "planes": {(k, name): c for k, plane in enumerate(doc["planes"]) for name, c in plane.items()},
+              **{key: np.array([doc[key]]) for key in
+                 ("cos_total", "cos_interior", "sin_interior_product", "residual")},
+              "oracle_angles": np.array(doc["oracle"]["angles_rad"])}
+    return discrete, floats
+
+
+def selftest_values(sa, seed: int) -> tuple[dict, dict]:
+    summary = attempt(sys.modules[sa.__name__ + ".problems"].selftest, seed=seed)
+    if isinstance(summary, Exception):
+        return {"selftest": kind(summary)}, {}
+    return ({"selftest": None, "mismatches": summary["mismatches"], "ok": summary["ok"]},
+            {key: np.array([summary[key]]) for key in ("max_angle_deviation", "max_residual")})
+
+
+def largest_gap(x, y) -> float:
+    """Largest absolute difference of two float arrays (of two {key: float}
+    maps, a missing key read as 0.0); equal values, infinities and NaNs
+    included, differ by 0, any other NaN by inf, and arrays of different
+    shapes by inf."""
+    if isinstance(x, dict):
+        keys = sorted(x.keys() | y.keys())
+        x, y = (np.array([m.get(key, 0.0) for key in keys]) for m in (x, y))
+    if x.shape != y.shape:
+        return math.inf
+    if x.size == 0:
+        return 0.0
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(x - y)
+    gap[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
+    return float(np.nan_to_num(gap, nan=math.inf).max())
+
+
+def max_diff(srcs, workloads, seeds) -> int:
+    """Print, per (workload, seed), the pairs whose discrete results moved and
+    the largest move of each float field from srcs[0] to srcs[1]; 1 when any moved."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs
+    versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
+    for sa in versions:
+        importlib.import_module(sa.__name__ + ".problems")
+
+    total = 0
+    for workload in workloads:
+        for seed in seeds:
+            if workload == "cli_batch":
+                items = [(lambda sa, mode=mode, problem=problem: cli_values(sa, mode, problem))
+                         for mode, problems in (("euclidean", inputs.euclidean_problems(seed)),
+                                                ("conformal", inputs.conformal_problems(seed)))
+                         for problem in problems]
+                items.append(lambda sa: selftest_values(sa, seed))
+            else:
+                items = [(lambda sa, pair=pair: library_values(sa, pair))
+                         for pair in getattr(inputs, workload)(seed)]
+            moved, gaps = [], {}
+            for index, item in enumerate(items):
+                (discrete_a, floats_a), (discrete_b, floats_b) = (item(sa) for sa in versions)
+                if discrete_a != discrete_b:
+                    moved.append(index)
+                    continue
+                for name, value in floats_a.items():
+                    gaps[name] = max(gaps.get(name, 0.0), largest_gap(value, floats_b[name]))
+            total += len(moved)
+            print(f"{workload} {seed} pairs={len(items)} moved={len(moved)}",
+                  *(f"{name}={gap:.3g}" for name, gap in gaps.items()))
+            if moved:
+                print("  pairs moved:", *moved)
+    print("no discrete field moved" if total == 0 else f"{total} pairs moved")
+    return 1 if total else 0
+
+
 def truth_reports(harness, inputs, sa, workload: str, seed: int):
     """(pair, (angles, s, t, oracle angles, residual)) per input, or the exception
     in place of the tuple."""
@@ -248,8 +395,15 @@ def main(argv=None) -> int:
                         help="print the benchmark's verdict against the true angles instead")
     parser.add_argument("--except", dest="omit", metavar="FIELD",
                         help="leave this AngleReport field (and its CLI JSON keys) out of the hash")
+    parser.add_argument("--max-diff", action="store_true",
+                        help="with two --src: the largest move of each float field, and the pairs "
+                             "whose discrete results differ")
     args = parser.parse_args(argv)
     srcs = args.src or [str(ROOT / "src")]
+    if args.max_diff:
+        if len(srcs) != 2 or args.truth or args.per_pair or args.omit:
+            parser.error("--max-diff takes two --src and no --truth, --per-pair or --except")
+        return max_diff(srcs, args.workloads, args.seeds)
     if args.truth:
         if len(srcs) != 1:
             parser.error("--truth takes one --src")
