@@ -92,7 +92,6 @@ class TestOrthonormalBasis:
             proj = rows - (rows @ q.T) @ q
             assert np.max(np.abs(proj)) <= 1e-10 * np.max(np.abs(rows))
 
-
     @pytest.mark.parametrize("rows, message", [
         ([[1e155, 0, 0]], "vector 0 overflows"),
         ([[1, 0, 0], [0, 1e155, 0]], "vector 1 overflows"),

@@ -259,7 +259,7 @@ def library_values(sa, pair) -> tuple[dict, dict]:
 def cli_values(sa, mode: str, problem) -> tuple[dict, dict]:
     """(discrete, floats) of one `angles run --oracle` JSON document; the
     planes' sparse coefficient maps are keyed by plane and basis blade."""
-    problems = sys.modules[sa.__name__ + ".problems"]
+    problems = importlib.import_module(sa.__name__ + ".problems")
     doc = attempt(lambda: problems.run_problem(problems.parse_problem(json.dumps(problem.doc), mode=mode),
                                                oracle_enabled=True))
     if isinstance(doc, Exception):
@@ -275,7 +275,7 @@ def cli_values(sa, mode: str, problem) -> tuple[dict, dict]:
 
 
 def selftest_values(sa, seed: int) -> tuple[dict, dict]:
-    summary = attempt(sys.modules[sa.__name__ + ".problems"].selftest, seed=seed)
+    summary = attempt(importlib.import_module(sa.__name__ + ".problems").selftest, seed=seed)
     if isinstance(summary, Exception):
         return {"selftest": kind(summary)}, {}
     return ({"selftest": None, "mismatches": summary["mismatches"], "ok": summary["ok"]},
@@ -306,8 +306,6 @@ def max_diff(srcs, workloads, seeds) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
     versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
-    for sa in versions:
-        importlib.import_module(sa.__name__ + ".problems")
 
     total = 0
     for workload in workloads:
