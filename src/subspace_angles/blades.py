@@ -18,6 +18,7 @@ validates conformal objects.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -29,6 +30,9 @@ from .ga import Multivector, Signature, _grade_masks, _wedge_table, wedge_vector
 # A spanning vector is dependent when its Gram-Schmidt residual drops
 # below this fraction of its original norm.
 DEPENDENCE_TOL = 1e-10
+
+# The smallest normal float: a squared norm below it has lost digits.
+NORMAL_MIN = sys.float_info.min
 
 BLADE_TOL = 1e-9
 
@@ -127,27 +131,36 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
     floats (see the module docstring).
 
     Returns a (k, n) array of orthonormal rows q_j with q_j . v_j > 0;
-    raises DegenerateSpanError when some vector's residual falls below
-    DEPENDENCE_TOL relative to its original norm, and ValueError when its
-    squared norm overflows.
+    raises DegenerateSpanError when some vector is zero or its residual
+    falls below DEPENDENCE_TOL relative to its original norm, and
+    ValueError when its squared norm overflows, or when that of a nonzero
+    vector or of its residual is below the normal range, where its square
+    root loses digits and the row would not be of unit length.
     """
     basis: list[list[float]] = []
     for v in rows:
         u = v.tolist()
-        original = math.sqrt(sum(map(mul, u, u)))
-        if original == 0.0:
-            raise DegenerateSpanError("zero vector in spanning set")
-        if not math.isfinite(original):
+        squared = sum(map(mul, u, u))
+        if not math.isfinite(squared):
             raise ValueError(f"vector {len(basis)} overflows: its squared norm is not finite")
+        if squared < NORMAL_MIN:
+            if not any(u):
+                raise DegenerateSpanError("zero vector in spanning set")
+            raise ValueError(f"vector {len(basis)} underflows: its squared norm is below the normal range")
+        original = math.sqrt(squared)
         for _ in range(2):
             for b in basis:
                 p = sum(map(mul, u, b))
                 u = [x - p * y for x, y in zip(u, b)]
-        res = math.sqrt(sum(map(mul, u, u)))
+        squared = sum(map(mul, u, u))
+        res = math.sqrt(squared)
         if res < DEPENDENCE_TOL * original:
             raise DegenerateSpanError(
                 f"vector {len(basis)} is dependent (residual {res:.3e})"
             )
+        if squared < NORMAL_MIN:
+            raise ValueError(f"vector {len(basis)} underflows: its residual's squared norm "
+                             "is below the normal range")
         basis.append([x / res for x in u])
     return np.array(basis)
 

@@ -47,6 +47,8 @@ RANK_COS_TOL = 1e-9
 SINE_ROUTE_SIGMA = 0.99
 
 EPS = sys.float_info.epsilon
+# The smallest normal float: a squared norm below it has lost digits.
+NORMAL_MIN = sys.float_info.min
 # A safety cap: the rounding-floor rule settles every benchmark matrix of
 # seeds 1-10 within 7 sweeps.
 MAX_SWEEPS = 60
@@ -70,10 +72,12 @@ def orthonormal_basis(vectors) -> np.ndarray:
     """Orthonormalize spanning vectors (rows); same span, or raises.
 
     Modified Gram-Schmidt with one re-orthogonalization pass, on lists of
-    floats; row j of the result has a positive dot with vector j. A vector
-    whose residual falls below DEPENDENCE_TOL times its original norm
-    makes the span degenerate (DegenerateSpanError); a vector with a
-    non-finite entry, or whose squared norm overflows, raises ValueError.
+    floats; row j of the result has a positive dot with vector j. A zero
+    vector, or one whose residual falls below DEPENDENCE_TOL times its
+    original norm, makes the span degenerate (DegenerateSpanError). A
+    vector with a non-finite entry raises ValueError, and so does one whose
+    squared norm overflows, or whose squared norm or residual's squared
+    norm is below the normal range, where the square root loses digits.
     """
     rows = np.asarray(vectors, dtype=float)
     if rows.size == 0:
@@ -82,20 +86,27 @@ def orthonormal_basis(vectors) -> np.ndarray:
         raise ValueError("expected a sequence of length-n vectors, one per row")
     basis: list[list[float]] = []
     for u in rows.tolist():
-        original = math.sqrt(_dot(u, u))
-        if original == 0.0:
-            raise DegenerateSpanError("zero vector in spanning set")
-        if not math.isfinite(original):
+        squared = _dot(u, u)
+        if not math.isfinite(squared):
             if all(map(math.isfinite, u)):
                 raise ValueError(f"vector {len(basis)} overflows: its squared norm is not finite")
             raise ValueError(f"vector {len(basis)} has a non-finite entry")
+        if squared < NORMAL_MIN:
+            if not any(u):
+                raise DegenerateSpanError("zero vector in spanning set")
+            raise ValueError(f"vector {len(basis)} underflows: its squared norm is below the normal range")
+        original = math.sqrt(squared)
         for _ in range(2):
             for b in basis:
                 p = _dot(u, b)
                 u = [x - p * y for x, y in zip(u, b)]
-        res = math.sqrt(_dot(u, u))
+        squared = _dot(u, u)
+        res = math.sqrt(squared)
         if res < DEPENDENCE_TOL * original:
             raise DegenerateSpanError(f"vector {len(basis)} is dependent")
+        if squared < NORMAL_MIN:
+            raise ValueError(f"vector {len(basis)} underflows: its residual's squared norm "
+                             "is below the normal range")
         basis.append([x / res for x in u])
     return np.array(basis)
 

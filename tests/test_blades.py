@@ -138,6 +138,21 @@ class TestGramSchmidt:
             orthonormalize(nearly_dependent_span(rng, k, n, 0.5 * tol))
         assert orthonormalize(nearly_dependent_span(rng, k, n, 2.0 * tol)).shape == (k, n)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1e-160, 0, 0]], "vector 0 underflows: its squared norm"),
+        ([[1e-170, 0, 0]], "vector 0 underflows: its squared norm"),      # squares to 0.0
+        ([[1, 0, 0], [0, 1e-160, 0]], "vector 1 underflows: its squared norm"),
+        ([[1e-150, 0, 0], [1e-150, 1e-159, 0]], "vector 1 underflows: its residual's"),
+    ])
+    def test_underflowing_vector_raises(self, route, rows, message):
+        # these once came back as rows of norm 1 + 5.6e-6, or as a "zero vector"
+        with pytest.raises(ValueError, match=message):
+            ROUTES[route][0](rows)
+
+    def test_zero_vector_is_degenerate(self, route):
+        with pytest.raises(DegenerateSpanError, match="zero vector"):
+            ROUTES[route][0]([[1, 0, 0], [0.0, -0.0, 0.0]])
+
 
 class TestOverflow:
     """A span whose norm overflows raises ValueError; no Blade has an infinite

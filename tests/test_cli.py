@@ -140,9 +140,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("a, message", [
         ("[[1e155, 0, 0]]", "vector 0 overflows"),
         ("[[1e153, 0, 0], [0, 1e153, 0]]", "blade magnitude overflows"),
+        ("[[1e-160, 0, 0]]", "vector 0 underflows"),
     ])
     def test_overflowing_span_names_the_overflow(self, tmp_path, capsys, a, message):
-        # once exit 4 with a count or residual message; the span overflows, nothing is ambiguous
+        # once exit 4 with a count or residual message; the span over- or underflows,
+        # nothing is ambiguous
         big = tmp_path / "big.json"
         big.write_text(f'{{"n": 3, "A": {a}, "B": [[1, 1, 0]]}}')
         assert main(["run", str(big)]) == EXIT_FAILURE
