@@ -106,7 +106,9 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
     vectors : sequence of length-n arrays
     sig : optional Signature, defaults to Euclidean Cl(n,0)
 
-    Raises DegenerateSpanError on dependent vectors and ValueError on overflow.
+    Raises DegenerateSpanError on dependent vectors, ValueError on overflow
+    and, as Blade.from_multivector does, NonEuclideanError over a signature
+    with q > 0, whose metric the Gram-Schmidt frame is not orthonormal in.
     """
     rows = [np.asarray(v, dtype=float) for v in vectors]
     if not rows:
@@ -118,6 +120,8 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
         sig = Signature(n)
     if sig.n != n:
         raise ValueError(f"vectors of length {n} in Cl({sig.p},{sig.q})")
+    if not sig.is_euclidean:
+        raise NonEuclideanError("blade frames implemented for Euclidean blades")
     if len(rows) > n:
         raise DegenerateSpanError(f"{len(rows)} vectors cannot be independent in R^{n}")
 

@@ -134,13 +134,14 @@ def _unit_wedge(sig, rows) -> np.ndarray:
 
 
 def _plane_from_pair(f: Multivector, u: np.ndarray, v: np.ndarray) -> tuple[float, Multivector]:
-    """Unit simple bivector of span{u, v}, oriented so f's coefficient is >= 0."""
-    plane = Multivector(f.sig, _unit_wedge(f.sig, (u, v)), _copy=False)
-    coeff = f.scalar_product(plane.reverse())
+    """Unit simple bivector of span{u, v}, oriented so f's coefficient on it
+    (the plain coefficient dot, f being Euclidean) is >= 0."""
+    c = _unit_wedge(f.sig, (u, v))
+    coeff = float(np.dot(f.coeffs, c))
     if coeff < 0.0:
-        plane = -plane
+        c = -c
         coeff = -coeff
-    return coeff, plane
+    return coeff, Multivector(f.sig, c, _copy=False)
 
 
 def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:

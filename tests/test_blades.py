@@ -49,6 +49,13 @@ class TestBladeFromSpanningVectors:
         with pytest.raises(ValueError, match="sequence of length-n vectors"):
             blade_from_spanning_vectors([1.0, 2.0, 3.0])
 
+    def test_non_euclidean_signature_raises(self):
+        # as Blade.from_multivector: no Gram-Schmidt frame, and no magnitude-0 null blade
+        sig = Signature(2, 1)
+        for rows in ([[1, 0, 1], [0, 1, 0]], [[1, 0, 1]], [[1, 0, 0]]):
+            with pytest.raises(NonEuclideanError, match="blade frames implemented for Euclidean blades"):
+                blade_from_spanning_vectors(rows, sig)
+
     def test_too_many_vectors(self):
         with pytest.raises(DegenerateSpanError):
             blade_from_spanning_vectors([[1, 0], [0, 1], [1, 1]])

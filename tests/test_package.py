@@ -16,92 +16,98 @@ def test_every_export_resolves():
     assert set(subspace_angles.__all__) <= set(namespace)
 
 
-def test_report_digest_runs():
-    # the bit-identity gate imports the public API; a deletion that breaks it fails here
-    src = str(Path(subspace_angles.__file__).resolve().parents[1])
+def run_digest(workloads, *srcs):
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py"),
-                           "--workloads", "cli_batch", "--seeds", "1", "--src", src],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()
-    assert len(rows) == 1
-    workload, seed, digest = rows[0].split()
-    assert (workload, seed, len(digest)) == ("cli_batch", "1", 64)
-
-
-def run_digest(*args):
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py"),
-                           "--workloads", "cli_batch", "--seeds", "1", *args],
+                           "--workloads", *workloads, "--seeds", "1",
+                           *(arg for src in srcs for arg in ("--src", str(src)))],
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout.splitlines()
 
 
+def edited_copy(dest: Path, module: str, old: str, new: str) -> Path:
+    """A copy of the package under dest whose module has old replaced by new."""
+    src = Path(subspace_angles.__file__).resolve().parent
+    shutil.copytree(src, dest / "subspace_angles", ignore=shutil.ignore_patterns("__pycache__"))
+    path = dest / "subspace_angles" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return dest
+
+
+def indices(lo: int, hi: int) -> str:
+    return " ".join(map(str, range(lo, hi)))
+
+
+def row_fields(row: str) -> dict:
+    """{name: value} of a summary row "workload seed pairs=N moved=M field=gap ..."."""
+    return dict(field.split("=") for field in row.split()[2:])
+
+
+def test_report_digest_runs():
+    # the comparison imports the public API; a deletion that breaks it fails here, and two
+    # copies of one version in one process agree to the byte
+    src = Path(subspace_angles.__file__).resolve().parents[1]
+    code, rows = run_digest(["cli_batch"], src, src)
+    assert code == 0
+    assert len(rows) == 2 and rows[0].startswith("cli_batch 1 pairs=") and rows[-1] == "identical"
+    fields = row_fields(rows[0])
+    assert int(fields.pop("pairs")) > 1 and fields == {"moved": "0"}
+
+
 def test_report_digest_names_the_differing_pairs(tmp_path):
-    src = Path(subspace_angles.__file__).resolve().parents[1]
-    code, rows = run_digest("--per-pair", "--src", str(src))
-    assert code == 0 and len(rows) == 1
-    pairs = rows[0].split()[3].split(",")
-    assert len(pairs) > 1 and all(len(p) == 16 for p in pairs)
-
     # a copy whose selftest summary differs: only the last item, the selftest, moves
-    shutil.copytree(src / "subspace_angles", tmp_path / "subspace_angles",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    problems = tmp_path / "subspace_angles" / "problems.py"
-    text = problems.read_text()
-    assert '"cases": cases,' in text
-    problems.write_text(text.replace('"cases": cases,', '"cases": cases + 1,'))
-    code, rows = run_digest("--per-pair", "--src", str(src), "--src", str(tmp_path))
+    src = Path(subspace_angles.__file__).resolve().parents[1]
+    copy = edited_copy(tmp_path, "problems.py", '"cases": cases,', '"cases": cases + 1,')
+    code, rows = run_digest(["cli_batch"], src, copy)
+    pairs = int(row_fields(rows[0])["pairs"])
     assert code == 1
-    assert rows[0].startswith("cli_batch 1 ") and rows[0].endswith(" DIFFER")
-    assert rows[1:] == [f"  pairs differing: {len(pairs) - 1}", "1 digests differ"]
-
-    code, rows = run_digest("--per-pair", "--src", str(src), "--src", str(src))
-    assert code == 0 and rows[-1] == "identical" and len(rows) == 2
+    assert rows == [f"cli_batch 1 pairs={pairs} moved=1", f"  pairs moved: {pairs - 1}",
+                    "1 pairs moved"]
 
 
-def test_report_digest_except_leaves_one_field_out(tmp_path):
-    # a copy whose residuals double: the run JSON and the selftest summary both move,
-    # and --except residual leaves out exactly what moved
+def test_report_digest_measures_the_moves(tmp_path):
+    # a copy whose residuals double moves exactly the residual fields: the report's, the run
+    # document's and the selftest's worst; one whose s grows by one moves every item
     src = Path(subspace_angles.__file__).resolve().parents[1]
-    shutil.copytree(src / "subspace_angles", tmp_path / "subspace_angles",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    engine = tmp_path / "subspace_angles" / "engine.py"
-    text = engine.read_text()
-    assert "residual=residual," in text
-    engine.write_text(text.replace("residual=residual,", "residual=2.0 * residual,"))
-    code, rows = run_digest("--src", str(src), "--src", str(tmp_path))
-    assert code == 1 and rows[-1] == "1 digests differ"
-    code, rows = run_digest("--except", "residual", "--src", str(src), "--src", str(tmp_path))
-    assert code == 0 and rows[-1] == "identical"
+    doubled = edited_copy(tmp_path / "doubled", "engine.py",
+                          "residual=residual,", "residual=2.0 * residual,")
+    code, rows = run_digest(["wide_dense", "cli_batch"], src, doubled)
+    assert code == 1 and len(rows) == 6 and rows[-1] == "no discrete field moved"
+    library, cli, pairs = row_fields(rows[0]), row_fields(rows[2]), {}
+    for name, fields in (("wide_dense", library), ("cli_batch", cli)):
+        assert fields.pop("moved") == "0"
+        pairs[name] = int(fields.pop("pairs"))
+        assert all(float(gap) > 0.0 for gap in fields.values())
+    assert rows[0].startswith("wide_dense 1 ") and list(library) == ["report.residual"]
+    assert rows[1] == "  report.residual: " + indices(0, pairs["wide_dense"])
+    assert rows[2].startswith("cli_batch 1 ") and list(cli) == ["run.residual", "selftest.max_residual"]
+    assert rows[3:5] == ["  run.residual: " + indices(0, pairs["cli_batch"] - 1),
+                         f"  selftest.max_residual: {pairs['cli_batch'] - 1}"]
+
+    shifted = edited_copy(tmp_path / "shifted", "engine.py", "        s=s,", "        s=s + 1,")
+    code, rows = run_digest(["cli_batch"], src, shifted)
+    pairs = int(row_fields(rows[0])["pairs"])
+    assert code == 1
+    assert rows == [f"cli_batch 1 pairs={pairs} moved={pairs}", "  pairs moved: " + indices(0, pairs),
+                    f"{pairs} pairs moved"]
 
 
-def test_report_digest_max_diff_measures_the_moves(tmp_path):
-    # a copy whose residuals double moves one float field of each document and of the
-    # selftest summary; one whose s grows by one moves a discrete field everywhere
+def test_report_digest_sees_the_frames(tmp_path):
+    # a copy that negates the first row of every Gram-Schmidt frame: the blades' frames move
+    # and nothing else does, since the engine reads a frame only through its projector
     src = Path(subspace_angles.__file__).resolve().parents[1]
-    edits = {"doubled": ("residual=residual,", "residual=2.0 * residual,"),
-             "shifted": ("        s=s,", "        s=s + 1,")}
-    for name, (old, new) in edits.items():
-        shutil.copytree(src / "subspace_angles", tmp_path / name / "subspace_angles",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        engine = tmp_path / name / "subspace_angles" / "engine.py"
-        text = engine.read_text()
-        assert text.count(old) == 1
-        engine.write_text(text.replace(old, new))
-
-    code, rows = run_digest("--max-diff", "--src", str(src), "--src", str(tmp_path / "doubled"))
-    assert code == 0 and len(rows) == 2 and rows[-1] == "no discrete field moved"
-    assert rows[0].startswith("cli_batch 1 ")
-    gaps = dict(field.split("=") for field in rows[0].split()[2:])
-    assert gaps.pop("moved") == "0" and int(gaps.pop("pairs")) > 1
-    assert float(gaps.pop("residual")) > 0.0 and float(gaps.pop("max_residual")) > 0.0
-    assert {"angles", "planes", "oracle_angles", "max_angle_deviation"} <= set(gaps)
-    assert all(float(gap) == 0.0 for gap in gaps.values())
-
-    code, rows = run_digest("--max-diff", "--src", str(src), "--src", str(tmp_path / "shifted"))
-    pairs = int(dict(field.split("=") for field in rows[0].split()[2:])["pairs"])
-    assert code == 1 and rows[-1] == f"{pairs} pairs moved"
-    assert rows[1] == "  pairs moved: " + " ".join(map(str, range(pairs)))
+    negated = edited_copy(tmp_path, "blades.py", "    return np.array(basis)\n",
+                          "    return np.array([[-x for x in basis[0]], *basis[1:]])\n")
+    code, rows = run_digest(["wide_dense", "cli_batch"], src, negated)
+    assert code == 1 and rows[-1] == "no discrete field moved" and len(rows) == 4
+    fields = row_fields(rows[0])
+    assert rows[0].startswith("wide_dense 1 ") and fields.pop("moved") == "0"
+    pairs = int(fields.pop("pairs"))
+    assert list(fields) == ["blades.frame"] and float(fields["blades.frame"]) > 0.0
+    assert rows[1] == "  blades.frame: " + indices(0, pairs)
+    assert rows[2].startswith("cli_batch 1 ") and row_fields(rows[2])["moved"] == "0"
+    assert len(row_fields(rows[2])) == 2
 
 
 def run_digest_truth(*args):
