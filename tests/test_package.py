@@ -66,12 +66,12 @@ def test_report_digest_names_the_differing_pairs(tmp_path):
                     "1 pairs moved"]
 
 
-def test_report_digest_measures_the_moves(tmp_path):
+def test_report_digest_except_leaves_one_field_out(tmp_path):
     # a copy whose residuals double moves exactly the residual fields: the report's, the run
-    # document's and the selftest's worst; one whose s grows by one moves every item
+    # document's and the selftest's worst; every other field is left out of the listing, as
+    # the former --except residual left them out of the hash, now down to the bytes
     src = Path(subspace_angles.__file__).resolve().parents[1]
-    doubled = edited_copy(tmp_path / "doubled", "engine.py",
-                          "residual=residual,", "residual=2.0 * residual,")
+    doubled = edited_copy(tmp_path, "engine.py", "residual=residual,", "residual=2.0 * residual,")
     code, rows = run_digest(["wide_dense", "cli_batch"], src, doubled)
     assert code == 1 and len(rows) == 6 and rows[-1] == "no discrete field moved"
     library, cli, pairs = row_fields(rows[0]), row_fields(rows[2]), {}
@@ -85,7 +85,12 @@ def test_report_digest_measures_the_moves(tmp_path):
     assert rows[3:5] == ["  run.residual: " + indices(0, pairs["cli_batch"] - 1),
                          f"  selftest.max_residual: {pairs['cli_batch'] - 1}"]
 
-    shifted = edited_copy(tmp_path / "shifted", "engine.py", "        s=s,", "        s=s + 1,")
+
+def test_report_digest_max_diff_measures_the_moves(tmp_path):
+    # a copy whose s grows by one moves a discrete field of every item, which the summary
+    # counts and names pair by pair, as the former --max-diff counted it
+    src = Path(subspace_angles.__file__).resolve().parents[1]
+    shifted = edited_copy(tmp_path, "engine.py", "        s=s,", "        s=s + 1,")
     code, rows = run_digest(["cli_batch"], src, shifted)
     pairs = int(row_fields(rows[0])["pairs"])
     assert code == 1
