@@ -26,7 +26,7 @@ from .errors import (
     ProblemFormatError,
     SignatureMismatchError,
 )
-from .ga import Multivector, Signature, basis_blade_product, basis_vectors
+from .ga import Multivector, Signature, basis_vectors
 from .oracle import PrincipalPairs, orthonormal_basis, principal_angles, rank_counts, svd_small
 from .problems import SubspaceProblem, parse_problem, run_problem
 
@@ -49,7 +49,6 @@ __all__ = [
     "Signature",
     "SignatureMismatchError",
     "SubspaceProblem",
-    "basis_blade_product",
     "basis_vectors",
     "bivector_split",
     "blade_from_spanning_vectors",

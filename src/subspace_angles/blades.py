@@ -70,7 +70,7 @@ class Blade:
         """Validate (pure_blade at BLADE_TOL), keep its frame and wrap; a
         frame of grade k > 0 needs a Euclidean metric (NonEuclideanError).
         The magnitude is the coefficient norm, which _factor normalises
-        the frame's wedge by; on every blade accepted here it equals norm()."""
+        the frame's wedge by."""
         k, clean, frame = pure_blade(mv, BLADE_TOL)
         if k and not mv.sig.is_euclidean:
             raise NonEuclideanError("blade frames implemented for Euclidean blades")
@@ -127,7 +127,7 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
 
     out = wedge_vectors(sig, rows)  # first: an overflowing wedge says "coefficients must be finite"
     frame = _mgs(rows)  # raises on dependence; R's positive diagonal keeps the orientation
-    return Blade(out, len(rows), out.norm(), frame)
+    return Blade(out, len(rows), out.coeff_norm(), frame)
 
 
 def _mgs(rows: list[np.ndarray]) -> np.ndarray:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import AmbiguousRankError, DegenerateSpanError, GaError, ProblemFormatError
-from .problems import _expect_tolerance, parse_problem, run_problem, selftest
+from .problems import MODES, _expect_tolerance, parse_problem, run_problem, selftest
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the per-angle cutoff, in (0, 1): an angle counts as "
                           "zero when 1 - cos <= T and as right when cos <= T")
     run.add_argument("--format", choices=("json", "text"), default="json")
-    run.add_argument("--mode", choices=("euclidean", "conformal"), default="euclidean")
+    run.add_argument("--mode", choices=MODES, default=MODES[0])
 
     st = sub.add_parser("selftest", help="seeded random engine-vs-oracle check")
     st.add_argument("--seed", type=int, default=0)

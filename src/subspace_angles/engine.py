@@ -14,10 +14,11 @@ subspace projectors (Halmos, "Two subspaces", 1969), which
 So the engine builds each projector as P = F^T F from the orthonormal
 frame F its blade carries (see Blade), splits S = (O + O^T)/2 into
 clusters of equal cos 2 theta, and reads each cluster from one product,
-O in S's eigenbasis, where it is a diagonal block: the block's
-antisymmetric part gives the rotation rates that split the cluster into
-planes, and each plane's cos 2 theta and sin 2 theta come from the block
-in cluster coordinates. It takes every angle as
+O in S's eigenbasis, where it is a diagonal block. One Hermitian
+eigensolve of the block's antisymmetric part (_planes) splits the
+cluster into planes and gives each plane's rate, sin 2 theta, and its
+oriented orthonormal pair (x, y); cos 2 theta is the mean of the
+block's diagonal entries on x and y. It takes every angle as
 theta = atan2(sin 2 theta, cos 2 theta) / 2, which is as accurate near 0
 as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
 s and t count the angles by the oracle's per-angle rule, and M is never
@@ -55,8 +56,10 @@ ANGLE_COS_TOL = 1e-9
 # this floor are rounding noise: those directions lie in no plane.
 SPLIT_FLOOR = 1e-12
 
-# Values of cos 2 theta within this distance share a cluster, and interior
-# angles within it count as equal.
+# Two scales, one value: eigenvalues cos 2 theta of S within this distance
+# share a cluster, and adjacent interior angles theta within it set
+# has_equal_angles. A pair of angles can share a cluster and not count as
+# equal, or count as equal and sit in two clusters.
 EQUAL_ANGLE_TOL = 1e-8
 
 # A report whose rebuilt chain misses unit(A) by more than this is not returned.
@@ -86,7 +89,8 @@ class AngleReport:
     coefficient norm). cos_interior multiplies the
     cosines of the angles t does not count, sin_interior_product the
     sines of the angles s does not count, and cos_total is cos_interior,
-    or 0.0 when t > 0.
+    or 0.0 when t > 0. has_equal_angles is True when two adjacent interior
+    angles (by the ordering above) lie within EQUAL_ANGLE_TOL of each other.
     """
 
     s: int
@@ -102,28 +106,30 @@ class AngleReport:
     lowest_blade: Multivector
 
 
-def _planes(k: np.ndarray, floor: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Orthonormal pairs (x, y) spanning the invariant planes of the
-    antisymmetric array k whose rotation rate exceeds floor, fastest first.
+def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(rate, x, y) for each invariant plane of the antisymmetric array k
+    whose rotation rate exceeds floor, fastest first: x and y orthonormal,
+    k x = rate y and k y = -rate x.
 
-    One Hermitian eigh of i k: an eigenvector x + i y of a nonzero
-    eigenvalue has x orthogonal to y and |x| = |y|, and eigenvectors of
-    one repeated eigenvalue give mutually orthogonal planes, so
-    coinciding rates need no further care. Rates are bounded by
-    |k|_F / sqrt(2), which decides most calls without the eigh, and a
-    2 x 2 array above the floor is one plane.
+    One Hermitian eigh of i k: an eigenvector x + i y of an eigenvalue
+    rate > 0 has k x = rate y, k y = -rate x, x orthogonal to y and
+    |x| = |y|, and eigenvectors of one repeated eigenvalue give mutually
+    orthogonal planes, so coinciding rates need no further care. Rates
+    are bounded by |k|_F / sqrt(2), which decides most calls without the
+    eigh, and a 2 x 2 array above the floor is one plane, read off k[1, 0].
     """
     if float(np.sum(k * k)) <= 2.0 * floor * floor:
         return []
     if k.shape[0] == 2:
-        return [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+        rate = float(k[1, 0])
+        return [(abs(rate), np.array([1.0, 0.0]), np.array([0.0, math.copysign(1.0, rate)]))]
     w, z = np.linalg.eigh(1j * k)
     out = []
     for j in np.flatnonzero(w > floor)[::-1]:
         x, y = z[:, j].real, z[:, j].imag
         x = x / math.sqrt(float(x @ x))
         y = y - (y @ x) * x
-        out.append((x, y / math.sqrt(float(y @ y))))
+        out.append((float(w[j]), x, y / math.sqrt(float(y @ y))))
     return out
 
 
@@ -131,17 +137,6 @@ def _unit_wedge(sig, rows) -> np.ndarray:
     """Coefficients of rows[0] ^ ... ^ rows[k-1], scaled to unit coefficient norm."""
     c = _wedge_coeffs(sig, rows)
     return c / math.sqrt(np.dot(c, c))
-
-
-def _plane_from_pair(f: Multivector, u: np.ndarray, v: np.ndarray) -> tuple[float, Multivector]:
-    """Unit simple bivector of span{u, v}, oriented so f's coefficient on it
-    (the plain coefficient dot, f being Euclidean) is >= 0."""
-    c = _unit_wedge(f.sig, (u, v))
-    coeff = float(np.dot(f.coeffs, c))
-    if coeff < 0.0:
-        c = -c
-        coeff = -coeff
-    return coeff, Multivector(f.sig, c, _copy=False)
 
 
 def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
@@ -152,7 +147,8 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     and sum(beta_k i_k) = f. The planes are the invariant planes of the
     antisymmetric matrix 0.0 - contraction_matrix(f, 2) (entry [i, j] the
     coefficient of e_i ^ e_j for i < j, every zero +0.0), from one
-    Hermitian eigh, and each beta_k is f projected onto its plane.
+    Hermitian eigh (_planes): beta_k is the rate of plane k and, as the
+    matrix takes x to beta_k y for its pair (x, y), i_k = unit(y ^ x).
     Coefficients at or below SPLIT_FLOOR times the largest entry are
     dropped. The split is unique only for distinct coefficients; for
     coinciding ones any orthogonal choice inside the eigenspace is returned.
@@ -163,8 +159,8 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
         raise NonEuclideanError("bivector split implemented for Euclidean signature")
     mat = 0.0 - contraction_matrix(f, 2)
     floor = SPLIT_FLOOR * max(1.0, float(np.max(np.abs(mat))))
-    parts = [_plane_from_pair(f, x, y) for x, y in _planes(mat, floor)]
-    return sorted((p for p in parts if p[0] > floor), key=lambda p: -p[0])
+    return [(rate, Multivector(f.sig, _unit_wedge(f.sig, (y, x)), _copy=False))
+            for rate, x, y in _planes(mat, floor)]
 
 
 def _clusters(w: np.ndarray) -> list[range]:
@@ -208,17 +204,14 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         lo, hi = cluster.start, cluster.stop
         basis, block = v[:, lo:hi], rot[lo:hi, lo:hi]
         local = _planes(0.5 * (block - block.T), SPLIT_FLOOR)
-        for x, y in local:
-            bx = block @ x
-            turn = float(y @ bx)
-            if turn > 0.0:      # orient the plane so that O turns y toward x
-                y = -y
-            interior.append((0.5 * math.atan2(abs(turn), float(x @ bx)), (basis @ x, basis @ y)))
+        for rate, x, y in local:    # O turns -y toward x: the plane is x ^ -y
+            cos = 0.5 * float(x @ (block @ x) + y @ (block @ y))
+            interior.append((0.5 * math.atan2(rate, cos), (basis @ x, -(basis @ y))))
         # O negates the directions of a cos 2 theta < 0 cluster outside its
         # planes: none when the planes fill it, so the QR runs only when they don't
         if w[lo] < 0.0 and 2 * len(local) < hi - lo:
             if local:
-                spanned = np.column_stack([u for pair in local for u in pair])
+                spanned = np.column_stack([u for _, x, y in local for u in (x, y)])
                 basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
             flipped += list(basis.T)
 

@@ -87,26 +87,6 @@ def _metric_signs(sig: Signature) -> np.ndarray:
     return s
 
 
-def basis_blade_product(mask_a: int, mask_b: int, sig: Signature) -> tuple[int, int]:
-    """Multiply two basis blades; return (result mask, sign).
-
-    The sign counts the transpositions needed to merge the two ascending
-    index lists, times the metric factor of each annihilated shared
-    vector. With p+q = n there are no null vectors, so the sign is
-    always +-1.
-    """
-    if not 0 <= mask_a < sig.size or not 0 <= mask_b < sig.size:
-        raise ValueError("mask out of range for signature")
-    swaps = 0
-    a = mask_a >> 1
-    while a:
-        swaps += (a & mask_b).bit_count()
-        a >>= 1
-    if (mask_a & mask_b & sig.negative_mask).bit_count() & 1:
-        swaps += 1
-    return mask_a ^ mask_b, (-1 if swaps & 1 else 1)
-
-
 @lru_cache(maxsize=None)
 def _parity_signs() -> np.ndarray:
     """(-1)^popcount(m) for every 12-bit mask m (4096 floats, 32 KB)."""
@@ -138,7 +118,7 @@ def _swap_masks(sig: Signature) -> np.ndarray:
 
 
 def _signs(ai: np.ndarray, bi: np.ndarray, sig: Signature) -> np.ndarray:
-    """Vectorized basis_blade_product signs for broadcastable index arrays.
+    """Signs of the basis-blade products e_a e_b for broadcastable index arrays.
 
     One AND and one gather: the sign of e_a e_b is (-1)^popcount(H'[a] & b)
     with H' the swap-mask table of _swap_masks. Memory is O(2^n) per

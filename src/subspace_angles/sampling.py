@@ -14,24 +14,21 @@ from .errors import DegenerateSpanError
 from .oracle import orthonormal_basis
 
 
-def sample_spans(rng: np.random.Generator, *, q: int | None = None,
-                 force_perp: bool | None = None):
+def sample_spans(rng: np.random.Generator):
     """Draw one random pair of spanning sets.
 
     Draws n in 2..8, the smaller grade rb in 1..min(4, n), the grade
-    difference q (unless given) and whether to force shared and
-    perpendicular directions (force_perp unless given), in that order.
+    difference q and whether to force shared and perpendicular
+    directions, in that order.
     Returns (a_rows, b_rows, meta) where a_rows spans the larger-grade
     subspace (grade rb + q) and meta records the draw.
     """
     n = int(rng.integers(2, 9))
     rb = int(rng.integers(1, min(4, n) + 1))
-    if q is None:
-        q = int(rng.integers(0, min(2, n - rb) + 1))
+    q = int(rng.integers(0, min(2, n - rb) + 1))
     ra = rb + q
     force_shared = bool(rng.random() < 0.25)
-    if force_perp is None:
-        force_perp = bool(rng.random() < 0.25)
+    force_perp = bool(rng.random() < 0.25)
 
     shared = 0
     if force_shared:
@@ -72,13 +69,3 @@ def sample_spans(rng: np.random.Generator, *, q: int | None = None,
         meta = {"n": n, "ra": ra, "rb": rb, "q": q, "shared": shared, "perp": perp}
         return a_rows, b_rows, meta
     raise RuntimeError("failed to draw an independent spanning set")
-
-
-def random_problem_document(rng: np.random.Generator) -> dict:
-    """A random problem of sample_spans in the CLI's input-document form."""
-    a_rows, b_rows, _meta = sample_spans(rng)
-    return {
-        "n": int(a_rows.shape[1]),
-        "A": [[float(x) for x in row] for row in a_rows],
-        "B": [[float(x) for x in row] for row in b_rows],
-    }

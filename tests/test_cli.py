@@ -19,7 +19,7 @@ from subspace_angles.cli import (
 from subspace_angles.errors import ProblemFormatError
 from subspace_angles.ga import name_from_mask
 from subspace_angles.problems import parse_problem
-from subspace_angles.sampling import random_problem_document
+from subspace_angles.sampling import sample_spans
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,6 +91,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "AmbiguousRankError: report breaks its invariants" in captured.err
+
+    def test_planes_that_do_not_fit_the_grades(self, tmp_path, monkeypatch, capsys):
+        # each plane found twice: two planes for blades of grade 1, refused with exit 4
+        planes = engine._planes
+        monkeypatch.setattr(engine, "_planes", lambda k, floor: 2 * planes(k, floor))
+        path = tmp_path / "lines.json"
+        path.write_text('{"n": 2, "A": [[1, 0]], "B": [[1, 1]]}')
+        assert main(["run", str(path)]) == EXIT_AMBIGUOUS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "AmbiguousRankError: 2 principal planes and 0 reversed directions " \
+               "do not fit blades of grades 1 and 1" in captured.err
 
     def test_other_computation_error(self, tmp_path, capsys):
         # a conformal point has no Euclidean direction part
@@ -277,6 +289,13 @@ class TestFormatsAndModes:
         assert "90.000000" in out
         assert "oracle max deviation" in out
 
+    def test_unknown_mode_names_the_parsers_modes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(DATA / "perpendicular_planes.json"), "--mode", "spherical"])
+        assert exc.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and all(mode in err for mode in problems.MODES)
+
     def test_text_format_lists_planes(self, tmp_path, capsys):
         path = tmp_path / "tilted.json"
         path.write_text('{"n": 3, "A": [[1, 0, 0], [0, 1, 0]], "B": [[0.8, 0, 0.6], [0, 1, 0]]}')
@@ -377,7 +396,8 @@ class TestRandomProblemDocuments:
     def test_generated_file_runs_with_small_deviation(self, tmp_path, capsys):
         rng = np.random.default_rng(99)
         for i in range(5):
-            doc = random_problem_document(rng)
+            a_rows, b_rows, _ = sample_spans(rng)
+            doc = {"n": a_rows.shape[1], "A": a_rows.tolist(), "B": b_rows.tolist()}
             path = tmp_path / f"random_{i}.json"
             path.write_text(json.dumps(doc))
             code = main(["run", str(path), "--oracle"])

@@ -147,6 +147,12 @@ class TestBivectorSplit:
     def test_zero_bivector(self):
         assert bivector_split(Multivector.zero(SIG3)) == []
 
+    def test_negative_plane_at_n2(self):
+        # the 2 x 2 shortcut: one plane, oriented so that its coefficient is positive
+        e1, e2 = basis_vectors(Signature(2))
+        [(beta, plane)] = bivector_split((e1 ^ e2) * -3.0)
+        assert beta == 3.0 and plane == (e1 ^ e2) * -1.0
+
     @staticmethod
     def _check_contract(f, parts):
         sig = f.sig
@@ -188,6 +194,39 @@ class TestBivectorSplit:
         assert len(parts) == 2
         assert parts[0][0] == pytest.approx(1e4, rel=1e-10)
         assert parts[1][0] == pytest.approx(1e-3, rel=1e-8)
+
+
+class TestPlanes:
+    """_planes gives (rate, x, y) with x, y orthonormal, k x = rate y and
+    k y = -rate x, rates above the floor and descending."""
+
+    @staticmethod
+    def check(k, planes):
+        rates = [rate for rate, _, _ in planes]
+        assert rates == sorted(rates, reverse=True) and min(rates) > SPLIT_FLOOR
+        for rate, x, y in planes:
+            assert np.allclose([x @ x, y @ y, x @ y], [1.0, 1.0, 0.0], rtol=0.0, atol=1e-14)
+            assert np.allclose(k @ x, rate * y, rtol=0.0, atol=1e-14)
+            assert np.allclose(k @ y, -rate * x, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("entry", [0.75, -0.75])
+    def test_two_by_two_shortcut(self, entry):
+        k = np.array([[0.0, -entry], [entry, 0.0]])
+        planes = engine._planes(k, SPLIT_FLOOR)
+        assert [(rate, x.tolist(), y.tolist()) for rate, x, y in planes] == \
+            [(0.75, [1.0, 0.0], [0.0, math.copysign(1.0, entry)])]
+        self.check(k, planes)
+
+    def test_eigh_path(self):
+        # rates 3, 2 and 2e-13 in a random frame of R^7: the last is under the floor
+        frame = np.linalg.qr(np.random.default_rng(12).standard_normal((7, 7)))[0]
+        k = np.zeros((7, 7))
+        for j, rate in enumerate((3.0, 2.0, 2e-13)):
+            u, w = frame[2 * j], frame[2 * j + 1]
+            k += rate * (np.outer(w, u) - np.outer(u, w))
+        planes = engine._planes(k, SPLIT_FLOOR)
+        assert np.allclose([rate for rate, _, _ in planes], [3.0, 2.0], rtol=0.0, atol=1e-14)
+        self.check(k, planes)
 
 
 class TestSplitEarlyExit:
@@ -364,9 +403,11 @@ class TestRelativeAngle:
             assert rep.t == int(np.sum(pairs.cosines <= 1e-9))
 
     def test_scalar_part_identity(self):
+        # the equal-grade draws among the first 150 of seed 40
         rng = np.random.default_rng(40)
-        for _ in range(60):
-            a_rows, b_rows, _ = sample_spans(rng, q=0)
+        draws = [draw for draw in (sample_spans(rng) for _ in range(150)) if draw[2]["q"] == 0]
+        assert len(draws) == 57
+        for a_rows, b_rows, _ in draws:
             a = blade_from_spanning_vectors(a_rows)
             b = blade_from_spanning_vectors(b_rows)
             pairs = principal_angles(orthonormal_basis(a_rows), orthonormal_basis(b_rows))
@@ -395,8 +436,11 @@ class TestGradeTolerance:
 
     @staticmethod
     def perpendicular_pair():
-        a_rows, b_rows, meta = sample_spans(np.random.default_rng(3), force_perp=True)
-        assert (meta["n"], meta["perp"]) == (7, 1)
+        # the first draw of seed 3 with one forced perpendicular direction
+        rng = np.random.default_rng(3)
+        a_rows, b_rows, meta = next(draw for draw in (sample_spans(rng) for _ in range(100))
+                                    if draw[2]["perp"] == 1)
+        assert (meta["n"], meta["perp"]) == (4, 1)
         return blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)
 
     def test_default_counts_the_right_angle(self):
@@ -422,6 +466,16 @@ class TestInvariantGuard:
         assert relative_angle(a, b).residual == 0.0
         monkeypatch.setattr(engine, "RESIDUAL_BOUND", -1.0)
         with pytest.raises(AmbiguousRankError, match=r"r=2, 2 angles, s=1, t=1, 0 planes"):
+            relative_angle(a, b)
+
+
+    def test_planes_that_do_not_fit_the_grades(self, monkeypatch):
+        # each plane found twice: two planes for blades of grade 1
+        planes = engine._planes
+        monkeypatch.setattr(engine, "_planes", lambda k, floor: 2 * planes(k, floor))
+        a, b = blade_of(E1), blade_of((E1 + E2) * SQ2)
+        with pytest.raises(AmbiguousRankError, match="2 principal planes and 0 reversed "
+                           "directions do not fit blades of grades 1 and 1"):
             relative_angle(a, b)
 
 

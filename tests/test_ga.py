@@ -13,7 +13,6 @@ from subspace_angles.ga import (
     _parity_masks,
     _signs,
     _vector_table,
-    basis_blade_product,
     basis_vectors,
     mask_from_name,
     name_from_mask,
@@ -51,6 +50,19 @@ def brute_force_basis_product(mask_a, mask_b, neg_mask):
     for i in out:
         mask |= 1 << i
     return mask, sign
+
+
+def basis_blade_product(mask_a, mask_b, sig):
+    """(result mask, sign) of e_a e_b: the sign counts the transpositions that
+    merge the two ascending index lists, times the metric factor of each
+    annihilated shared vector. The reference for ga._signs."""
+    swaps = 0
+    a = mask_a >> 1
+    while a:
+        swaps += (a & mask_b).bit_count()
+        a >>= 1
+    swaps += (mask_a & mask_b & sig.negative_mask).bit_count()
+    return mask_a ^ mask_b, (-1 if swaps & 1 else 1)
 
 
 class TestBasisBladeProduct:
