@@ -6,8 +6,8 @@ vanishes. Every Blade carries a frame: k orthonormal vectors whose
 geometric product is the unit blade, so the blade is its magnitude times
 that product; the frame is the blade's orthogonal factorization. A blade
 built from spanning vectors takes its frame from Gram-Schmidt, run on
-lists of Python floats: rows have at most 12 entries, where one NumPy
-call per projection costs more than its arithmetic; a blade
+lists of Python floats (rows have at most 12 entries, where one NumPy call
+per projection costs more than its arithmetic) with a second pass only where the first cancels; a blade
 read from a multivector takes it from one eigensolve of its projector,
 built from contraction_matrix, which also gives engine.bivector_split its
 matrix. The frame is not unique, only the reconstruction is contractual.
@@ -131,8 +131,9 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
 
 
 def _mgs(rows: list[np.ndarray]) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass, on lists of
-    floats (see the module docstring).
+    """Modified Gram-Schmidt on lists of floats, projecting a vector again only when its
+    first pass keeps less than half its squared norm: the DGKS test with eta = 1/sqrt(2)
+    (Daniel, Gragg, Kaufman & Stewart, 1976); twice is enough (Giraud, Langou & Rozloznik, 2005).
 
     Returns a (k, n) array of orthonormal rows q_j with q_j . v_j > 0;
     raises DegenerateSpanError when some vector is zero or its residual
@@ -156,13 +157,15 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
             for b in basis:
                 p = sum(map(mul, u, b))
                 u = [x - p * y for x, y in zip(u, b)]
-        squared = sum(map(mul, u, u))
-        res = math.sqrt(squared)
+            kept = sum(map(mul, u, u))
+            if kept >= 0.5 * squared:   # the pass did not cancel: no second one
+                break
+        res = math.sqrt(kept)
         if res < DEPENDENCE_TOL * original:
             raise DegenerateSpanError(
                 f"vector {len(basis)} is dependent (residual {res:.3e})"
             )
-        if squared < NORMAL_MIN:
+        if kept < NORMAL_MIN:
             raise ValueError(f"vector {len(basis)} underflows: its residual's squared norm "
                              "is below the normal range")
         basis.append([x / res for x in u])

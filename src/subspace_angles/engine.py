@@ -18,7 +18,9 @@ O in S's eigenbasis, where it is a diagonal block. One Hermitian
 eigensolve of the block's antisymmetric part (_planes) splits the
 cluster into planes and gives each plane's rate, sin 2 theta, and its
 oriented orthonormal pair (x, y); cos 2 theta is the mean of the
-block's diagonal entries on x and y. It takes every angle as
+block's diagonal entries on x and y. A 2-dim cluster needs no eigensolve:
+its one rate is |K[1, 0]| for the block's antisymmetric part K, and its
+pair the cluster's basis (_plane_2x2). It takes every angle as
 theta = atan2(sin 2 theta, cos 2 theta) / 2, which is as accurate near 0
 as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
 s and t count the angles by the oracle's per-angle rule, and M is never
@@ -45,7 +47,7 @@ import numpy as np
 
 from .blades import BLADE_TOL, Blade, _factor, contraction_matrix
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, _parity_masks, _wedge_coeffs, vector_product
+from .ga import Multivector, _grade_masks, _parity_masks, _wedge_coeffs, _wedge_table, vector_product
 
 # A principal angle counts as zero when its cosine is >= 1 - this value and
 # as right when its cosine is <= this value; the rule of oracle.rank_counts,
@@ -116,13 +118,12 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.nda
     |x| = |y|, and eigenvectors of one repeated eigenvalue give mutually
     orthogonal planes, so coinciding rates need no further care. Rates
     are bounded by |k|_F / sqrt(2), which decides most calls without the
-    eigh, and a 2 x 2 array above the floor is one plane, read off k[1, 0].
+    eigh, and a 2 x 2 array is read by _plane_2x2.
     """
+    if k.shape[0] == 2:
+        return _plane_2x2(float(k[1, 0]), floor, np.eye(2))
     if float(np.sum(k * k)) <= 2.0 * floor * floor:
         return []
-    if k.shape[0] == 2:
-        rate = float(k[1, 0])
-        return [(abs(rate), np.array([1.0, 0.0]), np.array([0.0, math.copysign(1.0, rate)]))]
     w, z = np.linalg.eigh(1j * k)
     out = []
     for j in np.flatnonzero(w > floor)[::-1]:
@@ -133,10 +134,23 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.nda
     return out
 
 
-def _unit_wedge(sig, rows) -> np.ndarray:
-    """Coefficients of rows[0] ^ ... ^ rows[k-1], scaled to unit coefficient norm."""
-    c = _wedge_coeffs(sig, rows)
-    return c / math.sqrt(np.dot(c, c))
+def _plane_2x2(k10: float, floor: float, basis: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """_planes of the 2 x 2 antisymmetric [[0, -k10], [k10, 0]], x and y mapped through basis."""
+    if abs(k10) <= floor:
+        return []
+    return [(abs(k10), basis[:, 0].copy(), math.copysign(1.0, k10) * basis[:, 1])]
+
+
+def _unit_planes(sig, pairs) -> list[Multivector]:
+    """Unit x ^ y per pair (x, y), with ga._wedge_coeffs' bytes, from one step of _wedge_table(n, 1)."""
+    if not pairs:
+        return []
+    x, y = (np.array([pair[j] for pair in pairs]) for j in (0, 1))
+    src, bits, sign = _wedge_table(sig.n, 1)
+    terms = sign * (x.take(src, axis=1) * y.take(bits, axis=1))
+    c = np.zeros((len(pairs), sig.size))
+    c[:, _grade_masks(sig.n, 2)] = terms[:, 0] + 0.0 + terms[:, 1]
+    return [Multivector(sig, row / math.sqrt(np.dot(row, row)), _copy=False) for row in c]
 
 
 def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
@@ -150,7 +164,8 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     Hermitian eigh (_planes): beta_k is the rate of plane k and, as the
     matrix takes x to beta_k y for its pair (x, y), i_k = unit(y ^ x).
     Coefficients at or below SPLIT_FLOOR times the largest entry are
-    dropped. The split is unique only for distinct coefficients; for
+    dropped; the eigensolve reads f over a power of two, so c f splits into
+    (c beta_k, i_k) at any scale. The split is unique only for distinct coefficients; for
     coinciding ones any orthogonal choice inside the eigenspace is returned.
     """
     if f.grades(tol=0.0) not in ([], [2]):
@@ -158,15 +173,16 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     if not f.sig.is_euclidean:
         raise NonEuclideanError("bivector split implemented for Euclidean signature")
     mat = 0.0 - contraction_matrix(f, 2)
-    floor = SPLIT_FLOOR * max(1.0, float(np.max(np.abs(mat))))
-    return [(rate, Multivector(f.sig, _unit_wedge(f.sig, (y, x)), _copy=False))
-            for rate, x, y in _planes(mat, floor)]
+    peak, e = math.frexp(float(np.max(np.abs(mat))))
+    planes = _planes(np.ldexp(mat, -e), SPLIT_FLOOR * peak)
+    return list(zip([math.ldexp(rate, e) for rate, _, _ in planes],
+                    _unit_planes(f.sig, [(y, x) for _, x, y in planes])))
 
 
-def _clusters(w: np.ndarray) -> list[range]:
+def _clusters(w: list[float]) -> list[range]:
     """Index ranges of the runs of the ascending values w whose neighbours
     lie within EQUAL_ANGLE_TOL."""
-    cuts = [0, *(np.flatnonzero(np.diff(w) > EQUAL_ANGLE_TOL) + 1).tolist(), w.size]
+    cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > EQUAL_ANGLE_TOL), len(w)]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
@@ -198,15 +214,21 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
     o = (2.0 * (a.frame.T @ a.frame) - eye) @ (2.0 * (b.frame.T @ b.frame) - eye)
     w, v = np.linalg.eigh(0.5 * (o + o.T))
     rot = v.T @ o @ v   # O in S's eigenbasis: a cluster's block and basis are views
+    skew = 0.5 * (rot - rot.T)
     interior = []   # (theta, (x, y)) of each principal plane
     flipped = []    # directions O sends to their negatives: L's
-    for cluster in _clusters(w):
+    for cluster in _clusters(w.tolist()):
         lo, hi = cluster.start, cluster.stop
         basis, block = v[:, lo:hi], rot[lo:hi, lo:hi]
-        local = _planes(0.5 * (block - block.T), SPLIT_FLOOR)
-        for rate, x, y in local:    # O turns -y toward x: the plane is x ^ -y
-            cos = 0.5 * float(x @ (block @ x) + y @ (block @ y))
-            interior.append((0.5 * math.atan2(rate, cos), (basis @ x, -(basis @ y))))
+        if hi - lo == 2:
+            local = _plane_2x2(float(skew[lo + 1, lo]), SPLIT_FLOOR, basis)
+            found = [(rate, block[0, 0] + block[1, 1], x, y) for rate, x, y in local]
+        else:
+            local = _planes(skew[lo:hi, lo:hi], SPLIT_FLOOR) if hi - lo > 2 else []
+            found = [(rate, x @ (block @ x) + y @ (block @ y), basis @ x, basis @ y)
+                     for rate, x, y in local]
+        # trace: of the block on the plane, 2 cos 2 theta; O turns -y toward x: the plane is x ^ -y
+        interior += [(0.5 * math.atan2(rate, 0.5 * trace), (x, -y)) for rate, trace, x, y in found]
         # O negates the directions of a cos 2 theta < 0 cluster outside its
         # planes: none when the planes fill it, so the QR runs only when they don't
         if w[lo] < 0.0 and 2 * len(local) < hi - lo:
@@ -224,11 +246,12 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
 
     interior.sort(key=lambda pair: -pair[0])
     thetas = [theta for theta, _ in interior]
-    planes = tuple(Multivector(sig, _unit_wedge(sig, pair), _copy=False) for _, pair in interior)
+    planes = tuple(_unit_planes(sig, [pair for _, pair in interior]))
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
 
     if flipped:
-        lowest = _unit_wedge(sig, flipped)
+        lowest = _wedge_coeffs(sig, flipped)
+        lowest /= math.sqrt(np.dot(lowest, lowest))
     else:
         lowest = np.zeros(sig.size)
         lowest[0] = 1.0

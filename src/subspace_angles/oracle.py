@@ -162,10 +162,10 @@ def _jacobi_onesided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """One-sided Jacobi SVD of m (rows >= cols): m = u @ diag(s) @ v.T."""
     rows, cols = m.shape
     a = m.T.tolist()
+    floor = 1e-14 * max(max(max(map(abs, c)) for c in a), 1e-300)
     v = [[float(r == c) for r in range(cols)] for c in range(cols)]
     _jacobi(a, v)
     s = [math.sqrt(_dot(c, c)) for c in a]
-    floor = 1e-14 * max(float(np.max(np.abs(m))), 1e-300)
     u = [[x / sj for x in c] if sj > floor else None for c, sj in zip(a, s)]
     # complete near-null columns of u to an orthonormal set: the unit vector
     # that keeps the most of its length after projecting out the others
@@ -196,9 +196,11 @@ def svd_small(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD of a small matrix: matrix ~= U @ diag(s) @ V.T.
 
     U is (rows x k), V is (cols x k) with k = min(rows, cols); both have
-    orthonormal columns, s is descending and nonnegative.
+    orthonormal columns, s is descending and nonnegative; a non-finite entry raises ValueError.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
     if m.shape[0] >= m.shape[1]:
         return _jacobi_onesided(m)
     u, s, v = _jacobi_onesided(m.T)
@@ -211,19 +213,21 @@ def principal_angles(basis_a, basis_b) -> PrincipalPairs:
     The SVD of the mutual inner-product matrix yields min(ra, rb) pairs.
     The cluster of angles near zero (sigma > SINE_ROUTE_SIGMA) takes its
     angles from sines instead: the singular values of the cluster's b_k with
-    span(A) projected out, which are well conditioned where acos is not.
+    span(A) projected out, well conditioned where acos is not; a non-finite entry raises ValueError.
     """
     qa = np.atleast_2d(np.asarray(basis_a, dtype=float))
     qb = np.atleast_2d(np.asarray(basis_b, dtype=float))
     if qa.size == 0 or qb.size == 0:
         raise DegenerateSpanError("empty basis")
+    if not (np.isfinite(qa).all() and np.isfinite(qb).all()):
+        raise ValueError("basis has a non-finite entry")
     m = qa @ qb.T
     u, s, v = svd_small(m)
-    s = np.clip(s, 0.0, 1.0)
+    cosines = [min(max(c, 0.0), 1.0) for c in s.tolist()]
     a_vecs = u.T @ qa
     b_vecs = v.T @ qb
-    angles = np.array([math.acos(c) for c in s.tolist()])
-    near = int(np.count_nonzero(s > SINE_ROUTE_SIGMA))
+    angles = np.array([math.acos(c) for c in cosines])
+    near = sum(c > SINE_ROUTE_SIGMA for c in cosines)
     if near:
         resid = b_vecs[:near] - (b_vecs[:near] @ qa.T) @ qa
         columns = resid.tolist()
@@ -231,7 +235,7 @@ def principal_angles(basis_a, basis_b) -> PrincipalPairs:
         # sines ascending pair with cosines descending
         for k, sine in enumerate(sorted(math.sqrt(_dot(c, c)) for c in columns)):
             angles[k] = math.asin(min(1.0, sine))
-    return PrincipalPairs(cosines=s, angles=angles, a_vectors=a_vecs, b_vectors=b_vecs)
+    return PrincipalPairs(cosines=np.array(cosines), angles=angles, a_vectors=a_vecs, b_vectors=b_vecs)
 
 
 def rank_counts(pairs: PrincipalPairs) -> tuple[int, int]:

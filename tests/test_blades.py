@@ -121,7 +121,9 @@ ROUTES = {"blades": (lambda rows: blade_from_spanning_vectors(rows).frame, blade
 class TestGramSchmidt:
     """Both Gram-Schmidt loops run on lists of floats. Each agrees with the NumPy
     loop it replaced within COND * EPS per entry, the first-order sensitivity of
-    Q to rounding in rows of condition <= COND, and keeps DEPENDENCE_TOL's edge."""
+    Q to rounding in rows of condition <= COND, and keeps DEPENDENCE_TOL's edge.
+    The oracle's makes its second pass on every vector, the engine's only where
+    the first cancels (DGKS)."""
 
     COND = 1e3
 
@@ -135,6 +137,14 @@ class TestGramSchmidt:
                     assert np.max(np.abs(q - mgs2_reference(rows))) <= self.COND * EPS
                     assert np.max(np.abs(q @ q.T - np.eye(k))) <= 8 * EPS
                     assert np.all(np.einsum("ij,ij->i", q, rows) > 0.0)
+
+    def test_orthonormal_at_condition_1e8(self, route):
+        # the first pass cancels here (one pass alone leaves q q^T - I near 1e8 eps)
+        rng = np.random.default_rng(8)
+        for n in range(2, 13):
+            for k in range(2, n + 1):
+                q = ROUTES[route][0](conditioned_span(rng, k, n, 1e8))
+                assert np.max(np.abs(q @ q.T - np.eye(k))) <= 8 * EPS
 
     @pytest.mark.parametrize("n, k", [(2, 2), (6, 3), (12, 6)])
     def test_dependence_edge(self, route, n, k):
@@ -159,6 +169,22 @@ class TestGramSchmidt:
     def test_zero_vector_is_degenerate(self, route):
         with pytest.raises(DegenerateSpanError, match="zero vector"):
             ROUTES[route][0]([[1, 0, 0], [0.0, -0.0, 0.0]])
+
+
+def test_second_pass_only_where_the_first_cancels(monkeypatch):
+    # the last row's first pass keeps 0.49 or 0.51 of its squared norm: the engine
+    # projects it and takes its squared norm once more (2 n products) only at 0.49
+    rng = np.random.default_rng(5)
+    n, counts = 5, {}
+    frame = orthogonal(rng, n)
+    for kept in (0.49, 0.51):
+        calls = []
+        monkeypatch.setattr(blades, "mul", lambda x, y: calls.append(1) or x * y)
+        last = math.sqrt(1.0 - kept) * frame[0] + math.sqrt(kept) * frame[1]
+        q = blades._mgs([frame[0], last])
+        counts[kept] = len(calls)
+        assert np.max(np.abs(q @ q.T - np.eye(2))) <= 8 * EPS
+    assert counts[0.49] - counts[0.51] == 2 * n
 
 
 class TestOverflow:

@@ -196,6 +196,25 @@ class TestBivectorSplit:
         assert parts[1][0] == pytest.approx(1e-3, rel=1e-8)
 
 
+    @pytest.mark.parametrize("c", [1e-13, 1e-100, 1e100, 1e200])
+    def test_split_is_scale_free(self, c):
+        # c f splits into (c beta_k, i_k): once 1e-13 f split into nothing under an absolute
+        # floor of 1e-12, and the squared entries of 1e200 f overflowed
+        rng = np.random.default_rng(9)
+        sig = Signature(6)
+        frame = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        vec = [Multivector.vector(sig, row) for row in frame]
+        e = basis_vectors(sig)
+        for f, planes in (((e[0] ^ e[1]) + (e[2] ^ e[3]) * 0.5, 2),
+                          ((vec[0] ^ vec[1]) * 0.9 + (vec[2] ^ vec[3]) * 0.4 + (vec[4] ^ vec[5]) * 0.1, 3)):
+            want = bivector_split(f)
+            got = bivector_split(f * c)
+            assert len(got) == len(want) == planes
+            for (beta_c, plane_c), (beta, plane) in zip(got, want):
+                assert beta_c / c == pytest.approx(beta, rel=1e-14)
+                assert np.max(np.abs(plane_c.coeffs - plane.coeffs)) <= 1e-14
+
+
 class TestPlanes:
     """_planes gives (rate, x, y) with x, y orthonormal, k x = rate y and
     k y = -rate x, rates above the floor and descending."""
@@ -227,6 +246,43 @@ class TestPlanes:
         planes = engine._planes(k, SPLIT_FLOOR)
         assert np.allclose([rate for rate, _, _ in planes], [3.0, 2.0], rtol=0.0, atol=1e-14)
         self.check(k, planes)
+
+
+    def test_closed_form_matches_the_eigensolve(self):
+        # a 2-dim cluster of O: _plane_2x2 against _planes' eigh path, which a zero third row
+        # and column forces; each plane in R^n through a random orthonormal basis
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            sig = Signature(n)
+            basis = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+            theta = rng.uniform(1e-6, math.pi / 2 - 1e-6)
+            cos, sin = math.cos(2.0 * theta), math.sin(2.0 * theta)
+            block = np.array([[cos, -sin], [sin, cos]]) + np.diag(rng.uniform(-1e-9, 1e-9, 2))
+            skew = 0.5 * (block - block.T)
+            [(rate, x, y)] = engine._plane_2x2(float(skew[1, 0]), SPLIT_FLOOR, basis)
+            padded = np.zeros((3, 3))
+            padded[:2, :2] = skew
+            [(rate_e, x_e, y_e)] = engine._planes(padded, SPLIT_FLOOR)
+            x_e, y_e = x_e[:2], y_e[:2]
+            trace_e = x_e @ (block @ x_e) + y_e @ (block @ y_e)    # 2 cos 2 theta
+            assert rate == pytest.approx(rate_e, rel=0.0, abs=4e-16)
+            assert 0.5 * math.atan2(rate, 0.5 * (block[0, 0] + block[1, 1])) == \
+                pytest.approx(0.5 * math.atan2(rate_e, 0.5 * trace_e), rel=0.0, abs=4e-16)
+            plane, plane_e = engine._unit_planes(sig, [(x, -y), (basis @ x_e, -(basis @ y_e))])
+            assert np.max(np.abs(plane.coeffs - plane_e.coeffs)) <= 1e-15
+
+
+def test_batched_plane_wedges_have_the_bytes_of_one_wedge_each():
+    # the reference: each plane's wedge alone, scaled by its coefficient norm
+    rng = np.random.default_rng(26)
+    for n in range(2, 13):
+        sig = Signature(n)
+        pairs = [tuple(rng.standard_normal((2, n))) for _ in range(int(rng.integers(1, 7)))]
+        for plane, pair in zip(engine._unit_planes(sig, pairs), pairs, strict=True):
+            c = wedge_vectors(sig, pair).coeffs
+            assert plane.coeffs.tobytes() == (c / math.sqrt(np.dot(c, c))).tobytes()
+    assert engine._unit_planes(SIG3, []) == []
 
 
 class TestSplitEarlyExit:
@@ -470,9 +526,10 @@ class TestInvariantGuard:
 
 
     def test_planes_that_do_not_fit_the_grades(self, monkeypatch):
-        # each plane found twice: two planes for blades of grade 1
-        planes = engine._planes
-        monkeypatch.setattr(engine, "_planes", lambda k, floor: 2 * planes(k, floor))
+        # each plane found twice: two planes for blades of grade 1, whose one
+        # cluster is 2-dim, read by _plane_2x2
+        plane = engine._plane_2x2
+        monkeypatch.setattr(engine, "_plane_2x2", lambda *args: 2 * plane(*args))
         a, b = blade_of(E1), blade_of((E1 + E2) * SQ2)
         with pytest.raises(AmbiguousRankError, match="2 principal planes and 0 reversed "
                            "directions do not fit blades of grades 1 and 1"):

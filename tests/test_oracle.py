@@ -147,6 +147,11 @@ class TestSvdSmall:
         rng = np.random.default_rng(22)
         self._check(rng.uniform(-1, 1, (2, 5)))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises(self, entry):
+        with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+            svd_small([[1.0, 0.0], [0.0, entry]])
+
     def test_rotations_stop_at_the_rounding_floor(self):
         # every pair the loop returns meets its own rule: the loop ended by
         # converging, within 8 sweeps, not at MAX_SWEEPS
@@ -176,6 +181,13 @@ class TestSvdSmall:
 
 
 class TestPrincipalAngles:
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_basis_raises(self, entry):
+        # once [nan] after Jacobi had run to MAX_SWEEPS
+        for a, b in (([[entry, 0, 0]], [[1, 0, 0]]), ([[1, 0, 0]], [[0, 1, 0], [0, 0, entry]])):
+            with pytest.raises(ValueError, match="basis has a non-finite entry"):
+                principal_angles(a, b)
+
     def test_line_pair_45_degrees(self):
         pairs = principal_angles([[1, 0]], [[SQ2, SQ2]])
         assert pairs.cosines[0] == pytest.approx(SQ2, abs=1e-12)

@@ -136,5 +136,7 @@ def test_report_digest_truth():
         assert int(fields["unexplained"]) == 0
         assert float(fields["engine_err"]) <= 1e-8
         assert float(fields["oracle_err"]) <= 1e-12
+        for route in ("engine", "oracle"):    # a root mean square is at most the maximum
+            assert 0.0 < float(fields[f"{route}_rms"]) <= float(fields[f"{route}_err"])
         assert float(fields["residual_max"]) <= 1e-6
 

@@ -40,7 +40,9 @@ residuals double gives:
 `Tally` of perfbench/run.py (imported, never changed), and the row gives
 the pairs attempted and failed, the failures by reason, how many lack the
 form of a known defect ("unexplained"), the worst engine and oracle
-error against the truth and the worst rotor residual.  cli_batch runs its
+error against the truth, their root-mean-square error over every angle
+matched to the truth (which, unlike a maximum, ranks two versions that
+differ by rounding) and the worst rotor residual.  cli_batch runs its
 problem files in-process, without the selftest, whose cases have no
 known truth.  The exit status is 1 when any failure is unexplained.
 """
@@ -244,17 +246,22 @@ def truth(src: str, workloads, seeds) -> int:
     for workload in workloads:
         for seed in seeds:
             tally, residual = harness.Tally(), 0.0
+            squares = {"engine": [], "oracle": []}     # squared errors of the matched angles
             for pair, got in truth_reports(harness, inputs, sa, workload, seed):
                 if isinstance(got, Exception):
                     tally.raised(pair, got)
-                else:
-                    residual = max(residual, float(got[4]))
-                    tally.check(pair, *got[:4], float(got[4]))
+                    continue
+                residual = max(residual, float(got[4]))
+                tally.check(pair, *got[:4], float(got[4]))
+                for route, angles in (("engine", got[0]), ("oracle", got[3])):
+                    squares[route] += [(g - t) ** 2 for _, t, g in harness.matched(angles, pair) or ()]
+            rms = {route: math.sqrt(math.fsum(sq) / len(sq)) if sq else 0.0 for route, sq in squares.items()}
             unexplained += tally.unexplained
             reasons = ", ".join(f"{k}: {v}" for k, v in tally.reasons.most_common()) or "-"
             print(f"{workload} {seed} attempted={tally.attempted} failed={tally.failed} "
                   f"unexplained={tally.unexplained} engine_err={tally.engine_err:.3g} "
-                  f"oracle_err={tally.oracle_err:.3g} residual_max={residual:.3g} "
+                  f"engine_rms={rms['engine']:.3g} oracle_err={tally.oracle_err:.3g} "
+                  f"oracle_rms={rms['oracle']:.3g} residual_max={residual:.3g} "
                   f"reasons: {reasons}")
     return 1 if unexplained else 0
 
