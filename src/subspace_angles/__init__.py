@@ -20,7 +20,6 @@ from .errors import (
     CarrierError,
     DegenerateSpanError,
     GaError,
-    NegativeSquareError,
     NonEuclideanError,
     NotABladeError,
     ProblemFormatError,
@@ -41,7 +40,6 @@ __all__ = [
     "DegenerateSpanError",
     "GaError",
     "Multivector",
-    "NegativeSquareError",
     "NonEuclideanError",
     "NotABladeError",
     "PrincipalPairs",

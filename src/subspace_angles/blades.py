@@ -9,7 +9,7 @@ built from spanning vectors takes its frame from Gram-Schmidt, run on
 lists of Python floats (rows have at most 12 entries, where one NumPy call
 per projection costs more than its arithmetic) with a second pass only where the first cancels; a blade
 read from a multivector takes it from one eigensolve of its projector,
-built from contraction_matrix, which also gives engine.bivector_split its
+built from ga.contraction_matrix, which also gives engine.bivector_split its
 matrix. The frame is not unique, only the reconstruction is contractual.
 pure_blade, one grade-and-factor test that reads no metric, also
 validates conformal objects.
@@ -25,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from .errors import DegenerateSpanError, NonEuclideanError, NotABladeError
-from .ga import Multivector, Signature, _grade_masks, _wedge_table, wedge_vectors
+from .ga import Multivector, Signature, contraction_matrix, wedge_vectors
 
 # A spanning vector is dependent when its Gram-Schmidt residual drops
 # below this fraction of its original norm.
@@ -170,19 +170,6 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
                              "is below the normal range")
         basis.append([x / res for x in u])
     return np.array(basis)
-
-
-def contraction_matrix(mv: Multivector, k: int) -> np.ndarray:
-    """C[i, S] = <e_i _| mv, e_S> up to one global sign, S over the ascending
-    grade-(k-1) masks: mv's grade-k coefficients scattered through
-    ga._wedge_table. For k = 2, C[j, i] = f_ij = -C[i, j] with f_ij the
-    coefficient of e_i ^ e_j, i < j.
-    """
-    n = mv.sig.n
-    src, bits, sign = _wedge_table(n, k - 1)
-    c = np.zeros((n, _grade_masks(n, k - 1).size))
-    c[bits, src] = sign * mv.coeffs[_grade_masks(n, k)]
-    return c
 
 
 def _factor(mv: Multivector, k: int, tol: float) -> np.ndarray:

@@ -35,7 +35,8 @@ intermediate of the chain have one parity, and the chain runs on the
 2^(n-1) coefficients of that parity: n 2^(n-1) terms per product.
 The self-check runs on coefficient arrays: unit(A), unit(B), the carried
 chain, its sign test and its residual are plain 2^n arrays, and the only
-Multivectors a report makes are its planes and its lowest blade.
+Multivectors a report makes are its planes and its lowest blade, each the
+wedge of its orthonormal rows over its coefficient norm (_unit_wedge).
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blades import BLADE_TOL, Blade, _factor, contraction_matrix
+from .blades import BLADE_TOL, Blade, _factor
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, _grade_masks, _parity_masks, _wedge_coeffs, _wedge_table, vector_product
+from .ga import Multivector, _parity_masks, _wedge_coeffs, contraction_matrix, vector_product
 
 # A principal angle counts as zero when its cosine is >= 1 - this value and
 # as right when its cosine is <= this value; the rule of oracle.rank_counts,
@@ -141,16 +142,10 @@ def _plane_2x2(k10: float, floor: float, basis: np.ndarray) -> list[tuple[float,
     return [(abs(k10), basis[:, 0].copy(), math.copysign(1.0, k10) * basis[:, 1])]
 
 
-def _unit_planes(sig, pairs) -> list[Multivector]:
-    """Unit x ^ y per pair (x, y), with ga._wedge_coeffs' bytes, from one step of _wedge_table(n, 1)."""
-    if not pairs:
-        return []
-    x, y = (np.array([pair[j] for pair in pairs]) for j in (0, 1))
-    src, bits, sign = _wedge_table(sig.n, 1)
-    terms = sign * (x.take(src, axis=1) * y.take(bits, axis=1))
-    c = np.zeros((len(pairs), sig.size))
-    c[:, _grade_masks(sig.n, 2)] = terms[:, 0] + 0.0 + terms[:, 1]
-    return [Multivector(sig, row / math.sqrt(np.dot(row, row)), _copy=False) for row in c]
+def _unit_wedge(sig, rows) -> np.ndarray:
+    """Coefficients of the wedge of rows over its coefficient norm: a plane, a split part or L."""
+    c = _wedge_coeffs(sig, rows)
+    return c / math.sqrt(np.dot(c, c))
 
 
 def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
@@ -175,8 +170,8 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     mat = 0.0 - contraction_matrix(f, 2)
     peak, e = math.frexp(float(np.max(np.abs(mat))))
     planes = _planes(np.ldexp(mat, -e), SPLIT_FLOOR * peak)
-    return list(zip([math.ldexp(rate, e) for rate, _, _ in planes],
-                    _unit_planes(f.sig, [(y, x) for _, x, y in planes])))
+    return [(math.ldexp(rate, e), Multivector(f.sig, _unit_wedge(f.sig, (y, x)), _copy=False))
+            for rate, x, y in planes]
 
 
 def _clusters(w: list[float]) -> list[range]:
@@ -246,15 +241,10 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
 
     interior.sort(key=lambda pair: -pair[0])
     thetas = [theta for theta, _ in interior]
-    planes = tuple(_unit_planes(sig, [pair for _, pair in interior]))
+    planes = tuple(Multivector(sig, _unit_wedge(sig, pair), _copy=False) for _, pair in interior)
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
 
-    if flipped:
-        lowest = _wedge_coeffs(sig, flipped)
-        lowest /= math.sqrt(np.dot(lowest, lowest))
-    else:
-        lowest = np.zeros(sig.size)
-        lowest[0] = 1.0
+    lowest = _unit_wedge(sig, flipped) if flipped else np.eye(1, sig.size)[0]   # L = 1: nothing flipped
     unit_a = a.mv.coeffs / a.magnitude
     carried = _rotor_chain(sig, thetas, [pair for _, pair in interior], flipped,
                            b.mv.coeffs / b.magnitude, r & 1)

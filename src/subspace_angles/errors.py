@@ -9,14 +9,6 @@ class SignatureMismatchError(GaError):
     """Operands live in different algebras."""
 
 
-class NegativeSquareError(GaError):
-    """Norm requested for an element whose squared norm is negative.
-
-    Possible in Cl(p,q) with q > 0; reported explicitly instead of
-    returning NaN.
-    """
-
-
 class NotABladeError(GaError):
     """Multivector is not a simple k-vector."""
 

@@ -11,13 +11,12 @@ so they are safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NegativeSquareError, SignatureMismatchError
+from .errors import SignatureMismatchError
 
 MAX_DIMENSION = 12
 
@@ -70,19 +69,6 @@ def _reverse_signs(n: int) -> np.ndarray:
     """(-1)^(k(k-1)/2) per mask, k the mask grade."""
     g = _grades(n)
     s = np.where((g * (g - 1) // 2) % 2 == 1, -1.0, 1.0)
-    s.setflags(write=False)
-    return s
-
-
-@lru_cache(maxsize=None)
-def _metric_signs(sig: Signature) -> np.ndarray:
-    """(-1)^(number of negative-square vectors in the mask).
-
-    Equals the scalar of e_M reverse(e_M), so norm_squared is a plain
-    signed sum of squared coefficients.
-    """
-    masks = np.arange(sig.size, dtype=np.int64)
-    s = _parity_signs()[masks & sig.negative_mask]
     s.setflags(write=False)
     return s
 
@@ -210,10 +196,10 @@ def _wedge_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def wedge_vectors(sig: Signature, rows) -> Multivector:
     """rows[0] ^ rows[1] ^ ... ^ rows[k-1] for k vectors given by coordinates.
 
-    Gives the bytes of Multivector.vector for one row and of the iterated
-    Multivector.outer for more: each step adds the terms of every output
-    mask in the kernel's row-major order onto +0.0, one table row at a
-    time. Terms the kernel leaves out (a zero factor) are added as +-0.0,
+    Multivector.vector is its one-row case; for more rows it gives the
+    bytes of the iterated Multivector.outer: each step adds the terms of
+    every output mask in the kernel's row-major order onto +0.0, one table
+    row at a time. Terms the kernel leaves out (a zero factor) are added as +-0.0,
     which changes no byte. A non-finite intermediate always reaches the
     result, so overflow still raises from the constructor.
     """
@@ -234,6 +220,19 @@ def _wedge_coeffs(sig: Signature, rows) -> np.ndarray:
             acc += term
     c = np.zeros(sig.size)
     c[_grade_masks(sig.n, len(rows))] = acc
+    return c
+
+
+def contraction_matrix(mv: Multivector, k: int) -> np.ndarray:
+    """C[i, S] = <e_i _| mv, e_S> up to one global sign, S over the ascending
+    grade-(k-1) masks: mv's grade-k coefficients scattered through
+    _wedge_table. For k = 2, C[j, i] = f_ij = -C[i, j] with f_ij the
+    coefficient of e_i ^ e_j, i < j.
+    """
+    n = mv.sig.n
+    src, bits, sign = _wedge_table(n, k - 1)
+    c = np.zeros((n, _grade_masks(n, k - 1).size))
+    c[bits, src] = sign * mv.coeffs[_grade_masks(n, k)]
     return c
 
 
@@ -308,12 +307,7 @@ class Multivector:
 
     @classmethod
     def vector(cls, sig: Signature, coords) -> "Multivector":
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (sig.n,):
-            raise ValueError(f"need {sig.n} coordinates, got {coords.shape}")
-        c = np.zeros(sig.size)
-        c[_grade_masks(sig.n, 1)] = coords
-        return cls(sig, c, _copy=False)
+        return wedge_vectors(sig, [coords])
 
     @classmethod
     def basis_blade(cls, sig: Signature, blade, coeff: float = 1.0) -> "Multivector":
@@ -443,11 +437,11 @@ class Multivector:
         return self._product(other, keep=lambda a, b: (a & b) == a)
 
     def scalar_product(self, other: "Multivector") -> float:
-        """Scalar part of the geometric product, computed directly."""
+        """Scalar part of the geometric product, computed directly: e_a e_b
+        is a scalar only for a = b, with the sign _signs gives e_a e_a."""
         self._check_sig(other)
-        # e_M e_M = (-1)^(k(k-1)/2) * metric(M); fold both sign tables.
-        signs = _reverse_signs(self.sig.n) * _metric_signs(self.sig)
-        return float(np.dot(self.coeffs * signs, other.coeffs))
+        masks = np.arange(self.sig.size)
+        return float(np.dot(self.coeffs * _signs(masks, masks, self.sig), other.coeffs))
 
     # ---- involutions and grades ----------------------------------------
 
@@ -465,22 +459,6 @@ class Multivector:
     def graded_parts(self) -> dict[int, "Multivector"]:
         """Map grade -> pure-grade part; the parts sum back exactly."""
         return {k: self.grade(k) for k in self.grades()}
-
-    # ---- norms ----------------------------------------------------------
-
-    def norm_squared(self) -> float:
-        """Signed squared norm <a reverse(a)>_0."""
-        return float(np.dot(self.coeffs * self.coeffs, _metric_signs(self.sig)))
-
-    def norm(self) -> float:
-        """sqrt(<a reverse(a)>_0); raises on a negative square."""
-        ns = self.norm_squared()
-        if ns < 0.0:
-            scale = float(np.dot(self.coeffs, self.coeffs))
-            if ns < -1e-14 * max(scale, 1.0):
-                raise NegativeSquareError(f"squared norm is negative: {ns}")
-            ns = 0.0
-        return math.sqrt(ns)
 
     # ---- misc -----------------------------------------------------------
 

@@ -196,9 +196,12 @@ def svd_small(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD of a small matrix: matrix ~= U @ diag(s) @ V.T.
 
     U is (rows x k), V is (cols x k) with k = min(rows, cols); both have
-    orthonormal columns, s is descending and nonnegative; a non-finite entry raises ValueError.
+    orthonormal columns, s is descending and nonnegative; an empty matrix or a
+    non-finite entry raises ValueError.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if m.size == 0:
+        raise ValueError(f"matrix is empty, of shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
     if m.shape[0] >= m.shape[1]:

@@ -10,12 +10,11 @@ from subspace_angles import ga
 from subspace_angles.blades import (
     Blade,
     blade_from_spanning_vectors,
-    contraction_matrix,
     is_blade,
     subspace_membership,
 )
 from subspace_angles.errors import DegenerateSpanError, NonEuclideanError, NotABladeError
-from subspace_angles.ga import Multivector, Signature, basis_vectors, wedge_vectors
+from subspace_angles.ga import Multivector, Signature, basis_vectors, contraction_matrix, wedge_vectors
 from subspace_angles.oracle import orthonormal_basis
 from subspace_angles.problems import SubspaceProblem, run_problem
 

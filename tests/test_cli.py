@@ -141,7 +141,7 @@ class TestExitCodes:
         assert captured.err == f"{deep}: ProblemFormatError: arrays or objects nested too deeply to parse\n"
 
     def test_non_euclidean_signature(self, tmp_path, capsys):
-        # once exit 1 with a NegativeSquareError from the blade norm
+        # refused at parse, before any blade is built: blade frames are Euclidean
         bad = tmp_path / "minkowski.json"
         bad.write_text('{"n": 3, "signature": [2, 1], "A": [[0, 0, 1]], "B": [[0, 1, 0]]}')
         assert main(["run", str(bad)]) == EXIT_PARSE

@@ -129,13 +129,16 @@ class TestCarrier:
 
     def test_unit_divides_by_the_coefficient_norm(self):
         # the frame's wedge is part / part.coeff_norm(); unit() must carry those
-        # bytes, also where norm() rounds one ulp away from it
+        # bytes, also where the metric norm, sqrt(<part reverse(part)>_0) as a
+        # signed sum of squares, rounds one ulp away from it
         rng = np.random.default_rng(51)
+        metric = np.array([(e * e.reverse()).scalar_part() for e in
+                           (Multivector.basis_blade(ESIG, m) for m in range(ESIG.size))])
         apart = 0
         for _ in range(40):
             carrier = cf.euclidean_carrier(random_flat(rng, int(rng.integers(1, N + 1)))[0])
             part = carrier.mv
-            apart += part.norm() != part.coeff_norm()
+            apart += math.sqrt(np.dot(part.coeffs * part.coeffs, metric)) != part.coeff_norm()
             assert carrier.unit().coeffs.tobytes() == (part / part.coeff_norm()).coeffs.tobytes()
         assert apart > 0
 

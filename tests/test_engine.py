@@ -269,20 +269,20 @@ class TestPlanes:
             assert rate == pytest.approx(rate_e, rel=0.0, abs=4e-16)
             assert 0.5 * math.atan2(rate, 0.5 * (block[0, 0] + block[1, 1])) == \
                 pytest.approx(0.5 * math.atan2(rate_e, 0.5 * trace_e), rel=0.0, abs=4e-16)
-            plane, plane_e = engine._unit_planes(sig, [(x, -y), (basis @ x_e, -(basis @ y_e))])
-            assert np.max(np.abs(plane.coeffs - plane_e.coeffs)) <= 1e-15
+            plane, plane_e = (engine._unit_wedge(sig, pair) for pair in
+                              [(x, -y), (basis @ x_e, -(basis @ y_e))])
+            assert np.max(np.abs(plane - plane_e)) <= 1e-15
 
 
-def test_batched_plane_wedges_have_the_bytes_of_one_wedge_each():
-    # the reference: each plane's wedge alone, scaled by its coefficient norm
+def test_unit_wedge_has_the_bytes_of_one_wedge():
+    # the reference: each plane's wedge, scaled by its coefficient norm
     rng = np.random.default_rng(26)
     for n in range(2, 13):
         sig = Signature(n)
-        pairs = [tuple(rng.standard_normal((2, n))) for _ in range(int(rng.integers(1, 7)))]
-        for plane, pair in zip(engine._unit_planes(sig, pairs), pairs, strict=True):
+        for _ in range(int(rng.integers(1, 7))):
+            pair = tuple(rng.standard_normal((2, n)))
             c = wedge_vectors(sig, pair).coeffs
-            assert plane.coeffs.tobytes() == (c / math.sqrt(np.dot(c, c))).tobytes()
-    assert engine._unit_planes(SIG3, []) == []
+            assert engine._unit_wedge(sig, pair).tobytes() == (c / math.sqrt(np.dot(c, c))).tobytes()
 
 
 class TestSplitEarlyExit:

@@ -152,6 +152,11 @@ class TestSvdSmall:
         with pytest.raises(ValueError, match="matrix has a non-finite entry"):
             svd_small([[1.0, 0.0], [0.0, entry]])
 
+    @pytest.mark.parametrize("matrix", [[[]], [[], []]], ids=["1x0", "2x0"])
+    def test_empty_matrix_raises(self, matrix):
+        with pytest.raises(ValueError, match=r"matrix is empty, of shape \(\d, 0\)"):
+            svd_small(matrix)
+
     def test_rotations_stop_at_the_rounding_floor(self):
         # every pair the loop returns meets its own rule: the loop ended by
         # converging, within 8 sweeps, not at MAX_SWEEPS

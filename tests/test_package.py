@@ -16,6 +16,18 @@ def test_every_export_resolves():
     assert set(subspace_angles.__all__) <= set(namespace)
 
 
+def test_only_ga_reads_the_wedge_table():
+    # one owner of the table layout: every other module goes through ga's wedge and
+    # contraction routines
+    src = Path(subspace_angles.__file__).resolve().parent
+    for path in src.glob("*.py"):
+        if path.name != "ga.py":
+            text = path.read_text()
+            assert "_wedge_table" not in text and "_grade_masks" not in text, path.name
+    assert not hasattr(subspace_angles, "NegativeSquareError")
+    assert "NegativeSquareError" not in subspace_angles.__all__
+
+
 def run_digest(workloads, *srcs):
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "report_digest.py"),
                            "--workloads", *workloads, "--seeds", "1",
@@ -113,6 +125,18 @@ def test_report_digest_sees_the_frames(tmp_path):
     assert rows[1] == "  blades.frame: " + indices(0, pairs)
     assert rows[2].startswith("cli_batch 1 ") and row_fields(rows[2])["moved"] == "0"
     assert len(row_fields(rows[2])) == 2
+
+
+def test_report_digest_sees_the_scalar_product(tmp_path):
+    # a copy whose scalar product doubles moves <A reverse(B)>_0 and nothing else
+    src = Path(subspace_angles.__file__).resolve().parents[1]
+    doubled = edited_copy(tmp_path, "ga.py", "self.sig), other.coeffs))", "self.sig), other.coeffs)) * 2.0")
+    code, rows = run_digest(["wide_dense"], src, doubled)
+    assert code == 1 and rows[-1] == "no discrete field moved" and len(rows) == 3
+    fields = row_fields(rows[0])
+    pairs = int(fields.pop("pairs"))
+    assert fields.pop("moved") == "0" and list(fields) == ["scalar_product"]
+    assert rows[1].startswith("  scalar_product: ") and len(rows[1].split()) - 1 <= pairs
 
 
 def run_digest_truth(*args):

@@ -7,10 +7,12 @@ Run from the repository root:
     python3 tools/report_digest.py --truth --workloads corpus_small wide_dense --seeds 1 2 3
 
 The inputs are the benchmark's, from perfbench/inputs.py.  Per pair of
-corpus_small and wide_dense: both blades, the `relative_angle` report,
-`rotor_reconstruction(report, |A|, |B|)`, the oracle's principal pairs and
-the `bivector_split` of sum_j 2^-j (a_j ^ b_j) over the rows j < min(grades),
-whose distinct coefficients reach the eigensolve.  Per problem file of
+corpus_small and wide_dense: both blades, their scalar product
+<A reverse(B)>_0 (`a.mv.scalar_product(b.mv.reverse())`), the
+`relative_angle` report, `rotor_reconstruction(report, |A|, |B|)`, the
+oracle's principal pairs and the `bivector_split` of sum_j 2^-j (a_j ^ b_j)
+over the rows j < min(grades), whose distinct coefficients reach the
+eigensolve.  Per problem file of
 cli_batch: the `angles run --oracle` document, and as the last item the
 `angles selftest --seed <seed>` summary.  A raising call gives its exception.
 
@@ -126,8 +128,9 @@ def pair_bivector(sa, pair):
 
 def library_item(sa, pair) -> dict:
     blades = [attempt(sa.blade_from_spanning_vectors, rows) for rows in (pair.a_rows, pair.b_rows)]
-    item = {"blades": blades, "report": None, "rotor_reconstruction": None}
+    item = {"blades": blades, "scalar_product": None, "report": None, "rotor_reconstruction": None}
     if not any(isinstance(b, Exception) for b in blades):
+        item["scalar_product"] = attempt(lambda: blades[0].mv.scalar_product(blades[1].mv.reverse()))
         item["report"] = report = attempt(sa.relative_angle, *blades)
         if not isinstance(report, Exception):
             item["rotor_reconstruction"] = attempt(sa.rotor_reconstruction, report,
