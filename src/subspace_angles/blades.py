@@ -25,7 +25,7 @@ from operator import mul
 import numpy as np
 
 from .errors import DegenerateSpanError, NonEuclideanError, NotABladeError
-from .ga import Multivector, Signature, contraction_matrix, wedge_vectors
+from .ga import Multivector, Signature, contraction_matrix, euclidean_signature, wedge_vectors
 
 # A spanning vector is dependent when its Gram-Schmidt residual drops
 # below this fraction of its original norm.
@@ -54,7 +54,7 @@ class Blade:
     frame: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.magnitude):
+        if not math.isfinite(self.magnitude):
             raise ValueError("blade magnitude overflows: its squared norm is not finite")
         self.frame.setflags(write=False)
 
@@ -117,7 +117,7 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
         raise ValueError("expected a sequence of length-n vectors, one per row")
     n = rows[0].shape[0]
     if sig is None:
-        sig = Signature(n)
+        sig = euclidean_signature(n)
     if sig.n != n:
         raise ValueError(f"vectors of length {n} in Cl({sig.p},{sig.q})")
     if not sig.is_euclidean:

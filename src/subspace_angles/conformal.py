@@ -23,7 +23,7 @@ import numpy as np
 from .blades import Blade, pure_blade
 from .engine import AngleReport, relative_angle
 from .errors import CarrierError
-from .ga import Multivector, Signature
+from .ga import Multivector, Signature, euclidean_signature
 
 ROUND_TOL = 1e-10
 
@@ -72,7 +72,7 @@ def dual(x: Multivector) -> Multivector:
 def lift_euclidean(sig: Signature, mv: Multivector) -> Multivector:
     """Embed a Cl(n,0) element into the conformal algebra Cl(n+1,1)."""
     n = base_dimension(sig)
-    if mv.sig != Signature(n):
+    if mv.sig != euclidean_signature(n):
         raise ValueError("element does not match the conformal base space")
     coeffs = np.zeros(sig.size)
     coeffs[: mv.sig.size] = mv.coeffs
@@ -85,7 +85,7 @@ def embed_point(sig: Signature, x) -> Multivector:
     n = base_dimension(sig)
     if x.shape != (n,):
         raise ValueError(f"point must have {n} coordinates")
-    xe = lift_euclidean(sig, Multivector.vector(Signature(n), x))
+    xe = lift_euclidean(sig, Multivector.vector(euclidean_signature(n), x))
     return e_origin(sig) + xe + e_infinity(sig) * (0.5 * float(x @ x))
 
 
@@ -93,7 +93,7 @@ def translator(sig: Signature, t) -> Multivector:
     """Versor translating by the Euclidean vector t: 1 - (t e_inf)/2."""
     t = np.asarray(t, dtype=float)
     n = base_dimension(sig)
-    te = lift_euclidean(sig, Multivector.vector(Signature(n), t))
+    te = lift_euclidean(sig, Multivector.vector(euclidean_signature(n), t))
     return Multivector.scalar(sig, 1.0) - (te * e_infinity(sig)) * 0.5
 
 
@@ -151,7 +151,7 @@ def euclidean_carrier(x: ConformalObject) -> Blade:
     n = base_dimension(f.mv.sig)
     if f.mv.max_grade() < 3:
         raise CarrierError("object has no Euclidean direction part")
-    carrier = Multivector(Signature(n), 0.0 - f.mv.coeffs[3 << n:], _copy=False)  # never -0.0
+    carrier = Multivector(euclidean_signature(n), 0.0 - f.mv.coeffs[3 << n:], _copy=False)  # never -0.0
     if carrier.coeff_norm() == 0.0:
         raise CarrierError("carrier extraction yields zero")
     return Blade.from_multivector(carrier)

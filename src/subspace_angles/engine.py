@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.nda
     eigh, and a 2 x 2 array is read by _plane_2x2.
     """
     if k.shape[0] == 2:
-        return _plane_2x2(float(k[1, 0]), floor, np.eye(2))
+        return _plane_2x2(float(k[1, 0]), floor, _eye(2))
     if float(np.sum(k * k)) <= 2.0 * floor * floor:
         return []
     w, z = np.linalg.eigh(1j * k)
@@ -140,6 +141,23 @@ def _plane_2x2(k10: float, floor: float, basis: np.ndarray) -> list[tuple[float,
     if abs(k10) <= floor:
         return []
     return [(abs(k10), basis[:, 0].copy(), math.copysign(1.0, k10) * basis[:, 1])]
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+@lru_cache(maxsize=None)
+def _one(n: int) -> np.ndarray:
+    """The 2^n coefficients of the scalar 1, L when nothing is flipped: built once per n, read-only."""
+    one = np.zeros(1 << n)
+    one[0] = 1.0
+    one.setflags(write=False)
+    return one
 
 
 def _unit_wedge(sig, rows) -> np.ndarray:
@@ -205,28 +223,31 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
     r = b.grade
     sig = a.sig
 
-    eye = np.eye(sig.n)
+    eye = _eye(sig.n)
     o = (2.0 * (a.frame.T @ a.frame) - eye) @ (2.0 * (b.frame.T @ b.frame) - eye)
     w, v = np.linalg.eigh(0.5 * (o + o.T))
     rot = v.T @ o @ v   # O in S's eigenbasis: a cluster's block and basis are views
-    skew = 0.5 * (rot - rot.T)
+    rl, wl = rot.tolist(), w.tolist()
     interior = []   # (theta, (x, y)) of each principal plane
     flipped = []    # directions O sends to their negatives: L's
-    for cluster in _clusters(w.tolist()):
+    for cluster in _clusters(wl):
         lo, hi = cluster.start, cluster.stop
-        basis, block = v[:, lo:hi], rot[lo:hi, lo:hi]
-        if hi - lo == 2:
-            local = _plane_2x2(float(skew[lo + 1, lo]), SPLIT_FLOOR, basis)
-            found = [(rate, block[0, 0] + block[1, 1], x, y) for rate, x, y in local]
-        else:
-            local = _planes(skew[lo:hi, lo:hi], SPLIT_FLOOR) if hi - lo > 2 else []
+        basis = v[:, lo:hi]
+        if hi - lo == 2:   # the block's antisymmetric part is [[0, -k10], [k10, 0]]
+            local = _plane_2x2(0.5 * (rl[lo + 1][lo] - rl[lo][lo + 1]), SPLIT_FLOOR, basis)
+            found = [(rate, rl[lo][lo] + rl[lo + 1][lo + 1], x, y) for rate, x, y in local]
+        elif hi - lo > 2:
+            block = rot[lo:hi, lo:hi]
+            local = _planes(0.5 * (block - block.T), SPLIT_FLOOR)
             found = [(rate, x @ (block @ x) + y @ (block @ y), basis @ x, basis @ y)
                      for rate, x, y in local]
+        else:
+            local = found = []
         # trace: of the block on the plane, 2 cos 2 theta; O turns -y toward x: the plane is x ^ -y
         interior += [(0.5 * math.atan2(rate, 0.5 * trace), (x, -y)) for rate, trace, x, y in found]
         # O negates the directions of a cos 2 theta < 0 cluster outside its
         # planes: none when the planes fill it, so the QR runs only when they don't
-        if w[lo] < 0.0 and 2 * len(local) < hi - lo:
+        if wl[lo] < 0.0 and 2 * len(local) < hi - lo:
             if local:
                 spanned = np.column_stack([u for _, x, y in local for u in (x, y)])
                 basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
@@ -244,7 +265,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
     planes = tuple(Multivector(sig, _unit_wedge(sig, pair), _copy=False) for _, pair in interior)
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
 
-    lowest = _unit_wedge(sig, flipped) if flipped else np.eye(1, sig.size)[0]   # L = 1: nothing flipped
+    lowest = _unit_wedge(sig, flipped) if flipped else _one(sig.n)   # L = 1: nothing flipped
     unit_a = a.mv.coeffs / a.magnitude
     carried = _rotor_chain(sig, thetas, [pair for _, pair in interior], flipped,
                            b.mv.coeffs / b.magnitude, r & 1)

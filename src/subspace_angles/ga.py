@@ -11,6 +11,7 @@ so they are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +52,12 @@ class Signature:
     @property
     def is_euclidean(self) -> bool:
         return self.q == 0
+
+
+@lru_cache(maxsize=None)
+def euclidean_signature(n: int) -> Signature:
+    """Cl(n,0), built once per n: a Signature is frozen, so every caller shares it."""
+    return Signature(n)
 
 
 @lru_cache(maxsize=None)
@@ -111,6 +118,15 @@ def _signs(ai: np.ndarray, bi: np.ndarray, sig: Signature) -> np.ndarray:
     signature plus the 4096-entry parity table, never a 2^n x 2^n table.
     """
     return _parity_signs()[_swap_masks(sig)[ai] & bi]
+
+
+@lru_cache(maxsize=None)
+def _square_signs(sig: Signature) -> np.ndarray:
+    """The sign of e_M e_M for every mask M, from _signs, built once per signature."""
+    masks = np.arange(sig.size)
+    s = _signs(masks, masks, sig)
+    s.setflags(write=False)
+    return s
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +202,7 @@ def _wedge_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bits = np.nonzero((out[:, None] >> np.arange(n)) & 1)[1].reshape(out.size, k + 1)
     bits = np.ascontiguousarray(bits[:, ::-1].T)
     sub = out ^ (1 << bits)
-    sign = _signs(sub, 1 << bits, Signature(n))
+    sign = _signs(sub, 1 << bits, euclidean_signature(n))
     src = np.searchsorted(_grade_masks(n, k), sub)
     for arr in (src, bits, sign):
         arr.setflags(write=False)
@@ -339,7 +355,7 @@ class Multivector:
 
     def coeff_norm(self) -> float:
         """Plain 2-norm of the coefficient vector (metric-independent)."""
-        return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
+        return math.sqrt(np.dot(self.coeffs, self.coeffs))
 
     def grade_norms(self) -> dict[int, float]:
         """Map grade -> grade(k).coeff_norm(), without building the parts."""
@@ -440,8 +456,7 @@ class Multivector:
         """Scalar part of the geometric product, computed directly: e_a e_b
         is a scalar only for a = b, with the sign _signs gives e_a e_a."""
         self._check_sig(other)
-        masks = np.arange(self.sig.size)
-        return float(np.dot(self.coeffs * _signs(masks, masks, self.sig), other.coeffs))
+        return float(np.dot(self.coeffs * _square_signs(self.sig), other.coeffs))
 
     # ---- involutions and grades ----------------------------------------
 

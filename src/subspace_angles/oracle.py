@@ -204,6 +204,12 @@ def svd_small(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"matrix is empty, of shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
+    return _svd(m)
+
+
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """svd_small of a nonempty, finite 2-D float array, unchecked: the one-sided
+    Jacobi SVD of m or of its transpose, whichever has at least as many rows."""
     if m.shape[0] >= m.shape[1]:
         return _jacobi_onesided(m)
     u, s, v = _jacobi_onesided(m.T)
@@ -225,7 +231,9 @@ def principal_angles(basis_a, basis_b) -> PrincipalPairs:
     if not (np.isfinite(qa).all() and np.isfinite(qb).all()):
         raise ValueError("basis has a non-finite entry")
     m = qa @ qb.T
-    u, s, v = svd_small(m)
+    if not np.isfinite(m).all():   # finite bases can still overflow in the product
+        raise ValueError("matrix has a non-finite entry")
+    u, s, v = _svd(m)
     cosines = [min(max(c, 0.0), 1.0) for c in s.tolist()]
     a_vecs = u.T @ qa
     b_vecs = v.T @ qb

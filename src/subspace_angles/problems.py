@@ -25,7 +25,7 @@ from . import conformal
 from .blades import Blade, blade_from_spanning_vectors
 from .engine import ANGLE_COS_TOL, AngleReport, relative_angle
 from .errors import ProblemFormatError
-from .ga import Multivector, Signature, mask_from_name, name_from_mask
+from .ga import Multivector, euclidean_signature, mask_from_name, name_from_mask
 from .oracle import PrincipalPairs, orthonormal_basis, principal_angles, rank_counts
 from .sampling import sample_spans
 
@@ -184,7 +184,7 @@ def _conformal_multivector(spec, n: int) -> Multivector:
 def problem_blades(problem: SubspaceProblem) -> tuple[Blade, Blade]:
     """Carrier blades of the two subspaces, both over a Euclidean algebra."""
     if problem.mode == "euclidean":
-        sig = Signature(*problem.signature)
+        sig = euclidean_signature(problem.n)
         return (blade_from_spanning_vectors(problem.a_span, sig),
                 blade_from_spanning_vectors(problem.b_span, sig))
     xa = conformal.ConformalObject.from_multivector(_conformal_multivector(problem.a_span, problem.n))

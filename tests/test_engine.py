@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_blade, random_rotor
 
-from subspace_angles import engine
+from subspace_angles import engine, ga
 from subspace_angles.blades import Blade, blade_from_spanning_vectors
 from subspace_angles.engine import (
     EQUAL_ANGLE_TOL,
@@ -331,6 +331,20 @@ class TestRelativeAngle:
             assert rep.s == r and rep.t == 0
             assert all(abs(th) <= 1e-7 for th in rep.angles)
             assert rep.cos_total == pytest.approx(1.0, abs=1e-10)
+
+    def test_cached_constants_are_read_only(self):
+        # a report with nothing flipped shares the cached L = 1, which no caller can write
+        plane = blade_from_spanning_vectors([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        first, second = relative_angle(plane, plane), relative_angle(plane, plane)
+        assert first.lowest_grade == 0 and first.lowest_blade == second.lowest_blade
+        assert not first.lowest_blade.coeffs.flags.writeable
+        assert not second.lowest_blade.coeffs.flags.writeable
+        for n in range(1, 13):
+            assert ga.euclidean_signature(n) is ga.euclidean_signature(n)
+            assert ga.euclidean_signature(n) == Signature(n)
+            for cached in (engine._eye(n), engine._one(n), ga._square_signs(Signature(n)),
+                           ga._square_signs(Signature(n - 1, 1))):
+                assert not cached.flags.writeable
 
     def test_paper_3d_perpendicular_planes(self):
         rep = relative_angle(blade_of(E1 ^ E2), blade_of(E1 ^ E3))

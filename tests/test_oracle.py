@@ -193,6 +193,12 @@ class TestPrincipalAngles:
             with pytest.raises(ValueError, match="basis has a non-finite entry"):
                 principal_angles(a, b)
 
+    def test_overflowing_product_raises(self):
+        # finite bases whose product overflows, as the command line runs them: principal_angles
+        # checks its product itself before the SVD, which checks nothing again
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="matrix has a non-finite entry"):
+            principal_angles([[1e200, 0.0]], [[1e200, 0.0]])
+
     def test_line_pair_45_degrees(self):
         pairs = principal_angles([[1, 0]], [[SQ2, SQ2]])
         assert pairs.cosines[0] == pytest.approx(SQ2, abs=1e-12)

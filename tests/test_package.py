@@ -1,3 +1,4 @@
+import json
 import shutil
 import subprocess
 import sys
@@ -137,6 +138,25 @@ def test_report_digest_sees_the_scalar_product(tmp_path):
     pairs = int(fields.pop("pairs"))
     assert fields.pop("moved") == "0" and list(fields) == ["scalar_product"]
     assert rows[1].startswith("  scalar_product: ") and len(rows[1].split()) - 1 <= pairs
+
+
+def test_stages_runs():
+    # one pass on a few pairs: the timer loads two versions side by side, times the pair and
+    # its four stages on both workloads and ends with the figures as one JSON line
+    src = str(Path(subspace_angles.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "stages.py"), "--src", src, "--src", src,
+                           "--passes", "1", "--pairs", "3"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("version")] == ["version 0", "version 1"]
+    assert [line.split()[1] for line in lines if line.startswith("| ")
+            and not line.startswith("| workload")] == ["corpus_small", "wide_dense"] * 2
+    summary = json.loads(lines[-1])
+    assert summary["passes"] == 1 and summary["pairs"] == 3 and summary["src"] == [src, src]
+    for workload in ("corpus_small", "wide_dense"):
+        stages = summary["us_per_pair"][workload]
+        assert list(stages) == ["pair", "blades", "relative_angle", "oracle_bases", "principal_angles"]
+        assert all(len(figures) == 2 and min(figures) > 0.0 for figures in stages.values())
 
 
 def run_digest_truth(*args):

@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Time the library pair path stage by stage, for one or two versions of the package.
+
+Run from the repository root:
+
+    python3 tools/stages.py --src /path/to/parent/src --src src
+    python3 tools/stages.py --passes 5
+
+The inputs are the benchmark's seed-1 pairs (perfbench/inputs.py): the
+first --pairs (300) of corpus_small and of wide_dense, which has 63.  Per
+version and workload, each of these is timed as its own loop over the
+pairs, in microseconds per pair:
+
+    pair              the whole cross-checked pair, perfbench/run.py's run_pair
+    blades            blade_from_spanning_vectors of both spans
+    relative_angle    relative_angle of the two blades
+    oracle_bases      orthonormal_basis of both spans
+    principal_angles  principal_angles of the two bases
+
+The versions are imported side by side in one process
+(report_digest.load_package), with one BLAS thread as in the benchmark.
+Every pair runs once untimed first, which fills each version's caches.
+Then each pass times every loop once per version, the versions taking
+turns to go first, and each figure is the best of --passes passes.
+
+Per version, a table gives the pair's time and each stage's time with its
+share of the sum of the four stages.  The last line of standard output is
+one JSON object: {"passes", "pairs", "src", "us_per_pair"}, where
+us_per_pair[workload][stage] holds one figure per --src, in their order.
+"""
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+
+# report_digest sets one BLAS thread before NumPy is first imported, so it comes first.
+from report_digest import ROOT, load_package  # noqa: E402
+
+import inputs  # noqa: E402
+import run as harness  # noqa: E402
+
+WORKLOADS = ("corpus_small", "wide_dense")
+STAGES = ("pair", "blades", "relative_angle", "oracle_bases", "principal_angles")
+HEADINGS = ("pair", "blades", "`relative_angle`", "oracle bases", "`principal_angles`")
+
+
+def stage_loops(sa, pairs) -> dict:
+    """{stage: (call, argument tuples, one per pair)} for one version; running every
+    pair once here fills the version's caches."""
+    for pair in pairs:
+        harness.run_pair(sa, pair)
+    spans = [(pair.a_rows, pair.b_rows) for pair in pairs]
+    blades = [tuple(map(sa.blade_from_spanning_vectors, span)) for span in spans]
+    bases = [tuple(map(sa.orthonormal_basis, span)) for span in spans]
+    return {
+        "pair": (lambda pair: harness.run_pair(sa, pair), [(pair,) for pair in pairs]),
+        "blades": (lambda a, b: (sa.blade_from_spanning_vectors(a), sa.blade_from_spanning_vectors(b)),
+                   spans),
+        "relative_angle": (sa.relative_angle, blades),
+        "oracle_bases": (lambda a, b: (sa.orthonormal_basis(a), sa.orthonormal_basis(b)), spans),
+        "principal_angles": (sa.principal_angles, bases),
+    }
+
+
+def time_loop(call, arguments) -> float:
+    """Microseconds per call of one loop over the arguments."""
+    start = time.perf_counter_ns()
+    for args in arguments:
+        call(*args)
+    return (time.perf_counter_ns() - start) / len(arguments) / 1e3
+
+
+def measure(srcs, passes: int, pairs: int) -> dict:
+    """us_per_pair[workload][stage]: the best of passes passes per version, in srcs' order."""
+    versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
+    loops = {workload: [stage_loops(sa, getattr(inputs, workload)(1)[:pairs]) for sa in versions]
+             for workload in WORKLOADS}
+    best = {workload: {stage: [float("inf")] * len(versions) for stage in STAGES} for workload in WORKLOADS}
+    for n in range(passes):
+        order = range(len(versions)) if n % 2 == 0 else range(len(versions) - 1, -1, -1)
+        for workload in WORKLOADS:
+            for stage in STAGES:
+                for i in order:
+                    figure = time_loop(*loops[workload][i][stage])
+                    best[workload][stage][i] = min(best[workload][stage][i], figure)
+    return best
+
+
+def table(best: dict, i: int) -> list[str]:
+    """Version i's stage table: the pair in µs, each stage in µs and as a share of the four."""
+    widths = [max(len(h), 13) for h in HEADINGS]
+    rows = ["| workload     | " + " | ".join(h.ljust(w) for h, w in zip(HEADINGS, widths)) + " |",
+            "|--------------|" + "|".join("-" * (w + 2) for w in widths) + "|"]
+    for workload in WORKLOADS:
+        us = {stage: best[workload][stage][i] for stage in STAGES}
+        total = sum(us[stage] for stage in STAGES[1:])
+        cells = [f"{us['pair']:.1f}"] + [f"{us[stage]:.1f} ({100.0 * us[stage] / total:.0f} %)"
+                                         for stage in STAGES[1:]]
+        rows.append(f"| {workload:<12} | " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |")
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append",
+                        help="directory holding subspace_angles, once or twice (default ./src)")
+    parser.add_argument("--passes", type=int, default=21, help="timed passes; each figure is the best")
+    parser.add_argument("--pairs", type=int, default=300, help="leading seed-1 pairs of each workload")
+    args = parser.parse_args(argv)
+    srcs = args.src or [str(ROOT / "src")]
+    if len(srcs) > 2:
+        parser.error("give --src once or twice")
+    if args.passes < 1 or args.pairs < 1:
+        parser.error("--passes and --pairs must be at least 1")
+    best = measure(srcs, args.passes, args.pairs)
+    for i, src in enumerate(srcs):
+        print(f"version {i}: {src}, µs per pair, best of {args.passes} passes")
+        print(*table(best, i), sep="\n")
+    print(json.dumps({"passes": args.passes, "pairs": args.pairs, "src": srcs,
+                      "us_per_pair": {w: {s: [round(x, 1) for x in v] for s, v in st.items()}
+                                      for w, st in best.items()}}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
