@@ -12,19 +12,19 @@ subspace projectors (Halmos, "Two subspaces", 1969), which
   * and fixes the s shared directions and everything outside A + B.
 
 So the engine builds each projector as P = F^T F from the orthonormal
-frame F its blade carries (see Blade), splits S = (O + O^T)/2 into
-clusters of equal cos 2 theta, and reads each cluster from one product,
-O in S's eigenbasis, where it is a diagonal block. One Hermitian
-eigensolve of the block's antisymmetric part (_planes) splits the
-cluster into planes and gives each plane's rate, sin 2 theta, and its
-oriented orthonormal pair (x, y); cos 2 theta is the mean of the
-block's diagonal entries on x and y. A 2-dim cluster needs no eigensolve:
-its one rate is |K[1, 0]| for the block's antisymmetric part K, and its
-pair the cluster's basis (_plane_2x2). It takes every angle as
+frame F its blade carries (see Blade) and reads the report in three
+stages. _spectrum forms O, the eigensolve of S = (O + O^T)/2 and O in
+S's eigenbasis, where each cluster of equal cos 2 theta is a diagonal
+block. _read_clusters splits each block by one Hermitian eigensolve of
+its antisymmetric part (_planes) into planes, with each plane's rate,
+sin 2 theta, and its oriented orthonormal pair (x, y); cos 2 theta is the
+mean of the block's diagonal entries on x and y. A 2-dim cluster needs no
+eigensolve: its one rate is |K[1, 0]| for the block's antisymmetric part
+K, and its pair the cluster's basis. Every angle is taken as
 theta = atan2(sin 2 theta, cos 2 theta) / 2, which is as accurate near 0
 as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
 s and t count the angles by the oracle's per-angle rule, and M is never
-formed: as reverse(B) B = 1, the self-check is that the rebuilt chain
+formed: as reverse(B) B = 1, _self_check tests that the rebuilt chain
 R = (c_1 + i_1 s_1) ... L carries unit(B) onto unit(A). The residual
 |R unit(B) - unit(A)| = |R - M| also ties frames to blades. The chain
 needs only left products by vectors (ga.vector_product): L = l_1 ... l_m
@@ -51,9 +51,9 @@ from .blades import BLADE_TOL, Blade, _factor
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
 from .ga import Multivector, _parity_masks, _wedge_coeffs, contraction_matrix, vector_product
 
-# A principal angle counts as zero when its cosine is >= 1 - this value and
-# as right when its cosine is <= this value; the rule of oracle.rank_counts,
-# so both routes classify borderline angles the same way.
+# A principal angle counts as zero when its versine 2 sin^2(theta/2) = 1 - cos
+# theta is <= this value and as right when its cosine is; the rule of
+# oracle.rank_counts, so both routes classify borderline angles the same way.
 ANGLE_COS_TOL = 1e-9
 
 # Rotation rates (split coefficients, relative to the largest) at or below
@@ -82,18 +82,18 @@ class AngleReport:
     plane k has a positive coefficient dot with a_k ^ b_k, for principal
     vectors a_k of A and b_k of B with a_k . b_k = cos theta_k, where A is
     the operand of larger grade (the first one when the grades are
-    equal). s and t count the angles whose cosine is within grade_tol
-    of 1 and of 0, so a near-zero or near-right interior angle is
-    counted there and still has its computed value and its plane. lowest_blade is the unit
-    blade of the directions O sends to their negatives: the right-angle
-    planes plus, for blades of different grade, the extra dimensions of
-    the larger blade; lowest_grade is its grade. Rotor reconstruction
-    multiplies the interior rotors by it, and the rebuilt chain carries
-    unit(B) onto unit(A), B the smaller-grade blade, up to residual (a
-    coefficient norm). cos_interior multiplies the
-    cosines of the angles t does not count, sin_interior_product the
-    sines of the angles s does not count, and cos_total is cos_interior,
-    or 0.0 when t > 0. has_equal_angles is True when two adjacent interior
+    equal). s counts the angles whose versine 2 sin^2(theta/2) = 1 - cos
+    theta is at most grade_tol and t those whose cosine is, so a near-zero
+    or near-right interior angle is counted there and still has its computed
+    value and its plane. lowest_blade is the unit blade of the directions O
+    sends to their negatives: the right-angle planes plus, for blades of
+    different grade, the extra dimensions of the larger blade; lowest_grade
+    is its grade. Rotor reconstruction multiplies the interior rotors by it,
+    and the rebuilt chain carries unit(B) onto unit(A), B the smaller-grade
+    blade, up to residual (a coefficient norm). cos_interior multiplies the
+    cosines of the angles t does not count, sin_interior_product the sines
+    of the angles s does not count, and cos_total is cos_interior, or 0.0
+    when t > 0. has_equal_angles is True when two adjacent interior
     angles (by the ordering above) lie within EQUAL_ANGLE_TOL of each other.
     """
 
@@ -119,11 +119,8 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.nda
     rate > 0 has k x = rate y, k y = -rate x, x orthogonal to y and
     |x| = |y|, and eigenvectors of one repeated eigenvalue give mutually
     orthogonal planes, so coinciding rates need no further care. Rates
-    are bounded by |k|_F / sqrt(2), which decides most calls without the
-    eigh, and a 2 x 2 array is read by _plane_2x2.
+    are bounded by |k|_F / sqrt(2), which decides most calls without the eigh.
     """
-    if k.shape[0] == 2:
-        return _plane_2x2(float(k[1, 0]), floor, _eye(2))
     if float(np.sum(k * k)) <= 2.0 * floor * floor:
         return []
     w, z = np.linalg.eigh(1j * k)
@@ -134,13 +131,6 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.nda
         y = y - (y @ x) * x
         out.append((float(w[j]), x, y / math.sqrt(float(y @ y))))
     return out
-
-
-def _plane_2x2(k10: float, floor: float, basis: np.ndarray) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """_planes of the 2 x 2 antisymmetric [[0, -k10], [k10, 0]], x and y mapped through basis."""
-    if abs(k10) <= floor:
-        return []
-    return [(abs(k10), basis[:, 0].copy(), math.copysign(1.0, k10) * basis[:, 1])]
 
 
 @lru_cache(maxsize=None)
@@ -192,11 +182,60 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
             for rate, x, y in planes]
 
 
-def _clusters(w: list[float]) -> list[range]:
-    """Index ranges of the runs of the ascending values w whose neighbours
-    lie within EQUAL_ANGLE_TOL."""
+def _spectrum(a: Blade, b: Blade) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """(w, v, rot): the ascending eigenvalues w, as a list, and eigenvectors v of
+    S = (O + O^T)/2 for O = (2 P_A - I)(2 P_B - I), and rot = v^T O v."""
+    eye = _eye(a.sig.n)
+    o = (2.0 * (a.frame.T @ a.frame) - eye) @ (2.0 * (b.frame.T @ b.frame) - eye)
+    w, v = np.linalg.eigh(0.5 * (o + o.T))
+    return w.tolist(), v, v.T @ o @ v
+
+
+def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list, list]:
+    """(interior, flipped) from _spectrum's (w, v, rot): (theta, (x, y)) of each principal
+    plane, theta descending, and the directions O sends to their negatives, L's. A cluster
+    is a run of w whose neighbours lie within EQUAL_ANGLE_TOL; its block of rot is O on it."""
     cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > EQUAL_ANGLE_TOL), len(w)]
-    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    rl = rot.tolist()
+    interior, flipped = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        basis, local, found = v[:, lo:hi], [], []
+        if hi - lo == 2:   # the block's antisymmetric part is [[0, -k10], [k10, 0]]
+            k10 = 0.5 * (rl[lo + 1][lo] - rl[lo][lo + 1])
+            if abs(k10) > SPLIT_FLOOR:
+                found = [(abs(k10), rl[lo][lo] + rl[lo + 1][lo + 1], basis[:, 0].copy(),
+                          math.copysign(1.0, k10) * basis[:, 1])]
+        elif hi - lo > 2:
+            block = rot[lo:hi, lo:hi]
+            local = _planes(0.5 * (block - block.T), SPLIT_FLOOR)
+            found = [(rate, x @ (block @ x) + y @ (block @ y), basis @ x, basis @ y)
+                     for rate, x, y in local]
+        # trace: of the block on the plane, 2 cos 2 theta; O turns -y toward x: the plane is x ^ -y
+        interior += [(0.5 * math.atan2(rate, 0.5 * trace), (x, -y)) for rate, trace, x, y in found]
+        # O negates the directions of a cos 2 theta < 0 cluster outside its
+        # planes: none when the planes fill it, so the QR runs only when they don't
+        if w[lo] < 0.0 and 2 * len(found) < hi - lo:
+            if local:
+                spanned = np.column_stack([u for _, x, y in local for u in (x, y)])
+                basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
+            flipped += list(basis.T)
+    interior.sort(key=lambda pair: -pair[0])
+    return interior, flipped
+
+
+def _self_check(a: Blade, b: Blade, thetas, pairs, flipped) -> tuple[np.ndarray, float]:
+    """(L, residual): L's coefficients, the unit wedge of flipped, and the coefficient
+    norm of R unit(B) - unit(A) for the chain R of the planes (thetas, pairs) and L,
+    both signed so that R unit(B) leans toward unit(A); B is the smaller-grade blade."""
+    sig = a.sig
+    lowest = _unit_wedge(sig, flipped) if flipped else _one(sig.n)   # L = 1: nothing flipped
+    unit_a = a.mv.coeffs / a.magnitude
+    carried = _rotor_chain(sig, thetas, pairs, flipped, b.mv.coeffs / b.magnitude, b.grade & 1)
+    # <carried reverse(unit_a)>_0: over Cl(n,0) the reverse signs square to 1
+    if np.dot(carried, unit_a) < 0.0:
+        lowest, carried = -lowest, -carried
+    d = carried - unit_a
+    return lowest, math.sqrt(np.dot(d, d))
 
 
 def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> AngleReport:
@@ -219,40 +258,9 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         raise NotABladeError("zero blade")
     if a.grade < b.grade:
         a, b = b, a
-    q = a.grade - b.grade
-    r = b.grade
-    sig = a.sig
+    q, r, sig = a.grade - b.grade, b.grade, a.sig
 
-    eye = _eye(sig.n)
-    o = (2.0 * (a.frame.T @ a.frame) - eye) @ (2.0 * (b.frame.T @ b.frame) - eye)
-    w, v = np.linalg.eigh(0.5 * (o + o.T))
-    rot = v.T @ o @ v   # O in S's eigenbasis: a cluster's block and basis are views
-    rl, wl = rot.tolist(), w.tolist()
-    interior = []   # (theta, (x, y)) of each principal plane
-    flipped = []    # directions O sends to their negatives: L's
-    for cluster in _clusters(wl):
-        lo, hi = cluster.start, cluster.stop
-        basis = v[:, lo:hi]
-        if hi - lo == 2:   # the block's antisymmetric part is [[0, -k10], [k10, 0]]
-            local = _plane_2x2(0.5 * (rl[lo + 1][lo] - rl[lo][lo + 1]), SPLIT_FLOOR, basis)
-            found = [(rate, rl[lo][lo] + rl[lo + 1][lo + 1], x, y) for rate, x, y in local]
-        elif hi - lo > 2:
-            block = rot[lo:hi, lo:hi]
-            local = _planes(0.5 * (block - block.T), SPLIT_FLOOR)
-            found = [(rate, x @ (block @ x) + y @ (block @ y), basis @ x, basis @ y)
-                     for rate, x, y in local]
-        else:
-            local = found = []
-        # trace: of the block on the plane, 2 cos 2 theta; O turns -y toward x: the plane is x ^ -y
-        interior += [(0.5 * math.atan2(rate, 0.5 * trace), (x, -y)) for rate, trace, x, y in found]
-        # O negates the directions of a cos 2 theta < 0 cluster outside its
-        # planes: none when the planes fill it, so the QR runs only when they don't
-        if wl[lo] < 0.0 and 2 * len(local) < hi - lo:
-            if local:
-                spanned = np.column_stack([u for _, x, y in local for u in (x, y)])
-                basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
-            flipped += list(basis.T)
-
+    interior, flipped = _read_clusters(*_spectrum(a, b))
     t_exact, odd = divmod(len(flipped) - q, 2)
     s_exact = r - len(interior) - t_exact
     if odd or t_exact < 0 or s_exact < 0:
@@ -260,27 +268,19 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
             f"{len(interior)} principal planes and {len(flipped)} reversed directions "
             f"do not fit blades of grades {a.grade} and {b.grade}")
 
-    interior.sort(key=lambda pair: -pair[0])
     thetas = [theta for theta, _ in interior]
-    planes = tuple(Multivector(sig, _unit_wedge(sig, pair), _copy=False) for _, pair in interior)
+    pairs = [pair for _, pair in interior]
+    planes = tuple(Multivector(sig, _unit_wedge(sig, pair), _copy=False) for pair in pairs)
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
+    lowest, residual = _self_check(a, b, thetas, pairs, flipped)
 
-    lowest = _unit_wedge(sig, flipped) if flipped else _one(sig.n)   # L = 1: nothing flipped
-    unit_a = a.mv.coeffs / a.magnitude
-    carried = _rotor_chain(sig, thetas, [pair for _, pair in interior], flipped,
-                           b.mv.coeffs / b.magnitude, r & 1)
-    # <carried reverse(unit_a)>_0: over Cl(n,0) the reverse signs square to 1
-    if np.dot(carried, unit_a) < 0.0:
-        lowest, carried = -lowest, -carried
-    d = carried - unit_a
-    residual = math.sqrt(np.dot(d, d))
-
+    # s on the versine 2 sin^2(theta/2) = 1 - cos theta, which keeps a small angle's digits
     cosines = [math.cos(theta) for theta in angles]
-    s = sum(c >= 1.0 - grade_tol for c in cosines)
+    moved = [2.0 * math.sin(0.5 * theta) ** 2 > grade_tol for theta in angles]
+    s = len(angles) - sum(moved)
     t = sum(c <= grade_tol for c in cosines)
     cos_interior = math.prod((c for c in cosines if c > grade_tol), start=1.0)
-    sin_prod = math.prod((math.sin(theta) for theta, c in zip(angles, cosines)
-                          if c < 1.0 - grade_tol), start=1.0)
+    sin_prod = math.prod((math.sin(theta) for theta, m in zip(angles, moved) if m), start=1.0)
 
     if (len(angles) != r or s + t > r or len(planes) != sum(0.0 < x < math.pi / 2.0 for x in angles)
             or not residual <= RESIDUAL_BOUND):

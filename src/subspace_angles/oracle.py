@@ -250,5 +250,7 @@ def principal_angles(basis_a, basis_b) -> PrincipalPairs:
 
 
 def rank_counts(pairs: PrincipalPairs) -> tuple[int, int]:
-    """(s, t): the zero angles, sigma >= 1 - RANK_COS_TOL, and the right ones, sigma <= it."""
-    return int(np.sum(pairs.cosines >= 1.0 - RANK_COS_TOL)), int(np.sum(pairs.cosines <= RANK_COS_TOL))
+    """(s, t): the zero angles, versine 2 sin^2(theta/2) <= RANK_COS_TOL on the angles
+    (accurate near 0, where sigma is not), and the right ones, sigma <= RANK_COS_TOL."""
+    versines = 2.0 * np.sin(0.5 * pairs.angles) ** 2
+    return int(np.sum(versines <= RANK_COS_TOL)), int(np.sum(pairs.cosines <= RANK_COS_TOL))

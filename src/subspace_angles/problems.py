@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import conformal
 from .blades import Blade, blade_from_spanning_vectors
 from .engine import ANGLE_COS_TOL, AngleReport, relative_angle
 from .errors import ProblemFormatError
-from .ga import Multivector, euclidean_signature, mask_from_name, name_from_mask
+from .ga import MAX_DIMENSION, Multivector, euclidean_signature, mask_from_name, name_from_mask
 from .oracle import PrincipalPairs, orthonormal_basis, principal_angles, rank_counts
 from .sampling import sample_spans
 
@@ -84,10 +84,10 @@ def _parse_vectors(key: str, value, n: int) -> list[list[float]]:
 
 
 def _parse_conformal_object(key: str, value, n: int):
-    size = 1 << (n + 2)
+    sig = conformal.conformal_signature(n)
     if isinstance(value, list):
-        _expect(len(value) == size,
-                f"{key}: dense conformal coefficients must have length {size}")
+        _expect(len(value) == sig.size,
+                f"{key}: dense conformal coefficients must have length {sig.size}")
         values = [_number(x) for x in value]
         for j, x in enumerate(values):
             _expect(x is not None and math.isfinite(x), f"{key}[{j}]: expected a finite number")
@@ -97,7 +97,7 @@ def _parse_conformal_object(key: str, value, n: int):
         out, names = {}, {}
         for name, x in value.items():
             try:
-                mask = mask_from_name(name, n + 2)
+                mask = mask_from_name(name, sig.n)
             except ValueError as exc:
                 raise ProblemFormatError(f"{key}[{name!r}]: {exc}") from exc
             _expect(names.setdefault(mask, name) == name,
@@ -141,7 +141,7 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
 
     n = data["n"]
     _expect(isinstance(n, int) and not isinstance(n, bool), "n: expected an integer")
-    max_n = 12 if mode == "euclidean" else 10
+    max_n = MAX_DIMENSION if mode == "euclidean" else MAX_DIMENSION - 2   # conformal: n + 2 dims
     _expect(1 <= n <= max_n, f"n: must be in 1..{max_n} for {mode} mode")
 
     if "signature" in data:
@@ -149,7 +149,7 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
         sig = data["signature"]
         _expect(sig == [n, 0] and all(type(v) is int for v in sig),
                 f"signature: expected [{n}, 0], the Euclidean signature of n={n}")
-    signature = (n, 0) if mode == "euclidean" else (n + 1, 1)
+    signature = (n, 0) if mode == "euclidean" else astuple(conformal.conformal_signature(n))
 
     options = data.get("options", {})
     _expect(isinstance(options, dict), "options: expected an object")

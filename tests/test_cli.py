@@ -93,10 +93,10 @@ class TestExitCodes:
         assert "AmbiguousRankError: report breaks its invariants" in captured.err
 
     def test_planes_that_do_not_fit_the_grades(self, tmp_path, monkeypatch, capsys):
-        # each plane found twice: two planes for blades of grade 1, refused with exit 4;
-        # the lines' one cluster is 2-dim, read by _plane_2x2
-        plane = engine._plane_2x2
-        monkeypatch.setattr(engine, "_plane_2x2", lambda *args: 2 * plane(*args))
+        # each plane found twice: two planes for blades of grade 1, refused with exit 4
+        read = engine._read_clusters
+        monkeypatch.setattr(engine, "_read_clusters",
+                            lambda *args: (lambda interior, flipped: (2 * interior, flipped))(*read(*args)))
         path = tmp_path / "lines.json"
         path.write_text('{"n": 2, "A": [[1, 0]], "B": [[1, 1]]}')
         assert main(["run", str(path)]) == EXIT_AMBIGUOUS

@@ -230,10 +230,10 @@ class TestPlanes:
 
     @pytest.mark.parametrize("entry", [0.75, -0.75])
     def test_two_by_two_shortcut(self, entry):
+        # a 2-dim cluster's closed form is _read_clusters'; _planes takes a 2 x 2 through its eigh
         k = np.array([[0.0, -entry], [entry, 0.0]])
         planes = engine._planes(k, SPLIT_FLOOR)
-        assert [(rate, x.tolist(), y.tolist()) for rate, x, y in planes] == \
-            [(0.75, [1.0, 0.0], [0.0, math.copysign(1.0, entry)])]
+        assert len(planes) == 1 and planes[0][0] == pytest.approx(0.75, rel=1e-15)
         self.check(k, planes)
 
     def test_eigh_path(self):
@@ -249,8 +249,8 @@ class TestPlanes:
 
 
     def test_closed_form_matches_the_eigensolve(self):
-        # a 2-dim cluster of O: _plane_2x2 against _planes' eigh path, which a zero third row
-        # and column forces; each plane in R^n through a random orthonormal basis
+        # a synthetic 2-dim cluster of O, read by _read_clusters' closed form, against
+        # _planes' eigh path; each plane in R^n through a random orthonormal basis
         rng = np.random.default_rng(25)
         for _ in range(300):
             n = int(rng.integers(2, 13))
@@ -259,18 +259,13 @@ class TestPlanes:
             theta = rng.uniform(1e-6, math.pi / 2 - 1e-6)
             cos, sin = math.cos(2.0 * theta), math.sin(2.0 * theta)
             block = np.array([[cos, -sin], [sin, cos]]) + np.diag(rng.uniform(-1e-9, 1e-9, 2))
-            skew = 0.5 * (block - block.T)
-            [(rate, x, y)] = engine._plane_2x2(float(skew[1, 0]), SPLIT_FLOOR, basis)
-            padded = np.zeros((3, 3))
-            padded[:2, :2] = skew
-            [(rate_e, x_e, y_e)] = engine._planes(padded, SPLIT_FLOOR)
-            x_e, y_e = x_e[:2], y_e[:2]
+            [(got, (x, y))], flipped = engine._read_clusters([cos, cos], basis, block)
+            assert flipped == []
+            [(rate_e, x_e, y_e)] = engine._planes(0.5 * (block - block.T), SPLIT_FLOOR)
             trace_e = x_e @ (block @ x_e) + y_e @ (block @ y_e)    # 2 cos 2 theta
-            assert rate == pytest.approx(rate_e, rel=0.0, abs=4e-16)
-            assert 0.5 * math.atan2(rate, 0.5 * (block[0, 0] + block[1, 1])) == \
-                pytest.approx(0.5 * math.atan2(rate_e, 0.5 * trace_e), rel=0.0, abs=4e-16)
+            assert got == pytest.approx(0.5 * math.atan2(rate_e, 0.5 * trace_e), rel=0.0, abs=4e-16)
             plane, plane_e = (engine._unit_wedge(sig, pair) for pair in
-                              [(x, -y), (basis @ x_e, -(basis @ y_e))])
+                              [(x, y), (basis @ x_e, -(basis @ y_e))])
             assert np.max(np.abs(plane - plane_e)) <= 1e-15
 
 
@@ -283,6 +278,25 @@ def test_unit_wedge_has_the_bytes_of_one_wedge():
             pair = tuple(rng.standard_normal((2, n)))
             c = wedge_vectors(sig, pair).coeffs
             assert engine._unit_wedge(sig, pair).tobytes() == (c / math.sqrt(np.dot(c, c))).tobytes()
+
+
+def test_stages_compose_into_the_report():
+    # _spectrum, _read_clusters, one _unit_wedge per plane and _self_check, each on the
+    # previous stage's outputs as tools/stages.py times them, give every report's bytes
+    rng = np.random.default_rng(44)
+    for _ in range(200):
+        a_rows, b_rows, _ = sample_spans(rng)
+        a, b = blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)
+        rep = relative_angle(a, b)
+        if a.grade < b.grade:
+            a, b = b, a
+        interior, flipped = engine._read_clusters(*engine._spectrum(a, b))
+        thetas, pairs = [theta for theta, _ in interior], [pair for _, pair in interior]
+        planes = [engine._unit_wedge(a.sig, pair) for pair in pairs]
+        lowest, residual = engine._self_check(a, b, thetas, pairs, flipped)
+        assert [plane.coeffs.tobytes() for plane in rep.planes] == [plane.tobytes() for plane in planes]
+        assert rep.lowest_blade.coeffs.tobytes() == lowest.tobytes()
+        assert rep.residual == residual
 
 
 class TestSplitEarlyExit:
@@ -540,10 +554,10 @@ class TestInvariantGuard:
 
 
     def test_planes_that_do_not_fit_the_grades(self, monkeypatch):
-        # each plane found twice: two planes for blades of grade 1, whose one
-        # cluster is 2-dim, read by _plane_2x2
-        plane = engine._plane_2x2
-        monkeypatch.setattr(engine, "_plane_2x2", lambda *args: 2 * plane(*args))
+        # each plane found twice: two planes for blades of grade 1
+        read = engine._read_clusters
+        monkeypatch.setattr(engine, "_read_clusters",
+                            lambda *args: (lambda interior, flipped: (2 * interior, flipped))(*read(*args)))
         a, b = blade_of(E1), blade_of((E1 + E2) * SQ2)
         with pytest.raises(AmbiguousRankError, match="2 principal planes and 0 reversed "
                            "directions do not fit blades of grades 1 and 1"):
@@ -719,35 +733,31 @@ class TestClusterEdge:
     plane gets its own from nearly degenerate eigenvectors."""
 
     @staticmethod
-    def report(monkeypatch, thetas):
-        sizes = []
-        clusters = engine._clusters
-
-        def spy(w):
-            out = clusters(w)
-            sizes.extend(len(idx) for idx in out)
-            return out
-
-        monkeypatch.setattr(engine, "_clusters", spy)
+    def report(thetas):
         frame = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
-        rep = relative_angle(*known_pair(thetas, 2, frame))
+        a, b = known_pair(thetas, 2, frame)
+        rep = relative_angle(a, b)
         assert np.allclose(rep.angles, sorted(thetas, reverse=True), rtol=0.0, atol=1e-13)
         assert rep.residual <= RESIDUAL_BOUND
-        return rep, sorted(sizes)
+        # the cut rule as the reference: a new cluster wherever neighbours of the
+        # ascending eigenvalues of S differ by more than EQUAL_ANGLE_TOL
+        w, _, _ = engine._spectrum(a, b)
+        cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > EQUAL_ANGLE_TOL), len(w)]
+        return rep, sorted(hi - lo for lo, hi in zip(cuts, cuts[1:]))
 
     @pytest.mark.parametrize("theta", [0.7, 1.2])
     @pytest.mark.parametrize("times, sizes", [(0.9, [2, 4]), (1.1, [2, 2, 2])])
-    def test_cos_2theta_gap_decides_the_clusters(self, monkeypatch, theta, times, sizes):
+    def test_cos_2theta_gap_decides_the_clusters(self, theta, times, sizes):
         other = 0.5 * math.acos(math.cos(2.0 * theta) - times * EQUAL_ANGLE_TOL)
-        rep, got = self.report(monkeypatch, (theta, other))
+        rep, got = self.report((theta, other))
         assert got == sizes
         # the flag compares the angles, here under EQUAL_ANGLE_TOL apart either way
         assert rep.has_equal_angles
 
     @pytest.mark.parametrize("theta", [0.7, 1.2])
     @pytest.mark.parametrize("times", [0.9, 1.1])
-    def test_angle_gap_decides_the_flag(self, monkeypatch, theta, times):
-        rep, _ = self.report(monkeypatch, (theta, theta + times * EQUAL_ANGLE_TOL))
+    def test_angle_gap_decides_the_flag(self, theta, times):
+        rep, _ = self.report((theta, theta + times * EQUAL_ANGLE_TOL))
         assert rep.has_equal_angles == (times < 1.0)
 
 

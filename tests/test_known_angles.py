@@ -6,7 +6,9 @@ fresh frame vector, so the theta_k are exactly the principal angles.
 Each basis is then mixed by a random matrix of condition number <= 4.
 Offsets from 0 and pi/2 run from 1e-12 to 1e-3 and keep the classified
 quantity (1 - cos near zero, cos near pi/2) at least 10x from the 1e-9
-cutoff, so the true s and t are unambiguous.
+cutoff, so the true s and t are unambiguous. Two tests place one angle
+right at either cutoff instead, where only the classified quantity of
+each route decides, and check both routes' counts against the truth.
 """
 
 import math
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from subspace_angles.blades import blade_from_spanning_vectors
 from subspace_angles.engine import relative_angle, rotor_reconstruction
+from subspace_angles.oracle import orthonormal_basis, principal_angles, rank_counts
 
 CUTOFF = 1e-9
 MARGIN = 10.0
@@ -153,3 +156,30 @@ def test_reproducers(eps):
     assert (rep.s, rep.t, len(rep.planes)) == (0, 0, 2)
     assert rep.has_equal_angles
     assert rep.residual <= 1e-12
+
+
+def both_counts(a_rows, b_rows):
+    """(s, t) of the engine and of the oracle for one pair of spans."""
+    rep = relative_angle(blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows))
+    return (rep.s, rep.t), rank_counts(principal_angles(orthonormal_basis(a_rows), orthonormal_basis(b_rows)))
+
+
+@pytest.mark.parametrize("d", [-1e-8, 1e-8])
+def test_zero_cutoff_by_construction(d):
+    # 1 - cos theta = CUTOFF (1 + d): a cosine near 1 resolves 1 - cos only to 1.1e-16,
+    # 1.1e-7 of the cutoff, so both routes count s on the versine of their own angle
+    theta = 2.0 * math.asin(math.sqrt(CUTOFF * (1.0 + d) / 2.0))
+    drawn = [(theta, math.cos(theta), math.sin(theta)), (0.7, math.cos(0.7), math.sin(0.7))]
+    for seed in range(20):
+        engine, oracle = both_counts(*build(seed, 6, seed % 3, drawn))
+        assert engine[0] == oracle[0] == (d < 0.0)
+
+
+@pytest.mark.parametrize("d", [-1e-5, 1e-5])
+def test_right_cutoff_by_construction(d):
+    # cos theta = CUTOFF (1 + d): near pi/2 both routes resolve the cosine to about 1e-16
+    c = CUTOFF * (1.0 + d)
+    drawn = [(math.acos(c), c, math.sqrt(1.0 - c * c)), (0.7, math.cos(0.7), math.sin(0.7))]
+    for seed in range(20):
+        engine, oracle = both_counts(*build(seed, 6, seed % 3, drawn))
+        assert engine[1] == oracle[1] == (d < 0.0)

@@ -141,22 +141,29 @@ def test_report_digest_sees_the_scalar_product(tmp_path):
 
 
 def test_stages_runs():
-    # one pass on a few pairs: the timer loads two versions side by side, times the pair and
-    # its four stages on both workloads and ends with the figures as one JSON line
+    # one pass on a few pairs: the timer loads two versions side by side, times the pair,
+    # its four stages and the named stages inside relative_angle on both workloads, and
+    # ends with the figures as one JSON line
     src = str(Path(subspace_angles.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "stages.py"), "--src", src, "--src", src,
                            "--passes", "1", "--pairs", "3"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines if line.startswith("version")] == ["version 0", "version 1"]
+    assert [line.split(":")[0] for line in lines if line.startswith("version")] == \
+        ["version 0", "version 0", "version 1", "version 1"]
     assert [line.split()[1] for line in lines if line.startswith("| ")
-            and not line.startswith("| workload")] == ["corpus_small", "wide_dense"] * 2
+            and not line.startswith("| workload")] == ["corpus_small", "wide_dense"] * 4
+    inner_headings = ["`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`"]
+    assert [[cell.strip() for cell in line.split("|")[2:-1]] for line in lines
+            if line.startswith("| workload")][1::2] == [inner_headings] * 2
     summary = json.loads(lines[-1])
     assert summary["passes"] == 1 and summary["pairs"] == 3 and summary["src"] == [src, src]
     for workload in ("corpus_small", "wide_dense"):
         stages = summary["us_per_pair"][workload]
         assert list(stages) == ["pair", "blades", "relative_angle", "oracle_bases", "principal_angles"]
-        assert all(len(figures) == 2 and min(figures) > 0.0 for figures in stages.values())
+        inner = summary["inner_us_per_call"][workload]
+        assert list(inner) == ["_spectrum", "_read_clusters", "plane_wedges", "_self_check"]
+        assert all(len(figures) == 2 and min(figures) > 0.0 for figures in [*stages.values(), *inner.values()])
 
 
 def run_digest_truth(*args):

@@ -17,6 +17,16 @@ pairs, in microseconds per pair:
     oracle_bases      orthonormal_basis of both spans
     principal_angles  principal_angles of the two bases
 
+and, for a version whose engine reads its report in named stages, each
+stage inside relative_angle, in microseconds per call, on the outputs of
+the stage before it (the larger-grade blade first, as relative_angle
+swaps them):
+
+    _spectrum         O, the eigensolve of (O + O^T)/2 and O in its eigenbasis
+    _read_clusters    the principal planes and L's directions from them
+    plane_wedges      one _unit_wedge per principal plane
+    _self_check       L's wedge, the rotor chain, its sign and the residual
+
 The versions are imported side by side in one process
 (report_digest.load_package), with one BLAS thread as in the benchmark.
 Every pair runs once untimed first, which fills each version's caches.
@@ -24,9 +34,15 @@ Then each pass times every loop once per version, the versions taking
 turns to go first, and each figure is the best of --passes passes.
 
 Per version, a table gives the pair's time and each stage's time with its
-share of the sum of the four stages.  The last line of standard output is
-one JSON object: {"passes", "pairs", "src", "us_per_pair"}, where
-us_per_pair[workload][stage] holds one figure per --src, in their order.
+share of the sum of the four stages.  A second table gives relative_angle
+and each of its named stages with its share of relative_angle; the rest of
+relative_angle is its own work (argument checks, the Multivectors of its
+planes and L, the counts and the report).  A version
+without the named stages gets one line saying so instead.  The last line
+of standard output is one JSON object: {"passes", "pairs", "src",
+"us_per_pair", "inner_us_per_call"}, where us_per_pair[workload][stage]
+and inner_us_per_call[workload][stage] hold one figure per --src, in their
+order, null for a version without the named stages.
 """
 
 import argparse
@@ -48,6 +64,9 @@ import run as harness  # noqa: E402
 WORKLOADS = ("corpus_small", "wide_dense")
 STAGES = ("pair", "blades", "relative_angle", "oracle_bases", "principal_angles")
 HEADINGS = ("pair", "blades", "`relative_angle`", "oracle bases", "`principal_angles`")
+INNER = ("_spectrum", "_read_clusters", "plane_wedges", "_self_check")
+INNER_HEADINGS = ("`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`")
+NAMED_STAGES = ("_spectrum", "_read_clusters", "_self_check")
 
 
 def stage_loops(sa, pairs) -> dict:
@@ -65,6 +84,26 @@ def stage_loops(sa, pairs) -> dict:
         "relative_angle": (sa.relative_angle, blades),
         "oracle_bases": (lambda a, b: (sa.orthonormal_basis(a), sa.orthonormal_basis(b)), spans),
         "principal_angles": (sa.principal_angles, bases),
+        **inner_loops(sa.engine, blades),
+    }
+
+
+def inner_loops(engine, blades) -> dict:
+    """{stage: (call, argument tuples)} for the named stages inside relative_angle, each
+    on the previous stage's outputs; {} for an engine without them."""
+    if not all(hasattr(engine, name) for name in NAMED_STAGES):
+        return {}
+    ordered = [(a, b) if a.grade >= b.grade else (b, a) for a, b in blades]
+    spectra = [engine._spectrum(a, b) for a, b in ordered]
+    clusters = [engine._read_clusters(*spectrum) for spectrum in spectra]
+    checks = [(a, b, [theta for theta, _ in interior], [pair for _, pair in interior], flipped)
+              for (a, b), (interior, flipped) in zip(ordered, clusters)]
+    return {
+        "_spectrum": (engine._spectrum, ordered),
+        "_read_clusters": (engine._read_clusters, spectra),
+        "plane_wedges": (lambda sig, pairs: [engine._unit_wedge(sig, pair) for pair in pairs],
+                         [(a.sig, pairs) for a, _, _, pairs, _ in checks]),
+        "_self_check": (engine._self_check, checks),
     }
 
 
@@ -77,31 +116,35 @@ def time_loop(call, arguments) -> float:
 
 
 def measure(srcs, passes: int, pairs: int) -> dict:
-    """us_per_pair[workload][stage]: the best of passes passes per version, in srcs' order."""
+    """best[workload][stage]: the best of passes passes per version, in srcs' order,
+    None for a stage the version lacks."""
     versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
     loops = {workload: [stage_loops(sa, getattr(inputs, workload)(1)[:pairs]) for sa in versions]
              for workload in WORKLOADS}
-    best = {workload: {stage: [float("inf")] * len(versions) for stage in STAGES} for workload in WORKLOADS}
+    best = {workload: {stage: [None] * len(versions) for stage in STAGES + INNER} for workload in WORKLOADS}
     for n in range(passes):
         order = range(len(versions)) if n % 2 == 0 else range(len(versions) - 1, -1, -1)
         for workload in WORKLOADS:
-            for stage in STAGES:
+            for stage in STAGES + INNER:
                 for i in order:
-                    figure = time_loop(*loops[workload][i][stage])
-                    best[workload][stage][i] = min(best[workload][stage][i], figure)
+                    if stage in loops[workload][i]:
+                        figure = time_loop(*loops[workload][i][stage])
+                        old = best[workload][stage][i]
+                        best[workload][stage][i] = figure if old is None else min(old, figure)
     return best
 
 
-def table(best: dict, i: int) -> list[str]:
-    """Version i's stage table: the pair in µs, each stage in µs and as a share of the four."""
-    widths = [max(len(h), 13) for h in HEADINGS]
-    rows = ["| workload     | " + " | ".join(h.ljust(w) for h, w in zip(HEADINGS, widths)) + " |",
+def table(best: dict, i: int, stages, headings) -> list[str]:
+    """Version i's table of stages[1:], each in µs and as a share of their sum (stages[0] is
+    the pair) or of stages[0] (relative_angle, whose stages leave out its own work)."""
+    widths = [max(len(h), 13) for h in headings]
+    rows = ["| workload     | " + " | ".join(h.ljust(w) for h, w in zip(headings, widths)) + " |",
             "|--------------|" + "|".join("-" * (w + 2) for w in widths) + "|"]
     for workload in WORKLOADS:
-        us = {stage: best[workload][stage][i] for stage in STAGES}
-        total = sum(us[stage] for stage in STAGES[1:])
-        cells = [f"{us['pair']:.1f}"] + [f"{us[stage]:.1f} ({100.0 * us[stage] / total:.0f} %)"
-                                         for stage in STAGES[1:]]
+        us = {stage: best[workload][stage][i] for stage in stages}
+        whole = sum(us[stage] for stage in stages[1:]) if stages[0] == "pair" else us[stages[0]]
+        cells = [f"{us[stages[0]]:.1f}"] + [f"{us[stage]:.1f} ({100.0 * us[stage] / whole:.0f} %)"
+                                            for stage in stages[1:]]
         rows.append(f"| {workload:<12} | " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |")
     return rows
 
@@ -121,10 +164,19 @@ def main(argv=None) -> int:
     best = measure(srcs, args.passes, args.pairs)
     for i, src in enumerate(srcs):
         print(f"version {i}: {src}, µs per pair, best of {args.passes} passes")
-        print(*table(best, i), sep="\n")
+        print(*table(best, i, STAGES, HEADINGS), sep="\n")
+        if best[WORKLOADS[0]][INNER[0]][i] is None:
+            print(f"version {i}: relative_angle has no named stages ({', '.join(NAMED_STAGES)})")
+        else:
+            print(f"version {i}: inside relative_angle, µs per call, share of relative_angle")
+            print(*table(best, i, ("relative_angle", *INNER), INNER_HEADINGS), sep="\n")
+
+    def figures(stages):
+        return {w: {s: [None if x is None else round(x, 1) for x in best[w][s]] for s in stages}
+                for w in WORKLOADS}
+
     print(json.dumps({"passes": args.passes, "pairs": args.pairs, "src": srcs,
-                      "us_per_pair": {w: {s: [round(x, 1) for x in v] for s, v in st.items()}
-                                      for w, st in best.items()}}))
+                      "us_per_pair": figures(STAGES), "inner_us_per_call": figures(INNER)}))
     return 0
 
 
