@@ -26,13 +26,10 @@ as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
 s and t count the angles by the oracle's per-angle rule, and M is never
 formed: as reverse(B) B = 1, _self_check tests that the rebuilt chain
 R = (c_1 + i_1 s_1) ... L carries unit(B) onto unit(A). The residual
-|R unit(B) - unit(A)| = |R - M| also ties frames to blades. The chain
-needs only left products by vectors (ga.vector_product): L = l_1 ... l_m
-for its orthonormal rows, and i_k = x_k y_k for the orthonormal pair of
-plane k, so each factor acts as c X + s x (y X). A vector maps the even
-part of the algebra onto the odd part and back, so unit(B) and every
-intermediate of the chain have one parity, and the chain runs on the
-2^(n-1) coefficients of that parity: n 2^(n-1) terms per product.
+|R unit(B) - unit(A)| = |R - M| also ties frames to blades. The chain is
+ga._rotor_chain, left products by vectors on one parity at a time (its
+docstring has the mechanics): _self_check feeds it L's orthonormal rows
+and unit(B), rotor_reconstruction the report's |A||B| L.
 The self-check runs on coefficient arrays: unit(A), unit(B), the carried
 chain, its sign test and its residual are plain 2^n arrays, and the only
 Multivectors a report makes are its planes and its lowest blade, each the
@@ -49,7 +46,7 @@ import numpy as np
 
 from .blades import BLADE_TOL, Blade, _factor
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, _parity_masks, _wedge_coeffs, contraction_matrix, vector_product
+from .ga import Multivector, _rotor_chain, _wedge_coeffs, contraction_matrix
 
 # A principal angle counts as zero when its versine 2 sin^2(theta/2) = 1 - cos
 # theta is <= this value and as right when its cosine is; the rule of
@@ -63,7 +60,9 @@ SPLIT_FLOOR = 1e-12
 # Two scales, one value: eigenvalues cos 2 theta of S within this distance
 # share a cluster, and adjacent interior angles theta within it set
 # has_equal_angles. A pair of angles can share a cluster and not count as
-# equal, or count as equal and sit in two clusters.
+# equal, or count as equal and sit in two clusters. As cos 2 theta ~ 1 - 2 theta^2,
+# angles of 6.1e-7 and 7.2e-10 share the +1 cluster, each in its own plane,
+# so the flag is not read off the clusters.
 EQUAL_ANGLE_TOL = 1e-8
 
 # A report whose rebuilt chain misses unit(A) by more than this is not returned.
@@ -311,39 +310,11 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     dimensions of the larger blade enter through L = report.lowest_blade.
     This is A reverse(B), with A the larger-grade operand of relative_angle:
     the rebuilt chain carries unit(B) onto unit(A) up to the report's residual.
-    Each plane's orthonormal (x, y) and L's rows are read from their frames
-    (blades._factor), so each factor acts as c X + s x (y X), at vector cost;
-    an L of grade 0 is +-1, and its sign enters the starting scalar.
+    The chain (ga._rotor_chain) starts at |A||B| L as the report holds it and
+    reads each plane's orthonormal (x, y) from its frame (blades._factor), so
+    each factor acts as c X + s x (y X), at vector cost.
     """
     thetas = [theta for theta in report.angles if 0.0 < theta < math.pi / 2.0]
     pairs = [_factor(plane, 2, BLADE_TOL) for plane in report.planes]
-    lowest = report.lowest_blade
-    flipped = _factor(lowest, report.lowest_grade, BLADE_TOL)
-    start = np.zeros(lowest.sig.size)
-    start[0] = norm_a * norm_b * (lowest.scalar_part() if report.lowest_grade == 0 else 1.0)
-    return Multivector(lowest.sig, _rotor_chain(lowest.sig, thetas, pairs, flipped, start, 0), _copy=False)
-
-
-def _rotor_chain(sig, angles, pairs, flipped, x: np.ndarray, parity: int) -> np.ndarray:
-    """(c_1 + i_1 s_1)...(c_k + i_k s_k) L x with i_k = x_k ^ y_k for the
-    orthonormal pairs (x_k, y_k) and L = l_1 ... l_m for the orthonormal rows
-    of flipped, built from the right end by left products with vectors:
-    l_m x first, up to l_1, then each factor from the last plane's to the
-    first's, acting as c X + s x_k (y_k X), as x_k ^ y_k = x_k y_k.
-
-    x, the 2^n coefficients of a multivector of Cl(n,0), has the one parity
-    given (its other coefficients are zero), and each vector flips it, so the
-    chain runs on the 2^(n-1) coefficients of the current parity
-    (ga.vector_product, n * 2^(n-1) terms a step): x's half is gathered once
-    and the last half scattered into the one full array returned."""
-    masks = _parity_masks(sig.n)
-    out = x[masks[parity]]
-    for row in flipped[::-1]:
-        out = vector_product(sig, row, out, parity)
-        parity ^= 1
-    for theta, (u, w) in reversed(list(zip(angles, pairs))):
-        turned = vector_product(sig, u, vector_product(sig, w, out, parity), parity ^ 1)
-        out = math.cos(theta) * out + math.sin(theta) * turned
-    full = np.zeros(sig.size)
-    full[masks[parity]] = out
-    return full
+    sig, start = report.lowest_blade.sig, (norm_a * norm_b) * report.lowest_blade.coeffs
+    return Multivector(sig, _rotor_chain(sig, thetas, pairs, [], start, report.lowest_grade & 1), _copy=False)

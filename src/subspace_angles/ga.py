@@ -6,7 +6,10 @@ square to +1, the remaining q to -1. Dimension is capped at 12 (4096
 coefficients), which keeps every product a small dense operation.
 
 Multivectors are immutable values; every operation returns a new object,
-so they are safe to share between threads.
+so they are safe to share between threads. Only this module reads its
+layout tables (wedge steps, grade and parity masks, the vector-product
+gather); other modules call the wedge (wedge_vectors, _wedge_coeffs),
+contraction_matrix and _rotor_chain, (c_1 + i_1 s_1)...(c_k + i_k s_k) L X.
 """
 
 from __future__ import annotations
@@ -178,6 +181,31 @@ def vector_product(sig: Signature, v: np.ndarray, half: np.ndarray, parity: int)
     return v @ np.concatenate((half, -half))[_vector_table(sig)[parity ^ 1]]
 
 
+def _rotor_chain(sig, angles, pairs, flipped, x: np.ndarray, parity: int) -> np.ndarray:
+    """(c_1 + i_1 s_1)...(c_k + i_k s_k) L x with i_k = x_k ^ y_k for the
+    orthonormal pairs (x_k, y_k) and L = l_1 ... l_m for the orthonormal rows
+    of flipped, built from the right end by left products with vectors:
+    l_m x first, up to l_1, then each factor from the last plane's to the
+    first's, acting as c X + s x_k (y_k X), as x_k ^ y_k = x_k y_k.
+
+    x, the 2^n coefficients of a multivector of Cl(n,0), has the one parity
+    given (its other coefficients are zero), and each vector flips it, so the
+    chain runs on the 2^(n-1) coefficients of the current parity
+    (vector_product, n * 2^(n-1) terms a step): x's half is gathered once
+    and the last half scattered into the one full array returned."""
+    masks = _parity_masks(sig.n)
+    out = x[masks[parity]]
+    for row in flipped[::-1]:
+        out = vector_product(sig, row, out, parity)
+        parity ^= 1
+    for theta, (u, w) in reversed(list(zip(angles, pairs))):
+        turned = vector_product(sig, u, vector_product(sig, w, out, parity), parity ^ 1)
+        out = math.cos(theta) * out + math.sin(theta) * turned
+    full = np.zeros(sig.size)
+    full[masks[parity]] = out
+    return full
+
+
 @lru_cache(maxsize=None)
 def _grade_masks(n: int, k: int) -> np.ndarray:
     """The masks of grade k below 2^n, ascending."""
@@ -253,7 +281,7 @@ def contraction_matrix(mv: Multivector, k: int) -> np.ndarray:
 
 
 def mask_from_name(name: str, n: int) -> int:
-    """Parse a basis-blade name like 'e12', 'e1_10' or '1' (scalar).
+    """Parse a basis-blade name like 'e12', 'e1_10', 'e_10' or '1' (scalar).
 
     Indices must ascend strictly: 'e21' would be -e12, a sign no mask holds.
     """
@@ -265,6 +293,8 @@ def mask_from_name(name: str, n: int) -> int:
     body = name[1:]
     if "_" in body:
         parts = body.split("_")
+        if len(parts) == 2 and not parts[0]:   # 'e_10': a lone index above 9, which 'e10' cannot spell
+            parts = parts[1:]
     else:
         parts = list(body)
     mask = last = 0
@@ -282,13 +312,13 @@ def mask_from_name(name: str, n: int) -> int:
 
 
 def name_from_mask(mask: int) -> str:
-    """Canonical name of a basis blade: 'e12' below e10, 'e1_10' above."""
+    """Canonical name of a basis blade: 'e12' below e10, 'e1_10' above, 'e_10' alone."""
     if mask == 0:
         return "1"
     idx = [i + 1 for i in range(MAX_DIMENSION) if mask >> i & 1]
     if idx[-1] <= 9:
         return "e" + "".join(str(i) for i in idx)
-    return "e" + "_".join(str(i) for i in idx)
+    return ("e_" if len(idx) == 1 else "e") + "_".join(str(i) for i in idx)
 
 
 class Multivector:

@@ -21,6 +21,7 @@ from subspace_angles.engine import (
     relative_angle,
     rotor_reconstruction,
 )
+from subspace_angles.errors import DegenerateSpanError
 from subspace_angles.ga import Multivector, Signature, basis_vectors
 from subspace_angles.oracle import orthonormal_basis, principal_angles
 from subspace_angles.sampling import sample_spans
@@ -186,13 +187,15 @@ def test_criterion_8_conformal_translation_invariance():
             flats = []
             for _side in range(2):
                 grade = int(rng.integers(1, 4))
-                while True:
+                for _draw in range(100):
                     rows = rng.uniform(-1.0, 1.0, (grade, 3))
                     try:
                         d = blade_from_spanning_vectors(rows, esig)
                         break
-                    except Exception:
+                    except DegenerateSpanError:
                         continue
+                else:
+                    raise AssertionError(f"100 draws of grade {grade} all spanned degenerately")
                 point = rng.uniform(-3.0, 3.0, 3)
                 flats.append(cf.ConformalObject.from_multivector(cf.flat(csig, point, d.mv)))
             before = cf.conformal_relative_angle(*flats)

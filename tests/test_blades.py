@@ -48,6 +48,12 @@ class TestBladeFromSpanningVectors:
         with pytest.raises(ValueError, match="sequence of length-n vectors"):
             blade_from_spanning_vectors([1.0, 2.0, 3.0])
 
+    def test_empty_or_misfit_span_rejected(self):
+        with pytest.raises(DegenerateSpanError, match="^empty spanning set$"):
+            blade_from_spanning_vectors([])
+        with pytest.raises(ValueError, match=r"^vectors of length 3 in Cl\(4,0\)$"):
+            blade_from_spanning_vectors([[1, 0, 0]], Signature(4))
+
     def test_non_euclidean_signature_raises(self):
         # as Blade.from_multivector: no Gram-Schmidt frame, and no magnitude-0 null blade
         sig = Signature(2, 1)

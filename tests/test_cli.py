@@ -190,6 +190,16 @@ class TestParseProblem:
         p = parse_problem('{"n":4,"A":[[1,0,0,0]],"B":[[0,1,0,0],[0,0,1,0]]}')
         assert len(p.a_span) == 1 and len(p.b_span) == 2
 
+    @pytest.mark.parametrize("text, mode, message", [
+        ('{"n":2,"A":[["x",0]],"B":[[0,1]]}', "euclidean", r"A\[0\]\[0\]: expected a number"),
+        ('{"n":3,"A":"e12","B":{"e1":1}}', "conformal", "A: expected a coefficient list or a blade-name map"),
+        ('{"n":2,"A":[[1,0]],"B":[[0,1]],"options":{"oracle":1}}', "euclidean",
+         "options.oracle: expected a boolean"),
+    ])
+    def test_malformed_value_named(self, text, mode, message):
+        with pytest.raises(ProblemFormatError, match=f"^{message}$"):
+            parse_problem(text, mode=mode)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ProblemFormatError, match="unknown keys"):
             parse_problem('{"n":3,"A":[[1,0,0]],"B":[[0,1,0]],"extra":1}')
@@ -225,6 +235,14 @@ class TestParseProblem:
         # {"e21": 1.0} is -e12; reading it as +e12 would flip the term silently
         doc = {"n": 3, "A": {"e21": 1.0}, "B": {"e1": 1.0}}
         with pytest.raises(ProblemFormatError, match=r"^A\['e21'\]: indices .* ascend"):
+            parse_problem(json.dumps(doc), mode="conformal")
+
+    def test_lone_index_above_nine_named(self):
+        # at n = 8 the conformal e- is e_10; 'e10' would read as e1 ^ e0
+        doc = {"n": 8, "A": {"e_10": 1.0, "e1": 0.5}, "B": {"e1": 1.0}}
+        assert parse_problem(json.dumps(doc), mode="conformal").a_span == {"e_10": 1.0, "e1": 0.5}
+        doc["A"] = {"e10": 1.0}
+        with pytest.raises(ProblemFormatError, match=r"^A\['e10'\]: index 0 out of range 1..10"):
             parse_problem(json.dumps(doc), mode="conformal")
 
     def test_repeated_top_level_key_rejected(self, tmp_path, capsys):

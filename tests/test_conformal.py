@@ -43,6 +43,14 @@ class TestNullBasis:
         t = cf.translator(CSIG, [0.4, -1.0, 2.0])
         assert (t * t.reverse()).approx_eq(Multivector.scalar(CSIG, 1.0), 1e-12)
 
+    def test_mismatched_inputs_rejected(self):
+        with pytest.raises(ValueError, match=r"^not a conformal signature: Cl\(3,0\)$"):
+            cf.base_dimension(Signature(3))
+        with pytest.raises(ValueError, match="^element does not match the conformal base space$"):
+            cf.lift_euclidean(CSIG, Multivector.vector(Signature(2), [1.0, 0.0]))
+        with pytest.raises(ValueError, match="^point must have 3 coordinates$"):
+            cf.embed_point(CSIG, [1.0, 2.0])
+
 
 class TestObjectDetection:
     def test_flat_detected(self):
@@ -151,6 +159,12 @@ class TestCarrier:
         p = cf.ConformalObject.from_multivector(cf.embed_point(CSIG, [1.0, 2.0, 3.0]))
         with pytest.raises(CarrierError):
             cf.euclidean_carrier(p)
+
+    def test_euclidean_trivector_has_zero_carrier(self):
+        # e1 ^ e2 ^ e3 has no e+ or e- factor, so the slice the carrier is read from is empty
+        x = cf.ConformalObject.from_multivector(Multivector.basis_blade(CSIG, "e123"))
+        with pytest.raises(CarrierError, match="^carrier extraction yields zero$"):
+            cf.euclidean_carrier(x)
 
 
 def contracted_carrier(x):

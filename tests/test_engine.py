@@ -19,6 +19,7 @@ from subspace_angles.errors import (
     AmbiguousRankError,
     NonEuclideanError,
     NotABladeError,
+    SignatureMismatchError,
 )
 from subspace_angles.ga import Multivector, Signature, basis_vectors, wedge_vectors
 from subspace_angles.oracle import orthonormal_basis, principal_angles
@@ -143,6 +144,11 @@ class TestBivectorSplit:
     def test_non_bivector_rejected(self):
         with pytest.raises(NotABladeError):
             bivector_split(E1)
+
+    def test_non_euclidean_bivector_rejected(self):
+        f = Multivector.basis_blade(Signature(2, 1), "e12")
+        with pytest.raises(NonEuclideanError, match="^bivector split implemented for Euclidean signature$"):
+            bivector_split(f)
 
     def test_zero_bivector(self):
         assert bivector_split(Multivector.zero(SIG3)) == []
@@ -471,6 +477,17 @@ class TestRelativeAngle:
         with pytest.raises(NonEuclideanError):
             relative_angle(a, a)
 
+    def test_mismatched_or_zero_blades_rejected(self):
+        b = blade_from_spanning_vectors([[1, 0, 0, 0]])
+        with pytest.raises(SignatureMismatchError,
+                           match=r"^Signature\(p=3, q=0\) vs Signature\(p=4, q=0\)$"):
+            relative_angle(blade_from_spanning_vectors([[1, 0, 0]]), b)
+        # the wedge of two 1e-100 rows keeps its 1e-200 coefficient, but its
+        # coefficient norm underflows to a magnitude of 0
+        tiny = blade_from_spanning_vectors([[1e-100, 0, 0, 0], [0, 1e-100, 0, 0]])
+        with pytest.raises(NotABladeError, match="^zero blade$"):
+            relative_angle(tiny, b)
+
     def test_oracle_agreement_small_corpus(self):
         rng = np.random.default_rng(39)
         for _ in range(200):
@@ -759,6 +776,14 @@ class TestClusterEdge:
     def test_angle_gap_decides_the_flag(self, theta, times):
         rep, _ = self.report((theta, theta + times * EQUAL_ANGLE_TOL))
         assert rep.has_equal_angles == (times < 1.0)
+
+    def test_distinct_small_angles_share_a_cluster_not_the_flag(self):
+        # corpus_small seed 1, pair 425: cos 2 theta ~ 1 - 2 theta^2 puts both angles
+        # within EQUAL_ANGLE_TOL of the +1 eigenvalue, so the cluster rule alone would
+        # call them equal; each keeps its own plane and the flag compares the angles
+        rep, got = self.report((6.1e-7, 7.2e-10))
+        assert got == [6]
+        assert len(rep.planes) == 2 and not rep.has_equal_angles
 
 
 class TestSplitFloorEdge:

@@ -473,9 +473,16 @@ class TestNamesAndMisc:
         assert name_from_mask(mask) == "e1_10"
         assert mask_from_name("e1_10", 10) == mask
 
+    def test_every_mask_reads_back(self):
+        # a lone index above 9 is spelt e_10: 'e10' reads as e1 ^ e0 and 'e12' as e1 ^ e2
+        assert [name_from_mask(1 << i) for i in (8, 9, 11)] == ["e9", "e_10", "e_12"]
+        assert mask_from_name("e_3", 3) == mask_from_name("e3", 3) == 4
+        for mask in range(1 << MAX_DIMENSION):
+            assert mask_from_name(name_from_mask(mask), MAX_DIMENSION) == mask
+
     def test_bad_names(self):
         # "e21" and "e132" would carry a sign (e2e1 = -e12) that a mask cannot
-        for bad in ["x1", "e0_1", "e11", "e123x", "e21", "e132"]:
+        for bad in ["x1", "e0_1", "e11", "e123x", "e21", "e132", "e_", "e_1_2"]:
             with pytest.raises(ValueError):
                 mask_from_name(bad, 3)
         # Arabic-Indic 1 4 and a superscript 3 pass str.isdigit, but are no ASCII indices
@@ -494,3 +501,17 @@ class TestNamesAndMisc:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Multivector.vector(SIG3, [1.0, math.inf, 0.0])
+
+    def test_bad_construction_rejected(self):
+        with pytest.raises(ValueError, match="^p and q must be nonnegative$"):
+            Signature(-1)
+        with pytest.raises(ValueError, match=r"^dimension p\+q must be in 1..12, got 13$"):
+            Signature(13)
+        with pytest.raises(ValueError, match=r"^need 8 coefficients, got \(2,\)$"):
+            Multivector(SIG3, [1.0, 2.0])
+        with pytest.raises(ValueError, match="^mask out of range$"):
+            Multivector.basis_blade(SIG3, 8)
+
+    def test_repr(self):
+        assert repr(Multivector.zero(SIG3)) == "0"
+        assert repr(2.0 * E1 - (E2 ^ E3)) == "2*e1 - 1*e23"

@@ -193,6 +193,10 @@ class TestPrincipalAngles:
             with pytest.raises(ValueError, match="basis has a non-finite entry"):
                 principal_angles(a, b)
 
+    def test_empty_basis_raises(self):
+        with pytest.raises(DegenerateSpanError, match="^empty basis$"):
+            principal_angles([], [[1.0, 0.0]])
+
     def test_overflowing_product_raises(self):
         # finite bases whose product overflows, as the command line runs them: principal_angles
         # checks its product itself before the SVD, which checks nothing again

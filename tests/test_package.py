@@ -18,13 +18,14 @@ def test_every_export_resolves():
 
 
 def test_only_ga_reads_the_wedge_table():
-    # one owner of the table layout: every other module goes through ga's wedge and
-    # contraction routines
+    # one owner of the table layouts: every other module goes through ga's wedge,
+    # contraction and rotor-chain routines
     src = Path(subspace_angles.__file__).resolve().parent
+    tables = ("_wedge_table", "_grade_masks", "_parity_masks", "_vector_table")
     for path in src.glob("*.py"):
         if path.name != "ga.py":
             text = path.read_text()
-            assert "_wedge_table" not in text and "_grade_masks" not in text, path.name
+            assert not [name for name in tables if name in text], path.name
     assert not hasattr(subspace_angles, "NegativeSquareError")
     assert "NegativeSquareError" not in subspace_angles.__all__
 
