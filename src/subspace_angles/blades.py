@@ -46,7 +46,8 @@ class Blade:
     the projector for from_multivector), so magnitude * wedge_vectors(sig,
     frame) rebuilds mv. The engine's projectors read the frame; == and
     repr ignore it. A magnitude that overflows to inf or nan raises
-    ValueError."""
+    ValueError: finite coefficients can still have a norm above the float
+    range, e.g. a trivector of R^4 whose four coefficients are 1.3e308."""
 
     mv: Multivector
     grade: int
@@ -55,7 +56,7 @@ class Blade:
 
     def __post_init__(self):
         if not math.isfinite(self.magnitude):
-            raise ValueError("blade magnitude overflows: its squared norm is not finite")
+            raise ValueError("blade magnitude overflows: its coefficient norm is not finite")
         self.frame.setflags(write=False)
 
     @property

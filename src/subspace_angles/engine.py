@@ -28,8 +28,8 @@ formed: as reverse(B) B = 1, _self_check tests that the rebuilt chain
 R = (c_1 + i_1 s_1) ... L carries unit(B) onto unit(A). The residual
 |R unit(B) - unit(A)| = |R - M| also ties frames to blades. The chain is
 ga._rotor_chain, left products by vectors on one parity at a time (its
-docstring has the mechanics): _self_check feeds it L's orthonormal rows
-and unit(B), rotor_reconstruction the report's |A||B| L.
+docstring has the mechanics): _self_check feeds it the plane frames, L's rows
+and unit(B), rotor_reconstruction the report's plane_frames and |A||B| L.
 The self-check runs on coefficient arrays: unit(A), unit(B), the carried
 chain, its sign test and its residual are plain 2^n arrays, and the only
 Multivectors a report makes are its planes and its lowest blade, each the
@@ -39,12 +39,12 @@ wedge of its orthonormal rows over its coefficient norm (_unit_wedge).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .blades import BLADE_TOL, Blade, _factor
+from .blades import Blade
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
 from .ga import Multivector, _rotor_chain, _wedge_coeffs, contraction_matrix
 
@@ -94,6 +94,8 @@ class AngleReport:
     of the angles s does not count, and cos_total is cos_interior, or 0.0
     when t > 0. has_equal_angles is True when two adjacent interior
     angles (by the ordering above) lie within EQUAL_ANGLE_TOL of each other.
+    plane_frames holds per plane the read-only (2, n) orthonormal rows u and w
+    with unit(u ^ w) = planes[k], the pair the rotor chain reads; == and repr ignore it.
     """
 
     s: int
@@ -107,6 +109,7 @@ class AngleReport:
     residual: float
     has_equal_angles: bool
     lowest_blade: Multivector
+    plane_frames: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
 
 def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -191,9 +194,10 @@ def _spectrum(a: Blade, b: Blade) -> tuple[list[float], np.ndarray, np.ndarray]:
 
 
 def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list, list]:
-    """(interior, flipped) from _spectrum's (w, v, rot): (theta, (x, y)) of each principal
-    plane, theta descending, and the directions O sends to their negatives, L's. A cluster
-    is a run of w whose neighbours lie within EQUAL_ANGLE_TOL; its block of rot is O on it."""
+    """(interior, flipped) from _spectrum's (w, v, rot): (theta, frame) of each principal
+    plane, theta descending, frame its orthonormal rows (x, -y), and the directions O sends
+    to their negatives, L's. A cluster is a run of w whose neighbours lie within
+    EQUAL_ANGLE_TOL; its block of rot is O on it."""
     cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > EQUAL_ANGLE_TOL), len(w)]
     rl = rot.tolist()
     interior, flipped = [], []
@@ -202,7 +206,7 @@ def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list
         if hi - lo == 2:   # the block's antisymmetric part is [[0, -k10], [k10, 0]]
             k10 = 0.5 * (rl[lo + 1][lo] - rl[lo][lo + 1])
             if abs(k10) > SPLIT_FLOOR:
-                found = [(abs(k10), rl[lo][lo] + rl[lo + 1][lo + 1], basis[:, 0].copy(),
+                found = [(abs(k10), rl[lo][lo] + rl[lo + 1][lo + 1], basis[:, 0],
                           math.copysign(1.0, k10) * basis[:, 1])]
         elif hi - lo > 2:
             block = rot[lo:hi, lo:hi]
@@ -210,7 +214,7 @@ def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list
             found = [(rate, x @ (block @ x) + y @ (block @ y), basis @ x, basis @ y)
                      for rate, x, y in local]
         # trace: of the block on the plane, 2 cos 2 theta; O turns -y toward x: the plane is x ^ -y
-        interior += [(0.5 * math.atan2(rate, 0.5 * trace), (x, -y)) for rate, trace, x, y in found]
+        interior += [(0.5 * math.atan2(rate, 0.5 * trace), np.array((x, -y))) for rate, trace, x, y in found]
         # O negates the directions of a cos 2 theta < 0 cluster outside its
         # planes: none when the planes fill it, so the QR runs only when they don't
         if w[lo] < 0.0 and 2 * len(found) < hi - lo:
@@ -222,14 +226,14 @@ def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list
     return interior, flipped
 
 
-def _self_check(a: Blade, b: Blade, thetas, pairs, flipped) -> tuple[np.ndarray, float]:
+def _self_check(a: Blade, b: Blade, thetas, frames, flipped) -> tuple[np.ndarray, float]:
     """(L, residual): L's coefficients, the unit wedge of flipped, and the coefficient
-    norm of R unit(B) - unit(A) for the chain R of the planes (thetas, pairs) and L,
+    norm of R unit(B) - unit(A) for the chain R of the planes (thetas, frames) and L,
     both signed so that R unit(B) leans toward unit(A); B is the smaller-grade blade."""
     sig = a.sig
     lowest = _unit_wedge(sig, flipped) if flipped else _one(sig.n)   # L = 1: nothing flipped
     unit_a = a.mv.coeffs / a.magnitude
-    carried = _rotor_chain(sig, thetas, pairs, flipped, b.mv.coeffs / b.magnitude, b.grade & 1)
+    carried = _rotor_chain(sig, thetas, frames, flipped, b.mv.coeffs / b.magnitude, b.grade & 1)
     # <carried reverse(unit_a)>_0: over Cl(n,0) the reverse signs square to 1
     if np.dot(carried, unit_a) < 0.0:
         lowest, carried = -lowest, -carried
@@ -268,10 +272,12 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
             f"do not fit blades of grades {a.grade} and {b.grade}")
 
     thetas = [theta for theta, _ in interior]
-    pairs = [pair for _, pair in interior]
-    planes = tuple(Multivector(sig, _unit_wedge(sig, pair), _copy=False) for pair in pairs)
+    frames = tuple(frame for _, frame in interior)
+    for frame in frames:
+        frame.setflags(write=False)
+    planes = tuple(Multivector(sig, _unit_wedge(sig, frame), _copy=False) for frame in frames)
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
-    lowest, residual = _self_check(a, b, thetas, pairs, flipped)
+    lowest, residual = _self_check(a, b, thetas, frames, flipped)
 
     # s on the versine 2 sin^2(theta/2) = 1 - cos theta, which keeps a small angle's digits
     cosines = [math.cos(theta) for theta in angles]
@@ -299,6 +305,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         residual=residual,
         has_equal_angles=any(x - y <= EQUAL_ANGLE_TOL for x, y in zip(thetas, thetas[1:])),
         lowest_blade=Multivector(sig, lowest, _copy=False),
+        plane_frames=frames,
     )
 
 
@@ -311,10 +318,10 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     This is A reverse(B), with A the larger-grade operand of relative_angle:
     the rebuilt chain carries unit(B) onto unit(A) up to the report's residual.
     The chain (ga._rotor_chain) starts at |A||B| L as the report holds it and
-    reads each plane's orthonormal (x, y) from its frame (blades._factor), so
-    each factor acts as c X + s x (y X), at vector cost.
+    reads each plane's orthonormal (x, y) from report.plane_frames, with no
+    eigensolve, so each factor acts as c X + s x (y X), at vector cost.
     """
     thetas = [theta for theta in report.angles if 0.0 < theta < math.pi / 2.0]
-    pairs = [_factor(plane, 2, BLADE_TOL) for plane in report.planes]
     sig, start = report.lowest_blade.sig, (norm_a * norm_b) * report.lowest_blade.coeffs
-    return Multivector(sig, _rotor_chain(sig, thetas, pairs, [], start, report.lowest_grade & 1), _copy=False)
+    chain = _rotor_chain(sig, thetas, report.plane_frames, [], start, report.lowest_grade & 1)
+    return Multivector(sig, chain, _copy=False)

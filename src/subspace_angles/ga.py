@@ -15,6 +15,7 @@ contraction_matrix and _rotor_chain, (c_1 + i_1 s_1)...(c_k + i_k s_k) L X.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -280,6 +281,21 @@ def contraction_matrix(mv: Multivector, k: int) -> np.ndarray:
     return c
 
 
+def _norm(c: np.ndarray) -> float:
+    """The 2-norm of c. Only where c . c leaves the normal range while c is
+    finite and nonzero is c first divided by an exact power of two near its
+    largest entry, so a norm that a float holds neither underflows to 0 nor
+    overflows to inf on the way; ordinary inputs keep the plain sqrt(c . c)."""
+    with np.errstate(over="ignore"):
+        squared = np.dot(c, c)
+        peak = 0.0 if sys.float_info.min <= squared < math.inf else float(np.max(np.abs(c)))
+        if not 0.0 < peak < math.inf:
+            return math.sqrt(squared)
+        e = math.frexp(peak)[1]
+        scaled = np.ldexp(c, -e)
+        return float(np.ldexp(math.sqrt(np.dot(scaled, scaled)), e))
+
+
 def mask_from_name(name: str, n: int) -> int:
     """Parse a basis-blade name like 'e12', 'e1_10', 'e_10' or '1' (scalar).
 
@@ -384,16 +400,15 @@ class Multivector:
         return grs[-1] if grs else 0
 
     def coeff_norm(self) -> float:
-        """Plain 2-norm of the coefficient vector (metric-independent)."""
-        return math.sqrt(np.dot(self.coeffs, self.coeffs))
+        """Plain 2-norm of the coefficient vector (metric-independent), by _norm."""
+        return _norm(self.coeffs)
 
     def grade_norms(self) -> dict[int, float]:
         """Map grade -> grade(k).coeff_norm(), without building the parts."""
         g = _grades(self.sig.n)
         norms = {}
         for k in self.grades():
-            part = np.where(g == k, self.coeffs, 0.0)
-            norms[k] = float(np.sqrt(np.dot(part, part)))
+            norms[k] = _norm(np.where(g == k, self.coeffs, 0.0))
         return norms
 
     # ---- linear structure ----------------------------------------------

@@ -205,8 +205,14 @@ class TestOverflow:
             blade_from_spanning_vectors(rows)
 
     def test_overflowing_magnitude_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="magnitude overflows"):
-            blade_from_spanning_vectors([[1e153, 0, 0], [0, 1e153, 0]])
+        # c . c = 1e612 overflows, but the magnitude 1e306 does not: the blade builds
+        big = blade_from_spanning_vectors([[1e153, 0, 0], [0, 1e153, 0]])
+        assert big.magnitude == pytest.approx(1e306, rel=1e-15)
+        assert np.array_equal(big.frame, np.eye(3)[:2])
+        # rows orthogonal to (1, 1, 1, 1): four finite coefficients of 1.3e308, magnitude 2.6e308
+        s = 2.8e102
+        with pytest.raises(ValueError, match="magnitude overflows"):
+            blade_from_spanning_vectors([[s, -s, 0, 0], [s, s, -2 * s, 0], [s, s, s, -3 * s]])
 
     def test_large_finite_span_still_builds(self):
         b = blade_from_spanning_vectors([[1e76, 0, 0], [0, 1e76, 0]])

@@ -152,7 +152,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("a, message", [
         ("[[1e155, 0, 0]]", "vector 0 overflows"),
-        ("[[1e153, 0, 0], [0, 1e153, 0]]", "blade magnitude overflows"),
         ("[[1e-160, 0, 0]]", "vector 0 underflows"),
     ])
     def test_overflowing_span_names_the_overflow(self, tmp_path, capsys, a, message):
@@ -164,6 +163,31 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{big}: ValueError: {message}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_span_whose_square_overflows_runs(self, tmp_path, capsys):
+        # the 1e306 wedge of two 1e153 rows has a magnitude a float holds, though
+        # its square does not: the document is that of the unit span
+        docs = []
+        for scale in ("1e153", "1"):
+            path = tmp_path / f"span_{scale}.json"
+            path.write_text(f'{{"n": 3, "A": [[{scale}, 0, 0], [0, {scale}, 0]], "B": [[1, 1, 0]]}}')
+            assert main(["run", str(path)]) == EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            del doc["input"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["angles_rad"] == [0.0] and docs[0]["s"] == 1
+
+    def test_overflowing_magnitude_names_the_overflow(self, tmp_path, capsys):
+        # three rows orthogonal to (1, 1, 1, 1): finite coefficients of 1.3e308, magnitude 2.6e308
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 4, "A": [[2.8e102, -2.8e102, 0, 0], [2.8e102, 2.8e102, -5.6e102, 0], '
+                       '[2.8e102, 2.8e102, 2.8e102, -8.4e102]], "B": [[1, 0, 0, 0]]}')
+        assert main(["run", str(big)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{big}: ValueError: blade magnitude overflows")
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("value", ["0", "-1", "1", "nan", "inf"])

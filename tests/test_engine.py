@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -303,6 +304,12 @@ def test_stages_compose_into_the_report():
         assert [plane.coeffs.tobytes() for plane in rep.planes] == [plane.tobytes() for plane in planes]
         assert rep.lowest_blade.coeffs.tobytes() == lowest.tobytes()
         assert rep.residual == residual
+        # each plane's frame: read-only orthonormal rows whose unit wedge is the plane, byte for byte
+        assert len(rep.plane_frames) == len(rep.planes)
+        for frame, plane in zip(rep.plane_frames, rep.planes):
+            assert frame.shape == (2, a.sig.n) and not frame.flags.writeable
+            assert np.max(np.abs(frame @ frame.T - np.eye(2))) <= 1e-14
+            assert engine._unit_wedge(a.sig, frame).tobytes() == plane.coeffs.tobytes()
 
 
 class TestSplitEarlyExit:
@@ -482,11 +489,15 @@ class TestRelativeAngle:
         with pytest.raises(SignatureMismatchError,
                            match=r"^Signature\(p=3, q=0\) vs Signature\(p=4, q=0\)$"):
             relative_angle(blade_from_spanning_vectors([[1, 0, 0]]), b)
-        # the wedge of two 1e-100 rows keeps its 1e-200 coefficient, but its
-        # coefficient norm underflows to a magnitude of 0
+        # the wedge of two 1e-100 rows keeps its 1e-200 coefficient, and its
+        # coefficient norm, scaled while its square underflows, is the magnitude
         tiny = blade_from_spanning_vectors([[1e-100, 0, 0, 0], [0, 1e-100, 0, 0]])
+        unit = blade_from_spanning_vectors([[1, 0, 0, 0], [0, 1, 0, 0]])
+        assert tiny.magnitude == pytest.approx(1e-200, rel=1e-15)
+        assert relative_angle(tiny, b).angles == relative_angle(unit, b).angles
+        zero = Blade(Multivector.zero(b.sig), 2, 0.0, np.eye(4)[:2])
         with pytest.raises(NotABladeError, match="^zero blade$"):
-            relative_angle(tiny, b)
+            relative_angle(zero, b)
 
     def test_oracle_agreement_small_corpus(self):
         rng = np.random.default_rng(39)
@@ -606,6 +617,25 @@ class TestRotorReconstruction:
         assert np.allclose(rep.angles, [theta1, theta2], rtol=0.0, atol=1e-15)
         rebuilt = rotor_reconstruction(rep, a.magnitude, b.magnitude)
         assert (rebuilt - a.mv * b.mv.reverse()).coeff_norm() <= rep.residual + 1e-15
+
+    def test_reads_the_frames_without_an_eigensolve(self, monkeypatch):
+        a, b = known_pair((1.2, 0.7), 3, np.eye(5))
+        rep = relative_angle(a, b)
+        want = rotor_reconstruction(rep, a.magnitude, b.magnitude)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rotor_reconstruction ran an eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert rotor_reconstruction(rep, a.magnitude, b.magnitude) == want
+        assert want.approx_eq(a.mv * b.mv.reverse(), 1e-12)
+
+    def test_report_equality_and_repr_ignore_the_frames(self):
+        a, b = known_pair((1.2, 0.7), 3, np.eye(5))
+        rep = relative_angle(a, b)
+        other = dataclasses.replace(rep, plane_frames=tuple(-frame for frame in rep.plane_frames))
+        assert rep == other and repr(rep) == repr(other)
+        assert "plane_frames" not in repr(rep)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(42)

@@ -462,6 +462,59 @@ class TestScalarProductAndNorm:
             assert e.scalar_product(e) == (e * e).scalar_part()
 
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e170, 1e300])
+    def test_norms_hold_where_the_square_leaves_the_float_range(self, scale):
+        # c . c under- or overflows, the norm 5 * scale does not: c is scaled by a power of two first
+        x = (3.0 * E1 + 4.0 * (E2 ^ E3)) * scale
+        assert x.coeff_norm() == pytest.approx(5.0 * scale, rel=1e-15)
+        assert x.grade_norms() == pytest.approx({1: 3.0 * scale, 2: 4.0 * scale}, rel=1e-15)
+
+    def test_ordinary_norm_is_the_plain_root(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            c = random_multivector(rng, SIG3).coeffs
+            assert Multivector(SIG3, c).coeff_norm() == math.sqrt(np.dot(c, c))
+        assert Multivector.zero(SIG3).coeff_norm() == 0.0 and Multivector.zero(SIG3).grade_norms() == {}
+
+
+class TestOperands:
+    """A Python number is a scalar on either side of + and -, and scales on either
+    side of *; any other operand is left to Python, which refuses it."""
+
+    MV = 2.0 * E1 - (E2 ^ E3)
+
+    @pytest.mark.parametrize("op, scalar_part", [
+        (lambda mv: mv + 1.0, 1.0),
+        (lambda mv: 1.0 + mv, 1.0),
+        (lambda mv: mv - 1.0, -1.0),
+    ], ids=["mv + 1", "1 + mv", "mv - 1"])
+    def test_number_is_a_scalar(self, op, scalar_part):
+        assert op(self.MV) == self.MV + Multivector.scalar(SIG3, scalar_part)
+
+    def test_number_minus_multivector(self):
+        assert 1.0 - self.MV == Multivector.scalar(SIG3, 1.0) - self.MV
+
+    def test_paper_factor_is_a_rotor(self):
+        # c + s i, as the paper writes each factor of A reverse(B), from a unit plane i
+        t = 0.7
+        r = math.cos(t) + math.sin(t) * (E1 ^ E2)
+        assert r.grades() == [0, 2]
+        assert (r * r.reverse()).approx_eq(Multivector.scalar(SIG3, 1.0), 1e-15)
+
+    def test_foreign_operand_is_not_equal(self):
+        assert (self.MV == "e1") is False
+        assert self.MV != "e1"
+
+    @pytest.mark.parametrize("op", [
+        lambda mv: mv * "x",
+        lambda mv: "x" * mv,
+        lambda mv: mv ^ 2,
+    ], ids=["mv * str", "str * mv", "mv ^ int"])
+    def test_foreign_operand_raises(self, op):
+        with pytest.raises(TypeError):
+            op(self.MV)
+
+
 class TestNamesAndMisc:
     def test_name_round_trip(self):
         for name, mask in [("1", 0), ("e1", 1), ("e12", 3), ("e13", 5)]:

@@ -28,9 +28,12 @@ array shapes, exception reprs.  A pair moved when a discrete leaf differs.
 Per (workload, seed) the first line gives the pairs, the moved ones and the
 largest absolute move of each float field whose bytes differ in a pair that
 did not move; the lines under it name the pairs behind each difference,
-counted from 0 in input order.  The last line is `identical` (exit status
-0), `no discrete field moved` (1) or `N pairs moved` (1).  A copy whose
-residuals double gives:
+counted from 0 in input order.  A field path that only one version has
+in a (workload, seed), such as a new dataclass field, is left out of that
+comparison; one line per such field, before the last, names the `--src`
+that has it.  The last line is `identical` (exit status 0), `no discrete
+field moved` (1; also when only such fields differ) or `N pairs moved`
+(1).  A copy whose residuals double gives:
 
     cli_batch 1 pairs=21 moved=0 run.residual=2.55e-15 selftest.max_residual=2.49e-15
       run.residual: 0 1 2 ... 19
@@ -183,18 +186,28 @@ def largest_gap(x: np.ndarray, y: np.ndarray) -> float:
 def compare(srcs, workloads, seeds) -> int:
     """Print, per (workload, seed), the pairs whose discrete leaves moved from
     srcs[0] to srcs[1] and the largest move of each float field whose bytes
-    differ in the others; 1 unless nothing differs."""
+    differ in the others, then each field only one version has; 1 unless
+    nothing differs."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
     versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
 
     total_moved = total_fields = 0
+    only = {}                                          # field -> the --src that alone has it
     for workload in workloads:
         for seed in seeds:
             calls = items(inputs, workload, seed)
+            results = [[leaves(call(sa)) for sa in versions] for call in calls]
+            fields = [{key[0] for result in results for part in result[side] for key in part}
+                      for side in (0, 1)]
+            for side in (0, 1):
+                only.update(dict.fromkeys(fields[side] - fields[1 - side], srcs[side]))
+            lone = fields[0] ^ fields[1]                 # left out of this comparison
             moved, gaps, behind = [], {}, {}
-            for index, call in enumerate(calls):
-                (floats_a, discrete_a), (floats_b, discrete_b) = (leaves(call(sa)) for sa in versions)
+            for index, result in enumerate(results):
+                (floats_a, discrete_a), (floats_b, discrete_b) = (
+                    ({key: v for key, v in part.items() if key[0] not in lone} for part in side)
+                    for side in result)
                 if discrete_a != discrete_b:
                     moved.append(index)
                     continue
@@ -212,11 +225,13 @@ def compare(srcs, workloads, seeds) -> int:
                 print("  pairs moved:", *moved)
             for field in sorted(gaps):
                 print(f"  {field}:", *sorted(behind[field]))
+    for field in sorted(only):
+        print(f"{field}: only in --src {only[field]}")
     if total_moved:
         print(f"{total_moved} pairs moved")
     else:
-        print("no discrete field moved" if total_fields else "identical")
-    return 1 if total_moved or total_fields else 0
+        print("no discrete field moved" if total_fields or only else "identical")
+    return 1 if total_moved or total_fields or only else 0
 
 
 def truth_reports(harness, inputs, sa, workload: str, seed: int):
