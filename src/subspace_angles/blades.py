@@ -12,7 +12,9 @@ read from a multivector takes it from one eigensolve of its projector,
 built from ga.contraction_matrix, which also gives engine.bivector_split its
 matrix. The frame is not unique, only the reconstruction is contractual.
 pure_blade, one grade-and-factor test that reads no metric, also
-validates conformal objects.
+validates conformal objects. blade_from_spanning_vectors refuses malformed rows,
+then a non-finite wedge (its norm is the finiteness check; only a non-finite norm
+scans the coefficients), then _mgs's refusals, then an overflowing magnitude.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from operator import mul
 import numpy as np
 
 from .errors import DegenerateSpanError, NonEuclideanError, NotABladeError
-from .ga import Multivector, Signature, contraction_matrix, euclidean_signature, wedge_vectors
+from .ga import (Multivector, Signature, _norm, _wedge_coeffs, contraction_matrix, euclidean_signature,
+                 wedge_vectors)
 
 # A spanning vector is dependent when its Gram-Schmidt residual drops
 # below this fraction of its original norm.
@@ -92,7 +95,7 @@ def pure_blade(mv: Multivector, tol: float) -> tuple[int, Multivector, np.ndarra
         raise NotABladeError("zero multivector")
     norms = mv.grade_norms()
     k = max(norms, key=norms.get)
-    off = np.sqrt(sum(v * v for g, v in norms.items() if g != k))
+    off = math.hypot(*(v for g, v in norms.items() if g != k))   # scaled: no overflow at 1e200
     if off > tol * scale:
         raise NotABladeError(f"not of pure grade: grades {sorted(norms)}")
     part = mv.grade(k)
@@ -125,10 +128,15 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
         raise NonEuclideanError("blade frames implemented for Euclidean blades")
     if len(rows) > n:
         raise DegenerateSpanError(f"{len(rows)} vectors cannot be independent in R^{n}")
+    if any(row.shape != (n,) for row in rows):
+        raise ValueError(f"need k >= 1 rows of {n} coordinates")
 
-    out = wedge_vectors(sig, rows)  # first: an overflowing wedge says "coefficients must be finite"
+    coeffs = _wedge_coeffs(sig, rows)
+    magnitude = _norm(coeffs)  # finite only when every coefficient is
+    if not math.isfinite(magnitude) and not np.isfinite(coeffs).all():
+        raise ValueError("coefficients must be finite")  # before _mgs, as an overflowing wedge
     frame = _mgs(rows)  # raises on dependence; R's positive diagonal keeps the orientation
-    return Blade(out, len(rows), out.coeff_norm(), frame)
+    return Blade(Multivector._of_finite(sig, coeffs), len(rows), magnitude, frame)
 
 
 def _mgs(rows: list[np.ndarray]) -> np.ndarray:

@@ -33,7 +33,8 @@ and unit(B), rotor_reconstruction the report's plane_frames and |A||B| L.
 The self-check runs on coefficient arrays: unit(A), unit(B), the carried
 chain, its sign test and its residual are plain 2^n arrays, and the only
 Multivectors a report makes are its planes and its lowest blade, each the
-wedge of its orthonormal rows over its coefficient norm (_unit_wedge).
+wedge of its orthonormal rows over its coefficient norm (_unit_wedge): a norm
+outside (0, inf) raises "coefficients must be finite", so none is scanned again.
 """
 
 from __future__ import annotations
@@ -153,9 +154,13 @@ def _one(n: int) -> np.ndarray:
 
 
 def _unit_wedge(sig, rows) -> np.ndarray:
-    """Coefficients of the wedge of rows over its coefficient norm: a plane, a split part or L."""
+    """Coefficients of the wedge of rows over its coefficient norm: a plane, a split part or L.
+    A norm outside (0, inf) is refused, so the result is finite and may be wrapped unscanned."""
     c = _wedge_coeffs(sig, rows)
-    return c / math.sqrt(np.dot(c, c))
+    norm = math.sqrt(np.dot(c, c))
+    if not 0.0 < norm < math.inf:
+        raise ValueError("coefficients must be finite")
+    return c / norm
 
 
 def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
@@ -180,7 +185,7 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     mat = 0.0 - contraction_matrix(f, 2)
     peak, e = math.frexp(float(np.max(np.abs(mat))))
     planes = _planes(np.ldexp(mat, -e), SPLIT_FLOOR * peak)
-    return [(math.ldexp(rate, e), Multivector(f.sig, _unit_wedge(f.sig, (y, x)), _copy=False))
+    return [(math.ldexp(rate, e), Multivector._of_finite(f.sig, _unit_wedge(f.sig, (y, x))))
             for rate, x, y in planes]
 
 
@@ -275,7 +280,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
     frames = tuple(frame for _, frame in interior)
     for frame in frames:
         frame.setflags(write=False)
-    planes = tuple(Multivector(sig, _unit_wedge(sig, frame), _copy=False) for frame in frames)
+    planes = tuple(Multivector._of_finite(sig, _unit_wedge(sig, frame)) for frame in frames)
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
     lowest, residual = _self_check(a, b, thetas, frames, flipped)
 
@@ -304,7 +309,7 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         lowest_grade=len(flipped),
         residual=residual,
         has_equal_angles=any(x - y <= EQUAL_ANGLE_TOL for x, y in zip(thetas, thetas[1:])),
-        lowest_blade=Multivector(sig, lowest, _copy=False),
+        lowest_blade=Multivector._of_finite(sig, lowest),
         plane_frames=frames,
     )
 

@@ -10,6 +10,9 @@ so they are safe to share between threads. Only this module reads its
 layout tables (wedge steps, grade and parity masks, the vector-product
 gather); other modules call the wedge (wedge_vectors, _wedge_coeffs),
 contraction_matrix and _rotor_chain, (c_1 + i_1 s_1)...(c_k + i_k s_k) L X.
+Rows are validated by the public wedge_vectors and blade_from_spanning_vectors,
+not _wedge_coeffs. Multivector._of_finite skips the constructor's finiteness scan;
+it runs only right after a finite norm of those coefficients (Blade, _unit_wedge).
 """
 
 from __future__ import annotations
@@ -248,14 +251,14 @@ def wedge_vectors(sig: Signature, rows) -> Multivector:
     which changes no byte. A non-finite intermediate always reaches the
     result, so overflow still raises from the constructor.
     """
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    if not rows or any(row.shape != (sig.n,) for row in rows):
+        raise ValueError(f"need k >= 1 rows of {sig.n} coordinates")
     return Multivector(sig, _wedge_coeffs(sig, rows), _copy=False)
 
 
 def _wedge_coeffs(sig: Signature, rows) -> np.ndarray:
-    """The 2^n coefficients of wedge_vectors(sig, rows), unchecked for finiteness."""
-    rows = [np.asarray(row, dtype=float) for row in rows]
-    if not rows or any(row.shape != (sig.n,) for row in rows):
-        raise ValueError(f"need k >= 1 rows of {sig.n} coordinates")
+    """The 2^n coefficients of wedge_vectors(sig, rows), unchecked: callers validate rows and finiteness."""
     acc = rows[0]
     for k in range(1, len(rows)):
         src, bits, sign = _wedge_table(sig.n, k)
@@ -351,6 +354,15 @@ class Multivector:
         arr.setflags(write=False)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def _of_finite(cls, sig: Signature, coeffs: np.ndarray) -> "Multivector":
+        """coeffs, read-only and uncopied, unscanned: only right after a finite norm of exactly them."""
+        coeffs.setflags(write=False)
+        mv = object.__new__(cls)
+        object.__setattr__(mv, "sig", sig)
+        object.__setattr__(mv, "coeffs", coeffs)
+        return mv
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")

@@ -65,6 +65,15 @@ class TestBladeFromSpanningVectors:
         with pytest.raises(DegenerateSpanError):
             blade_from_spanning_vectors([[1, 0], [0, 1], [1, 1]])
 
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1]], [[1, 0, 0], [0, 1, 0, 5]]])
+    def test_ragged_span_rejected(self, rows):
+        # every row's shape is checked here: the wedge below trusts its rows
+        with pytest.raises(ValueError, match=r"^need k >= 1 rows of 3 coordinates$"):
+            blade_from_spanning_vectors(rows)
+        problem = SubspaceProblem(n=3, mode="euclidean", signature=(3, 0), a_span=rows, b_span=[[1, 1, 0]])
+        with pytest.raises(ValueError, match=r"^need k >= 1 rows of 3 coordinates$"):
+            run_problem(problem)
+
     def test_volume_matches_gram_determinant(self):
         rng = np.random.default_rng(10)
         for _ in range(80):
@@ -214,6 +223,18 @@ class TestOverflow:
         with pytest.raises(ValueError, match="magnitude overflows"):
             blade_from_spanning_vectors([[s, -s, 0, 0], [s, s, -2 * s, 0], [s, s, s, -3 * s]])
 
+    @pytest.mark.parametrize("rows", [
+        [[1e160, 0, 0], [0, 1e160, 0]],          # _mgs would say "vector 0 overflows"
+        [[math.nan, 1, 0], [0, 1, 0]],           # ... and "is dependent"
+        [[math.inf, 0, 0], [0, 0, 1]],
+    ])
+    def test_nonfinite_wedge_raises_before_gram_schmidt(self, rows):
+        # the magnitude is finite only when every coefficient is; when it is not, the
+        # coefficients are scanned, and that refusal comes before _mgs's
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="^coefficients must be finite$"):
+            blade_from_spanning_vectors(rows)
+
     def test_large_finite_span_still_builds(self):
         b = blade_from_spanning_vectors([[1e76, 0, 0], [0, 1e76, 0]])
         assert b.magnitude == pytest.approx(1e152)
@@ -326,6 +347,15 @@ class TestBladeValidationHalves:
         rows = np.random.default_rng(14).uniform(-1, 1, (3, 6))
         b = Blade.from_multivector(wedge_vectors(sig, rows) * scale)
         assert b.frame.shape == (3, 6)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e200, 1e300])
+    def test_off_grade_dust_at_any_scale(self, scale):
+        # the off-grade norm is taken scaled: at 1e200 its square would overflow
+        b = Blade.from_multivector((E1 ^ E2) * scale + E3 * (1e-10 * scale))
+        assert b.grade == 2 and b.mv == (E1 ^ E2) * scale
+        assert b.magnitude == pytest.approx(scale, rel=1e-15)
+        with pytest.raises(NotABladeError, match="not of pure grade"):
+            Blade.from_multivector((E1 ^ E2) * scale + E3 * (1e-8 * scale))
 
     def test_near_blade_within_tolerance_accepted(self):
         sig = Signature(4)

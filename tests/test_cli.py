@@ -165,6 +165,17 @@ class TestExitCodes:
         assert captured.err.startswith(f"{big}: ValueError: {message}")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("a, got", [("[[1, 0, 0], [0, 1]]", 2), ("[[1, 0, 0], [0, 1, 0, 5]]", 4)])
+    def test_ragged_span_refused_at_parse(self, tmp_path, capsys, a, got):
+        # the document's rows are checked before any blade is built, so the library's
+        # "need k >= 1 rows of 3 coordinates" is never reached from the command line
+        ragged = tmp_path / "ragged.json"
+        ragged.write_text(f'{{"n": 3, "A": {a}, "B": [[1, 1, 0]]}}')
+        assert main(["run", str(ragged)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{ragged}: ProblemFormatError: A[1]: expected 3 components, got {got}\n"
+
     def test_span_whose_square_overflows_runs(self, tmp_path, capsys):
         # the 1e306 wedge of two 1e153 rows has a magnitude a float holds, though
         # its square does not: the document is that of the unit span

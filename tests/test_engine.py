@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,40 @@ def test_unit_wedge_has_the_bytes_of_one_wedge():
             pair = tuple(rng.standard_normal((2, n)))
             c = wedge_vectors(sig, pair).coeffs
             assert engine._unit_wedge(sig, pair).tobytes() == (c / math.sqrt(np.dot(c, c))).tobytes()
+
+
+@pytest.mark.parametrize("bad", [None, math.nan])
+def test_unit_wedge_refuses_a_norm_outside_zero_to_inf(bad):
+    # x ^ x = 0 has norm 0, a NaN row a norm that is not finite: refused with the
+    # constructor's message, before a division that would warn
+    sig = Signature(4)
+    x = np.array([1.0, 2.0, 0.0, -1.0])
+    rows = (x, x) if bad is None else (x, np.array([0.0, bad, 1.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            engine._unit_wedge(sig, rows)
+
+
+def test_every_unchecked_multivector_is_finite_and_read_only():
+    # blades, planes, split parts and L skip the constructor's scan: each is still
+    # a read-only array of 2^n finite floats
+    rng = np.random.default_rng(45)
+    seen = dict.fromkeys(("planes", "parts", "lowest"), 0)
+    for _ in range(200):
+        a_rows, b_rows, _ = sample_spans(rng)
+        a, b = blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)
+        rep = relative_angle(a, b)
+        f = sum((2.0 ** -j * wedge_vectors(a.sig, [a_rows[j], b_rows[j]]) for j in range(b.grade)),
+                start=Multivector.zero(a.sig))
+        parts = [part for _, part in bivector_split(f)]
+        seen["planes"] += len(rep.planes)
+        seen["parts"] += len(parts)
+        seen["lowest"] += rep.lowest_grade > 0
+        for mv in [a.mv, b.mv, *rep.planes, *parts, rep.lowest_blade]:
+            assert mv.coeffs.shape == (a.sig.size,) and not mv.coeffs.flags.writeable
+            assert np.isfinite(mv.coeffs).all()
+    assert min(seen.values()) > 0, seen
 
 
 def test_stages_compose_into_the_report():
@@ -697,16 +732,21 @@ class TestRotorChain:
 
     def test_relative_angle_makes_only_the_report_multivectors(self, monkeypatch):
         # the self-check runs on coefficient arrays: one Multivector per plane and
-        # one lowest_blade, built once with its sign
+        # one lowest_blade, built once with its sign, by either constructor
         made = []
-        init = Multivector.__init__
+        init, of_finite = Multivector.__init__, Multivector._of_finite
 
         def counted(self, *args, **kwargs):
             made.append(self)
             init(self, *args, **kwargs)
 
+        def counted_finite(sig, coeffs):
+            made.append(of_finite(sig, coeffs))
+            return made[-1]
+
         pairs = self.pairs()
         monkeypatch.setattr(Multivector, "__init__", counted)
+        monkeypatch.setattr(Multivector, "_of_finite", staticmethod(counted_finite))
         for a, b in pairs:
             made.clear()
             rep = relative_angle(a, b)

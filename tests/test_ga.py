@@ -304,6 +304,11 @@ class TestWedgeVectors:
                 assert want[1] == (ValueError, "coefficients must be finite"), (n, k, slot)
                 assert got == want, (n, k, slot)
 
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1]], [[1, 0, 0], [0, 1, 0, 5]], [[1, 0, 0], [[0, 1, 0]]]])
+    def test_ragged_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match=r"^need k >= 1 rows of 3 coordinates$"):
+            wedge_vectors(SIG3, rows)
+
     def test_bad_shapes_rejected(self):
         for rows in ([], [1.0, 2.0, 3.0], [[1.0, 2.0]], np.zeros((2, 4))):
             with pytest.raises(ValueError, match="rows of 3 coordinates"):

@@ -143,8 +143,9 @@ def test_report_digest_sees_the_scalar_product(tmp_path):
 
 def test_stages_runs():
     # one pass on a few pairs: the timer loads two versions side by side, times the pair,
-    # its four stages and the named stages inside relative_angle on both workloads, and
-    # ends with the figures as one JSON line
+    # its four stages, the named stages inside relative_angle and their chain on both
+    # workloads, reads relative_angle's own work off the chain, and ends with the
+    # figures as one JSON line
     src = str(Path(subspace_angles.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "stages.py"), "--src", src, "--src", src,
                            "--passes", "1", "--pairs", "3"], capture_output=True, text=True, timeout=120)
@@ -154,7 +155,8 @@ def test_stages_runs():
         ["version 0", "version 0", "version 1", "version 1"]
     assert [line.split()[1] for line in lines if line.startswith("| ")
             and not line.startswith("| workload")] == ["corpus_small", "wide_dense"] * 4
-    inner_headings = ["`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`"]
+    inner_headings = ["`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`",
+                      "chained", "own work"]
     assert [[cell.strip() for cell in line.split("|")[2:-1]] for line in lines
             if line.startswith("| workload")][1::2] == [inner_headings] * 2
     summary = json.loads(lines[-1])
@@ -163,8 +165,12 @@ def test_stages_runs():
         stages = summary["us_per_pair"][workload]
         assert list(stages) == ["pair", "blades", "relative_angle", "oracle_bases", "principal_angles"]
         inner = summary["inner_us_per_call"][workload]
-        assert list(inner) == ["_spectrum", "_read_clusters", "plane_wedges", "_self_check"]
+        own = inner.pop("own_work")
+        assert list(inner) == ["_spectrum", "_read_clusters", "plane_wedges", "_self_check", "chained"]
         assert all(len(figures) == 2 and min(figures) > 0.0 for figures in [*stages.values(), *inner.values()])
+        # own work is relative_angle minus chained, each rounded to 0.1 µs after the subtraction
+        for whole, chain, rest in zip(stages["relative_angle"], inner["chained"], own):
+            assert abs(rest - (whole - chain)) <= 0.11
 
 
 def run_digest_truth(*args):

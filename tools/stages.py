@@ -26,6 +26,7 @@ swaps them):
     _read_clusters    the principal planes and L's directions from them
     plane_wedges      one _unit_wedge per principal plane
     _self_check       L's wedge, the rotor chain, its sign and the residual
+    chained           the four stages above back to back, one pair at a time
 
 The versions are imported side by side in one process
 (report_digest.load_package), with one BLAS thread as in the benchmark.
@@ -35,14 +36,21 @@ turns to go first, and each figure is the best of --passes passes.
 
 Per version, a table gives the pair's time and each stage's time with its
 share of the sum of the four stages.  A second table gives relative_angle
-and each of its named stages with its share of relative_angle; the rest of
-relative_angle is its own work (argument checks, the Multivectors of its
-planes and L, the counts and the report).  A version
-without the named stages gets one line saying so instead.  The last line
-of standard output is one JSON object: {"passes", "pairs", "src",
-"us_per_pair", "inner_us_per_call"}, where us_per_pair[workload][stage]
-and inner_us_per_call[workload][stage] hold one figure per --src, in their
-order, null for a version without the named stages.
+and each of its named stages with its share of relative_angle, then
+chained and own work, relative_angle minus chained: its argument checks,
+the Multivectors of its planes and L, the counts and the report, and the
+cost of keeping its planes' and L's arrays alive, which chained drops.
+The stages timed one loop each sum to less than chained, so relative_angle
+minus their sum overstates its own work; minus chained it does not.  A
+version without the named stages gets one line saying so instead.  The
+last line of standard output is one JSON object: {"passes", "pairs",
+"src", "us_per_pair", "inner_us_per_call"}, where
+us_per_pair[workload][stage] and inner_us_per_call[workload][stage] (own
+work as own_work) hold one figure per --src, in their order, null for a
+version without the named stages.  Two versions loaded in one process are
+not timed alike: the one loaded second can read a few per cent apart with
+identical code, so a gap under about 4 % holds only when it shows in both
+load orders (run once with each --src first).
 """
 
 import argparse
@@ -64,9 +72,13 @@ import run as harness  # noqa: E402
 WORKLOADS = ("corpus_small", "wide_dense")
 STAGES = ("pair", "blades", "relative_angle", "oracle_bases", "principal_angles")
 HEADINGS = ("pair", "blades", "`relative_angle`", "oracle bases", "`principal_angles`")
-INNER = ("_spectrum", "_read_clusters", "plane_wedges", "_self_check")
-INNER_HEADINGS = ("`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`")
+INNER = ("_spectrum", "_read_clusters", "plane_wedges", "_self_check", "chained")
+INNER_HEADINGS = ("`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`",
+                  "chained", "own work")
 NAMED_STAGES = ("_spectrum", "_read_clusters", "_self_check")
+# the order of the loops in a pass: chained right after relative_angle, so that own work,
+# their difference, is read at one host speed
+TIMED = ("pair", "blades", "relative_angle", "chained", "oracle_bases", "principal_angles", *INNER[:-1])
 
 
 def stage_loops(sa, pairs) -> dict:
@@ -98,12 +110,21 @@ def inner_loops(engine, blades) -> dict:
     clusters = [engine._read_clusters(*spectrum) for spectrum in spectra]
     checks = [(a, b, [theta for theta, _ in interior], [pair for _, pair in interior], flipped)
               for (a, b), (interior, flipped) in zip(ordered, clusters)]
+
+    def chained(a, b):
+        interior, flipped = engine._read_clusters(*engine._spectrum(a, b))
+        pairs = [pair for _, pair in interior]
+        for pair in pairs:
+            engine._unit_wedge(a.sig, pair)
+        engine._self_check(a, b, [theta for theta, _ in interior], pairs, flipped)
+
     return {
         "_spectrum": (engine._spectrum, ordered),
         "_read_clusters": (engine._read_clusters, spectra),
         "plane_wedges": (lambda sig, pairs: [engine._unit_wedge(sig, pair) for pair in pairs],
                          [(a.sig, pairs) for a, _, _, pairs, _ in checks]),
         "_self_check": (engine._self_check, checks),
+        "chained": (chained, ordered),
     }
 
 
@@ -117,7 +138,7 @@ def time_loop(call, arguments) -> float:
 
 def measure(srcs, passes: int, pairs: int) -> dict:
     """best[workload][stage]: the best of passes passes per version, in srcs' order,
-    None for a stage the version lacks."""
+    None for a stage the version lacks; own_work is relative_angle minus chained."""
     versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
     loops = {workload: [stage_loops(sa, getattr(inputs, workload)(1)[:pairs]) for sa in versions]
              for workload in WORKLOADS}
@@ -125,12 +146,15 @@ def measure(srcs, passes: int, pairs: int) -> dict:
     for n in range(passes):
         order = range(len(versions)) if n % 2 == 0 else range(len(versions) - 1, -1, -1)
         for workload in WORKLOADS:
-            for stage in STAGES + INNER:
+            for stage in TIMED:
                 for i in order:
                     if stage in loops[workload][i]:
                         figure = time_loop(*loops[workload][i][stage])
                         old = best[workload][stage][i]
                         best[workload][stage][i] = figure if old is None else min(old, figure)
+    for stages in best.values():
+        stages["own_work"] = [None if chain is None else whole - chain
+                              for whole, chain in zip(stages["relative_angle"], stages["chained"])]
     return best
 
 
@@ -169,14 +193,14 @@ def main(argv=None) -> int:
             print(f"version {i}: relative_angle has no named stages ({', '.join(NAMED_STAGES)})")
         else:
             print(f"version {i}: inside relative_angle, µs per call, share of relative_angle")
-            print(*table(best, i, ("relative_angle", *INNER), INNER_HEADINGS), sep="\n")
+            print(*table(best, i, ("relative_angle", *INNER, "own_work"), INNER_HEADINGS), sep="\n")
 
     def figures(stages):
         return {w: {s: [None if x is None else round(x, 1) for x in best[w][s]] for s in stages}
                 for w in WORKLOADS}
 
     print(json.dumps({"passes": args.passes, "pairs": args.pairs, "src": srcs,
-                      "us_per_pair": figures(STAGES), "inner_us_per_call": figures(INNER)}))
+                      "us_per_pair": figures(STAGES), "inner_us_per_call": figures((*INNER, "own_work"))}))
     return 0
 
 
