@@ -114,11 +114,45 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
     and, as Blade.from_multivector does, NonEuclideanError over a signature
     with q > 0, whose metric the Gram-Schmidt frame is not orthonormal in.
     """
-    rows = [np.asarray(v, dtype=float) for v in vectors]
-    if not rows:
-        raise DegenerateSpanError("empty spanning set")
-    if any(row.ndim != 1 for row in rows):
-        raise ValueError("expected a sequence of length-n vectors, one per row")
+    rows, lists, sig = _span(vectors, sig)
+    squares = [sum(map(mul, u, u)) for u in lists]
+    # Hadamard: a step's terms are a minor of the rows before it, at most the product of
+    # their norms, times an entry of the next row, so below 1e300 none overflows; a
+    # product of 0 (a zero row, or an underflow that hides the rows after it), inf or nan
+    # runs the wedge with its warnings off, and its non-finite coefficients raise below
+    if 0.0 < math.prod(squares) < 1e300:
+        coeffs = _wedge_coeffs(sig, rows)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _wedge_coeffs(sig, rows)
+    magnitude = _norm(coeffs)  # finite only when every coefficient is
+    if not math.isfinite(magnitude) and not np.isfinite(coeffs).all():
+        raise ValueError("coefficients must be finite")  # before _mgs, as an overflowing wedge
+    frame = _mgs(lists, squares)  # raises on dependence; R's positive diagonal keeps the orientation
+    return Blade(Multivector._of_finite(sig, coeffs), len(lists), magnitude, frame)
+
+
+def _span(vectors, sig: Signature | None) -> tuple[np.ndarray | list, list[list[float]], Signature]:
+    """(rows, lists, sig): the k spanning vectors as rows of n floats, once as arrays and once
+    as lists, and the signature, Euclidean Cl(n,0) by default.
+
+    vectors is converted once. Only when that raises or gives no (k, n) array with k >= 1 (a
+    ragged or flat list, no rows, a generator) is it converted row by row, and the rows are
+    checked one by one, which names what is wrong. The refusals come in this order: no rows,
+    a row that is not 1-D, a signature of another dimension, a non-Euclidean signature, more
+    rows than n, rows of unequal length.
+    """
+    try:
+        rows = np.asarray(vectors, dtype=float)
+        whole = rows.ndim == 2 and len(rows) > 0
+    except (TypeError, ValueError, OverflowError):  # ragged rows, a generator: the rows say what is wrong
+        whole = False
+    if not whole:
+        rows = [np.asarray(v, dtype=float) for v in vectors]
+        if not rows:
+            raise DegenerateSpanError("empty spanning set")
+        if any(row.ndim != 1 for row in rows):
+            raise ValueError("expected a sequence of length-n vectors, one per row")
     n = rows[0].shape[0]
     if sig is None:
         sig = euclidean_signature(n)
@@ -128,21 +162,18 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
         raise NonEuclideanError("blade frames implemented for Euclidean blades")
     if len(rows) > n:
         raise DegenerateSpanError(f"{len(rows)} vectors cannot be independent in R^{n}")
+    if whole:
+        return rows, rows.tolist(), sig
     if any(row.shape != (n,) for row in rows):
         raise ValueError(f"need k >= 1 rows of {n} coordinates")
-
-    coeffs = _wedge_coeffs(sig, rows)
-    magnitude = _norm(coeffs)  # finite only when every coefficient is
-    if not math.isfinite(magnitude) and not np.isfinite(coeffs).all():
-        raise ValueError("coefficients must be finite")  # before _mgs, as an overflowing wedge
-    frame = _mgs(rows)  # raises on dependence; R's positive diagonal keeps the orientation
-    return Blade(Multivector._of_finite(sig, coeffs), len(rows), magnitude, frame)
+    return rows, [row.tolist() for row in rows], sig
 
 
-def _mgs(rows: list[np.ndarray]) -> np.ndarray:
-    """Modified Gram-Schmidt on lists of floats, projecting a vector again only when its
-    first pass keeps less than half its squared norm: the DGKS test with eta = 1/sqrt(2)
-    (Daniel, Gragg, Kaufman & Stewart, 1976); twice is enough (Giraud, Langou & Rozloznik, 2005).
+def _mgs(lists: list[list[float]], squares: list[float]) -> np.ndarray:
+    """Modified Gram-Schmidt on lists of floats, given with their squared norms, projecting a
+    vector again only when its first pass keeps less than half its squared norm: the DGKS test
+    with eta = 1/sqrt(2) (Daniel, Gragg, Kaufman & Stewart, 1976); twice is enough (Giraud,
+    Langou & Rozloznik, 2005).
 
     Returns a (k, n) array of orthonormal rows q_j with q_j . v_j > 0;
     raises DegenerateSpanError when some vector is zero or its residual
@@ -152,9 +183,7 @@ def _mgs(rows: list[np.ndarray]) -> np.ndarray:
     root loses digits and the row would not be of unit length.
     """
     basis: list[list[float]] = []
-    for v in rows:
-        u = v.tolist()
-        squared = sum(map(mul, u, u))
+    for u, squared in zip(lists, squares):
         if not math.isfinite(squared):
             raise ValueError(f"vector {len(basis)} overflows: its squared norm is not finite")
         if squared < NORMAL_MIN:

@@ -249,23 +249,33 @@ def wedge_vectors(sig: Signature, rows) -> Multivector:
     every output mask in the kernel's row-major order onto +0.0, one table
     row at a time. Terms the kernel leaves out (a zero factor) are added as +-0.0,
     which changes no byte. A non-finite intermediate always reaches the
-    result, so overflow still raises from the constructor.
+    result, so an overflow raises the constructor's ValueError, with no
+    RuntimeWarning on the way.
     """
     rows = [np.asarray(row, dtype=float) for row in rows]
     if not rows or any(row.shape != (sig.n,) for row in rows):
         raise ValueError(f"need k >= 1 rows of {sig.n} coordinates")
-    return Multivector(sig, _wedge_coeffs(sig, rows), _copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _wedge_coeffs(sig, rows)
+    return Multivector(sig, coeffs, _copy=False)
 
 
 def _wedge_coeffs(sig: Signature, rows) -> np.ndarray:
-    """The 2^n coefficients of wedge_vectors(sig, rows), unchecked: callers validate rows and finiteness."""
+    """The 2^n coefficients of wedge_vectors(sig, rows), unchecked: callers validate rows and finiteness.
+
+    np.add.reduce over axis 0 of a (rows, columns) step adds row after row onto +0.0, the
+    table's order, while there are two columns or more; a single column (the pseudoscalar
+    step) it sums pairwise from 8 rows on, so that step keeps the loop."""
     acc = rows[0]
     for k in range(1, len(rows)):
         src, bits, sign = _wedge_table(sig.n, k)
         terms = sign * (acc[src] * rows[k][bits])
-        acc = terms[0] + 0.0
-        for term in terms[1:]:
-            acc += term
+        if terms.shape[1] > 1:
+            acc = np.add.reduce(terms, axis=0, initial=0.0)
+        else:
+            acc = terms[0] + 0.0
+            for term in terms[1:]:
+                acc += term
     c = np.zeros(sig.size)
     c[_grade_masks(sig.n, len(rows))] = acc
     return c
@@ -288,13 +298,15 @@ def _norm(c: np.ndarray) -> float:
     """The 2-norm of c. Only where c . c leaves the normal range while c is
     finite and nonzero is c first divided by an exact power of two near its
     largest entry, so a norm that a float holds neither underflows to 0 nor
-    overflows to inf on the way; ordinary inputs keep the plain sqrt(c . c)."""
+    overflows to inf on the way; ordinary inputs keep the plain sqrt(c . c). np.vdot gives
+    np.dot's bytes, but an overflow to inf raises no warning, so only the rescaling, whose
+    last step can overflow, runs under np.errstate."""
+    squared = float(np.vdot(c, c))
+    peak = 0.0 if sys.float_info.min <= squared < math.inf else float(np.max(np.abs(c)))
+    if not 0.0 < peak < math.inf:
+        return math.sqrt(squared)
+    e = math.frexp(peak)[1]
     with np.errstate(over="ignore"):
-        squared = np.dot(c, c)
-        peak = 0.0 if sys.float_info.min <= squared < math.inf else float(np.max(np.abs(c)))
-        if not 0.0 < peak < math.inf:
-            return math.sqrt(squared)
-        e = math.frexp(peak)[1]
         scaled = np.ldexp(c, -e)
         return float(np.ldexp(math.sqrt(np.dot(scaled, scaled)), e))
 

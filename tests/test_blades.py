@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ class TestBladeFromSpanningVectors:
         problem = SubspaceProblem(n=3, mode="euclidean", signature=(3, 0), a_span=rows, b_span=[[1, 1, 0]])
         with pytest.raises(ValueError, match=r"^need k >= 1 rows of 3 coordinates$"):
             run_problem(problem)
+
+    def test_every_form_of_a_span_gives_the_same_bytes(self):
+        # one conversion of a 2-D array, or row by row for a generator: the same blade
+        rng = np.random.default_rng(9)
+        for n, k in [(2, 1), (3, 2), (6, 3), (12, 12)]:
+            rows = rng.standard_normal((k, n))
+            want = blade_from_spanning_vectors(rows)
+            for form in (rows.tolist(), list(rows), tuple(map(tuple, rows.tolist())), (row for row in rows),
+                         np.asfortranarray(rows)):
+                got = blade_from_spanning_vectors(form)
+                assert got.mv.coeffs.tobytes() == want.mv.coeffs.tobytes()
+                assert got.frame.tobytes() == want.frame.tobytes()
+                assert got.magnitude == want.magnitude and got.grade == k
 
     def test_volume_matches_gram_determinant(self):
         rng = np.random.default_rng(10)
@@ -193,12 +207,53 @@ def test_second_pass_only_where_the_first_cancels(monkeypatch):
     frame = orthogonal(rng, n)
     for kept in (0.49, 0.51):
         calls = []
-        monkeypatch.setattr(blades, "mul", lambda x, y: calls.append(1) or x * y)
         last = math.sqrt(1.0 - kept) * frame[0] + math.sqrt(kept) * frame[1]
-        q = blades._mgs([frame[0], last])
+        lists = [frame[0].tolist(), last.tolist()]
+        squares = [sum(x * x for x in u) for u in lists]
+        monkeypatch.setattr(blades, "mul", lambda x, y: calls.append(1) or x * y)
+        q = blades._mgs(lists, squares)
         counts[kept] = len(calls)
         assert np.max(np.abs(q @ q.T - np.eye(2))) <= 8 * EPS
     assert counts[0.49] - counts[0.51] == 2 * n
+
+
+def span_forms(rows) -> dict:
+    """rows as a list of lists, as one ndarray (an object array of the rows when they are
+    ragged) and as a list of 1-D arrays."""
+    arrays = [np.asarray(row, dtype=float) for row in rows]
+    try:
+        whole = np.array(rows, dtype=float)
+    except ValueError:
+        whole = np.empty(len(arrays), dtype=object)
+        whole[:] = arrays
+    return {"lists": rows, "ndarray": whole, "arrays": arrays}
+
+
+S = 2.8e102     # rows orthogonal to (1, 1, 1, 1): four coefficients of 1.3e308, magnitude 2.6e308
+
+
+@pytest.mark.parametrize("form", ["lists", "ndarray", "arrays"])
+@pytest.mark.parametrize("rows, sig, error, message", [
+    ([[1, 0, 0], [0, 1]], None, ValueError, r"^need k >= 1 rows of 3 coordinates$"),
+    ([[1, 0, 0], [0, 1, 0, 5]], None, ValueError, r"^need k >= 1 rows of 3 coordinates$"),
+    ([1.0, 2.0, 3.0], None, ValueError, r"^expected a sequence of length-n vectors, one per row$"),
+    ([[[1, 0, 0]], [[0, 1, 0]]], None, ValueError, r"^expected a sequence of length-n vectors, one per row$"),
+    ([], None, DegenerateSpanError, r"^empty spanning set$"),
+    ([[1, 0], [0, 1], [1, 1]], None, DegenerateSpanError, r"^3 vectors cannot be independent in R\^2$"),
+    ([[1, 0], [0, 1], [1]], None, DegenerateSpanError, r"^3 vectors cannot be independent in R\^2$"),
+    ([[1, 0, 0]], Signature(4), ValueError, r"^vectors of length 3 in Cl\(4,0\)$"),
+    ([[1, 0, 0], [0, 1]], Signature(4), ValueError, r"^vectors of length 3 in Cl\(4,0\)$"),
+    ([[1, 0, 1], [0, 1, 0]], Signature(2, 1), NonEuclideanError, r"^blade frames implemented for Euclidean"),
+    ([[1, 0, 1], [0, 1]], Signature(2, 1), NonEuclideanError, r"^blade frames implemented for Euclidean"),
+    ([[1e160, 0, 0], [0, 1e160, 0]], None, ValueError, r"^coefficients must be finite$"),
+    ([[1e155, 0, 0]], None, ValueError, r"^vector 0 overflows"),
+    ([[1, 0, 0], [2, 0, 0]], None, DegenerateSpanError, r"^vector 1 is dependent"),
+    ([[S, -S, 0, 0], [S, S, -2 * S, 0], [S, S, S, -3 * S]], None, ValueError, r"^blade magnitude overflows"),
+])
+def test_every_form_of_a_span_is_refused_alike(form, rows, sig, error, message):
+    # the same refusal, message and order whether the rows convert as one array or not
+    with pytest.raises(error, match=message):
+        blade_from_spanning_vectors(span_forms(rows)[form], sig)
 
 
 class TestOverflow:
@@ -234,6 +289,25 @@ class TestOverflow:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="^coefficients must be finite$"):
             blade_from_spanning_vectors(rows)
+
+    @pytest.mark.parametrize("wedge", ["blade", "wedge_vectors"])
+    @pytest.mark.parametrize("rows", [
+        [[1e160, 0, 0], [0, 1e160, 0]],
+        [[math.nan, 1, 0], [0, 1, 0]],
+        [[math.inf, 0, 0], [0, 0, 1]],
+        # the first row squares to 0.0, so the rows' squares multiply to 0, yet the
+        # wedge of the first five rows overflows
+        np.diag([1e-170] + [1e150] * 11).tolist(),
+    ])
+    def test_nonfinite_wedge_raises_no_warning(self, wedge, rows):
+        # the twin of the test above with warnings as errors and no np.errstate: the wedge
+        # turns its own warnings off where a step can overflow, and the ValueError comes out
+        build = {"blade": blade_from_spanning_vectors,
+                 "wedge_vectors": lambda rows: wedge_vectors(Signature(len(rows[0])), rows)}[wedge]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                build(rows)
 
     def test_large_finite_span_still_builds(self):
         b = blade_from_spanning_vectors([[1e76, 0, 0], [0, 1e76, 0]])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from subspace_angles.ga import (
     MAX_DIMENSION,
     Multivector,
     Signature,
+    _grade_masks,
+    _norm,
     _parity_masks,
     _signs,
     _vector_table,
+    _wedge_coeffs,
+    _wedge_table,
     basis_vectors,
     mask_from_name,
     name_from_mask,
@@ -247,6 +252,20 @@ def outcome(fn, *args):
         return None, (type(exc), str(exc))
 
 
+def row_loop_wedge(sig, rows):
+    """_wedge_coeffs with every step summed one table row at a time onto +0.0."""
+    acc = rows[0]
+    for k in range(1, len(rows)):
+        src, bits, sign = _wedge_table(sig.n, k)
+        terms = sign * (acc[src] * rows[k][bits])
+        acc = terms[0] + 0.0
+        for term in terms[1:]:
+            acc += term
+    c = np.zeros(sig.size)
+    c[_grade_masks(sig.n, len(rows))] = acc
+    return c
+
+
 class TestWedgeVectors:
     """The table-driven k-vector wedge keeps the bytes of the iterated kernel wedge."""
 
@@ -279,6 +298,19 @@ class TestWedgeVectors:
                     got = wedge_vectors(sig, rows)
                     want = iterated_outer(sig, rows)
                     assert got.coeffs.tobytes() == want.coeffs.tobytes(), (n, q, k)
+
+    def test_reduction_matches_the_row_loop_bytes(self):
+        # every step of every grade for n = 2..12: np.add.reduce over the table rows where a
+        # step has two columns or more, the loop on the single-column top-grade steps (8-12
+        # rows at n = 8..12), where a reduction would sum pairwise
+        rng = np.random.default_rng(53)
+        for n in range(2, MAX_DIMENSION + 1):
+            sig = Signature(n)
+            for k in range(1, n + 1):
+                for _ in range(4):
+                    rows = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-4, 5, (k, n))
+                    rows = self.sprinkle(rng, rows)
+                    assert _wedge_coeffs(sig, rows).tobytes() == row_loop_wedge(sig, rows).tobytes(), (n, k)
 
     def test_single_row_keeps_negative_zeros(self):
         got = wedge_vectors(SIG3, [[-0.0, 1.0, -0.0]])
@@ -480,6 +512,36 @@ class TestScalarProductAndNorm:
             c = random_multivector(rng, SIG3).coeffs
             assert Multivector(SIG3, c).coeff_norm() == math.sqrt(np.dot(c, c))
         assert Multivector.zero(SIG3).coeff_norm() == 0.0 and Multivector.zero(SIG3).grade_norms() == {}
+
+    def test_norm_is_the_root_of_the_dot_product(self):
+        # _norm squares with np.vdot, which raises no overflow warning: the bytes stay np.dot's
+        rng = np.random.default_rng(12)
+        for size in [2, 3, 8, 64, 924, 4096]:
+            for _ in range(20):
+                c = rng.standard_normal(size) * 10.0 ** rng.integers(-5, 6, size)
+                assert _norm(c) == math.sqrt(np.dot(c, c)), size
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+    def test_scaled_norm_raises_no_warning(self, scale):
+        # c . c under- or overflows: c is divided by the power of two e at its largest entry,
+        # and the root of that square multiplied back, with warnings as errors
+        rng = np.random.default_rng(13)
+        for size in [3, 64, 4096]:
+            c = rng.standard_normal(size) * scale
+            e = math.frexp(float(np.max(np.abs(c))))[1]
+            scaled = np.ldexp(c, -e)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _norm(c)
+            assert got == math.ldexp(math.sqrt(np.dot(scaled, scaled)), e)
+            assert got == pytest.approx(scale * _norm(c / scale), rel=1e-14)
+
+    def test_norm_above_the_float_range_is_inf_without_a_warning(self):
+        c = np.full(4, 1.3e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _norm(c) == math.inf
+            assert math.isnan(_norm(np.array([1.0, math.nan])))
 
 
 class TestOperands:

@@ -28,6 +28,16 @@ swaps them):
     _self_check       L's wedge, the rotor chain, its sign and the residual
     chained           the four stages above back to back, one pair at a time
 
+and, inside blade_from_spanning_vectors, in microseconds per pair (both
+spans), each call on the arguments the version passed it, recorded on one
+untimed run:
+
+    _wedge_coeffs     the wedge of the rows: the blade's coefficients
+    _norm             its magnitude, the 2-norm of those coefficients
+    _mgs              Gram-Schmidt of the rows: the blade's frame
+    blades_chained    the three back to back, one pair at a time, each
+                      _norm on the coefficients just computed
+
 The versions are imported side by side in one process
 (report_digest.load_package), with one BLAS thread as in the benchmark.
 Every pair runs once untimed first, which fills each version's caches.
@@ -42,15 +52,18 @@ the Multivectors of its planes and L, the counts and the report, and the
 cost of keeping its planes' and L's arrays alive, which chained drops.
 The stages timed one loop each sum to less than chained, so relative_angle
 minus their sum overstates its own work; minus chained it does not.  A
+third table does the same for blades: the three calls inside it, chained
+and own work, blades minus blades_chained (converting and checking the
+rows, their squared norms, the finiteness check and the Blade).  A
 version without the named stages gets one line saying so instead.  The
 last line of standard output is one JSON object: {"passes", "pairs",
 "src", "us_per_pair", "inner_us_per_call"}, where
 us_per_pair[workload][stage] and inner_us_per_call[workload][stage] (own
-work as own_work) hold one figure per --src, in their order, null for a
-version without the named stages.  Two versions loaded in one process are
-not timed alike: the one loaded second can read a few per cent apart with
-identical code, so a gap under about 4 % holds only when it shows in both
-load orders (run once with each --src first).
+work as own_work and blades_own_work) hold one figure per --src, in their
+order, null for a version without the named stages.  Two versions loaded
+in one process are not timed alike: the one loaded second can read a few
+per cent apart with identical code, so a gap under about 4 % holds only
+when it shows in both load orders (run once with each --src first).
 """
 
 import argparse
@@ -76,9 +89,13 @@ INNER = ("_spectrum", "_read_clusters", "plane_wedges", "_self_check", "chained"
 INNER_HEADINGS = ("`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`",
                   "chained", "own work")
 NAMED_STAGES = ("_spectrum", "_read_clusters", "_self_check")
-# the order of the loops in a pass: chained right after relative_angle, so that own work,
+BLADE_CALLS = ("_wedge_coeffs", "_norm", "_mgs")
+BLADE_INNER = (*BLADE_CALLS, "blades_chained")
+BLADE_HEADINGS = ("blades", "`_wedge_coeffs`", "`_norm`", "`_mgs`", "chained", "own work")
+# the order of the loops in a pass: each chain right after its whole, so that own work,
 # their difference, is read at one host speed
-TIMED = ("pair", "blades", "relative_angle", "chained", "oracle_bases", "principal_angles", *INNER[:-1])
+TIMED = ("pair", "blades", "blades_chained", "relative_angle", "chained", "oracle_bases", "principal_angles",
+         *INNER[:-1], *BLADE_CALLS)
 
 
 def stage_loops(sa, pairs) -> dict:
@@ -87,6 +104,7 @@ def stage_loops(sa, pairs) -> dict:
     for pair in pairs:
         harness.run_pair(sa, pair)
     spans = [(pair.a_rows, pair.b_rows) for pair in pairs]
+    blade_calls = blade_loops(sa.blades, spans)
     blades = [tuple(map(sa.blade_from_spanning_vectors, span)) for span in spans]
     bases = [tuple(map(sa.orthonormal_basis, span)) for span in spans]
     return {
@@ -97,6 +115,48 @@ def stage_loops(sa, pairs) -> dict:
         "oracle_bases": (lambda a, b: (sa.orthonormal_basis(a), sa.orthonormal_basis(b)), spans),
         "principal_angles": (sa.principal_angles, bases),
         **inner_loops(sa.engine, blades),
+        **blade_calls,
+    }
+
+
+def blade_loops(blades, spans) -> dict:
+    """{stage: (call, argument tuples, one per pair)} for the calls inside
+    blade_from_spanning_vectors, on the arguments it passes them for each span, recorded
+    while it builds every span once; {} for a blades module without those calls."""
+    if not all(hasattr(blades, name) for name in BLADE_CALLS):
+        return {}
+    real = {name: getattr(blades, name) for name in BLADE_CALLS}
+    recorded = {name: [] for name in BLADE_CALLS}
+
+    def recorder(name):
+        def call(*args):
+            recorded[name].append(args)
+            return real[name](*args)
+        return call
+
+    try:
+        for name in BLADE_CALLS:
+            setattr(blades, name, recorder(name))
+        for span in spans:
+            for rows in span:
+                blades.blade_from_spanning_vectors(rows)
+    finally:
+        for name, call in real.items():
+            setattr(blades, name, call)
+    wedge, norm, mgs = real.values()
+
+    def chained(a, b):
+        for wedge_args, mgs_args in (a, b):
+            norm(wedge(*wedge_args))
+            mgs(*mgs_args)
+
+    def per_pair(args):
+        return list(zip(args[0::2], args[1::2]))
+
+    return {
+        **{name: (lambda a, b, call=call: (call(*a), call(*b)), per_pair(recorded[name]))
+           for name, call in real.items()},
+        "blades_chained": (chained, per_pair(list(zip(recorded["_wedge_coeffs"], recorded["_mgs"])))),
     }
 
 
@@ -138,11 +198,13 @@ def time_loop(call, arguments) -> float:
 
 def measure(srcs, passes: int, pairs: int) -> dict:
     """best[workload][stage]: the best of passes passes per version, in srcs' order,
-    None for a stage the version lacks; own_work is relative_angle minus chained."""
+    None for a stage the version lacks; own_work is relative_angle minus chained, and
+    blades_own_work blades minus blades_chained."""
     versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
     loops = {workload: [stage_loops(sa, getattr(inputs, workload)(1)[:pairs]) for sa in versions]
              for workload in WORKLOADS}
-    best = {workload: {stage: [None] * len(versions) for stage in STAGES + INNER} for workload in WORKLOADS}
+    best = {workload: {stage: [None] * len(versions) for stage in STAGES + INNER + BLADE_INNER}
+            for workload in WORKLOADS}
     for n in range(passes):
         order = range(len(versions)) if n % 2 == 0 else range(len(versions) - 1, -1, -1)
         for workload in WORKLOADS:
@@ -153,8 +215,10 @@ def measure(srcs, passes: int, pairs: int) -> dict:
                         old = best[workload][stage][i]
                         best[workload][stage][i] = figure if old is None else min(old, figure)
     for stages in best.values():
-        stages["own_work"] = [None if chain is None else whole - chain
-                              for whole, chain in zip(stages["relative_angle"], stages["chained"])]
+        for own, whole, chain in (("own_work", "relative_angle", "chained"),
+                                  ("blades_own_work", "blades", "blades_chained")):
+            stages[own] = [None if part is None else total - part
+                           for total, part in zip(stages[whole], stages[chain])]
     return best
 
 
@@ -194,13 +258,19 @@ def main(argv=None) -> int:
         else:
             print(f"version {i}: inside relative_angle, µs per call, share of relative_angle")
             print(*table(best, i, ("relative_angle", *INNER, "own_work"), INNER_HEADINGS), sep="\n")
+        if best[WORKLOADS[0]][BLADE_CALLS[0]][i] is None:
+            print(f"version {i}: blades has no {', '.join(BLADE_CALLS)}")
+        else:
+            print(f"version {i}: inside blades, µs per pair, share of blades")
+            print(*table(best, i, ("blades", *BLADE_INNER, "blades_own_work"), BLADE_HEADINGS), sep="\n")
 
     def figures(stages):
         return {w: {s: [None if x is None else round(x, 1) for x in best[w][s]] for s in stages}
                 for w in WORKLOADS}
 
     print(json.dumps({"passes": args.passes, "pairs": args.pairs, "src": srcs,
-                      "us_per_pair": figures(STAGES), "inner_us_per_call": figures((*INNER, "own_work"))}))
+                      "us_per_pair": figures(STAGES),
+                      "inner_us_per_call": figures((*INNER, "own_work", *BLADE_INNER, "blades_own_work"))}))
     return 0
 
 
