@@ -15,6 +15,7 @@ pure_blade, one grade-and-factor test that reads no metric, also
 validates conformal objects. blade_from_spanning_vectors refuses malformed rows,
 then a non-finite wedge (its norm is the finiteness check; only a non-finite norm
 scans the coefficients), then _mgs's refusals, then an overflowing magnitude.
+_factor's projector C C^T is np.dot, not @: the same bytes, without matmul's dispatch.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ NORMAL_MIN = sys.float_info.min
 BLADE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Blade:
     """A multivector checked to be a simple k-vector, with its frame: the
     read-only (k, n) orthonormal rows q_1..q_k with q_1 ^ ... ^ q_k = unit()
@@ -57,10 +58,13 @@ class Blade:
     magnitude: float
     frame: np.ndarray = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if not math.isfinite(self.magnitude):
+    def __init__(self, mv: Multivector, grade: int, magnitude: float, frame: np.ndarray):
+        if not math.isfinite(magnitude):
             raise ValueError("blade magnitude overflows: its coefficient norm is not finite")
-        self.frame.setflags(write=False)
+        frame.setflags(write=False)
+        # one update of the instance dict, where a frozen dataclass' own __init__ sets each
+        # field through object.__setattr__ and then calls __post_init__
+        self.__dict__.update(mv=mv, grade=grade, magnitude=magnitude, frame=frame)
 
     @property
     def sig(self) -> Signature:
@@ -226,7 +230,7 @@ def _factor(mv: Multivector, k: int, tol: float) -> np.ndarray:
         return np.zeros((0, mv.sig.n))
     unit = mv / mv.coeff_norm()
     c = contraction_matrix(unit, k)
-    factors = np.ascontiguousarray(np.linalg.eigh(c @ c.T)[1][:, -k:].T)
+    factors = np.ascontiguousarray(np.linalg.eigh(np.dot(c, c.T))[1][:, -k:].T)
 
     rebuilt = wedge_vectors(mv.sig, factors)
     if np.dot(rebuilt.coeffs, unit.coeffs) < 0.0:

@@ -35,6 +35,8 @@ chain, its sign test and its residual are plain 2^n arrays, and the only
 Multivectors a report makes are its planes and its lowest blade, each the
 wedge of its orthonormal rows over its coefficient norm (_unit_wedge): a norm
 outside (0, inf) raises "coefficients must be finite", so none is scanned again.
+Products are np.dot, not @: on these n x n arrays (n <= 12) the call costs more
+than the arithmetic, matmul's dispatch more than np.dot's, for the same bytes.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .blades import Blade
 from .errors import AmbiguousRankError, NonEuclideanError, NotABladeError, SignatureMismatchError
-from .ga import Multivector, _rotor_chain, _wedge_coeffs, contraction_matrix
+from .ga import Multivector, _parity_half, _rotor_chain, _wedge_coeffs, contraction_matrix
 
 # A principal angle counts as zero when its versine 2 sin^2(theta/2) = 1 - cos
 # theta is <= this value and as right when its cosine is; the rule of
@@ -130,9 +132,9 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.nda
     out = []
     for j in np.flatnonzero(w > floor)[::-1]:
         x, y = z[:, j].real, z[:, j].imag
-        x = x / math.sqrt(float(x @ x))
-        y = y - (y @ x) * x
-        out.append((float(w[j]), x, y / math.sqrt(float(y @ y))))
+        x = x / math.sqrt(float(np.dot(x, x)))
+        y = y - np.dot(y, x) * x
+        out.append((float(w[j]), x, y / math.sqrt(float(np.dot(y, y)))))
     return out
 
 
@@ -191,42 +193,58 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
 
 def _spectrum(a: Blade, b: Blade) -> tuple[list[float], np.ndarray, np.ndarray]:
     """(w, v, rot): the ascending eigenvalues w, as a list, and eigenvectors v of
-    S = (O + O^T)/2 for O = (2 P_A - I)(2 P_B - I), and rot = v^T O v."""
+    S = (O + O^T)/2 for O = (2 P_A - I)(2 P_B - I), and rot = v^T O v. Each
+    reflection 2 P - I and S is scaled in place, on the product's own array."""
     eye = _eye(a.sig.n)
-    o = (2.0 * (a.frame.T @ a.frame) - eye) @ (2.0 * (b.frame.T @ b.frame) - eye)
-    w, v = np.linalg.eigh(0.5 * (o + o.T))
-    return w.tolist(), v, v.T @ o @ v
+    pa, pb = np.dot(a.frame.T, a.frame), np.dot(b.frame.T, b.frame)
+    pa *= 2.0
+    pa -= eye
+    pb *= 2.0
+    pb -= eye
+    o = np.dot(pa, pb)
+    sym = o + o.T
+    sym *= 0.5
+    w, v = np.linalg.eigh(sym)
+    return w.tolist(), v, np.dot(np.dot(v.T, o), v)
 
 
 def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list, list]:
     """(interior, flipped) from _spectrum's (w, v, rot): (theta, frame) of each principal
     plane, theta descending, frame its orthonormal rows (x, -y), and the directions O sends
     to their negatives, L's. A cluster is a run of w whose neighbours lie within
-    EQUAL_ANGLE_TOL; its block of rot is O on it."""
+    EQUAL_ANGLE_TOL; its block of rot is O on it. A 2-dim cluster's frame is one copy of
+    its two rows of v^T, the second negated where k10 > 0."""
     cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > EQUAL_ANGLE_TOL), len(w)]
     rl = rot.tolist()
     interior, flipped = [], []
     for lo, hi in zip(cuts, cuts[1:]):
-        basis, local, found = v[:, lo:hi], [], []
-        if hi - lo == 2:   # the block's antisymmetric part is [[0, -k10], [k10, 0]]
+        local, found = [], []
+        # trace: of the block on the plane, 2 cos 2 theta; O turns -y toward x: the frame is (x, -y)
+        if hi - lo == 2:
+            # the block's antisymmetric part is [[0, -k10], [k10, 0]]: x is column lo of v, and y
+            # is column lo + 1 times sign(k10), so -y is that column negated where k10 > 0
             k10 = 0.5 * (rl[lo + 1][lo] - rl[lo][lo + 1])
             if abs(k10) > SPLIT_FLOOR:
-                found = [(abs(k10), rl[lo][lo] + rl[lo + 1][lo + 1], basis[:, 0],
-                          math.copysign(1.0, k10) * basis[:, 1])]
+                frame = v.T[lo:hi].copy()
+                if k10 > 0.0:
+                    row = frame[1]
+                    np.negative(row, out=row)
+                found = [(abs(k10), rl[lo][lo] + rl[lo + 1][lo + 1], frame)]
         elif hi - lo > 2:
-            block = rot[lo:hi, lo:hi]
+            block, basis = rot[lo:hi, lo:hi], v[:, lo:hi]
             local = _planes(0.5 * (block - block.T), SPLIT_FLOOR)
-            found = [(rate, x @ (block @ x) + y @ (block @ y), basis @ x, basis @ y)
+            found = [(rate, np.dot(x, np.dot(block, x)) + np.dot(y, np.dot(block, y)),
+                      np.array((np.dot(basis, x), -np.dot(basis, y))))
                      for rate, x, y in local]
-        # trace: of the block on the plane, 2 cos 2 theta; O turns -y toward x: the plane is x ^ -y
-        interior += [(0.5 * math.atan2(rate, 0.5 * trace), np.array((x, -y))) for rate, trace, x, y in found]
+        interior += [(0.5 * math.atan2(rate, 0.5 * trace), frame) for rate, trace, frame in found]
         # O negates the directions of a cos 2 theta < 0 cluster outside its
         # planes: none when the planes fill it, so the QR runs only when they don't
         if w[lo] < 0.0 and 2 * len(found) < hi - lo:
             if local:
                 spanned = np.column_stack([u for _, x, y in local for u in (x, y)])
-                basis = basis @ np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]
-            flipped += list(basis.T)
+                flipped += list(np.dot(basis, np.linalg.qr(spanned, mode="complete")[0][:, spanned.shape[1]:]).T)
+            else:
+                flipped += list(v.T[lo:hi])
     interior.sort(key=lambda pair: -pair[0])
     return interior, flipped
 
@@ -238,7 +256,9 @@ def _self_check(a: Blade, b: Blade, thetas, frames, flipped) -> tuple[np.ndarray
     sig = a.sig
     lowest = _unit_wedge(sig, flipped) if flipped else _one(sig.n)   # L = 1: nothing flipped
     unit_a = a.mv.coeffs / a.magnitude
-    carried = _rotor_chain(sig, thetas, frames, flipped, b.mv.coeffs / b.magnitude, b.grade & 1)
+    parity = b.grade & 1
+    carried = _rotor_chain(sig, thetas, frames, flipped, _parity_half(sig, b.mv.coeffs, parity) / b.magnitude,
+                           parity)
     # <carried reverse(unit_a)>_0: over Cl(n,0) the reverse signs square to 1
     if np.dot(carried, unit_a) < 0.0:
         lowest, carried = -lowest, -carried
@@ -276,21 +296,28 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
             f"{len(interior)} principal planes and {len(flipped)} reversed directions "
             f"do not fit blades of grades {a.grade} and {b.grade}")
 
-    thetas = [theta for theta, _ in interior]
-    frames = tuple(frame for _, frame in interior)
-    for frame in frames:
+    thetas, frames, planes = [], [], []
+    for theta, frame in interior:
         frame.setflags(write=False)
-    planes = tuple(Multivector._of_finite(sig, _unit_wedge(sig, frame)) for frame in frames)
+        thetas.append(theta)
+        frames.append(frame)
+        planes.append(Multivector._of_finite(sig, _unit_wedge(sig, frame)))
     angles = [math.pi / 2.0] * t_exact + thetas + [0.0] * s_exact
     lowest, residual = _self_check(a, b, thetas, frames, flipped)
 
     # s on the versine 2 sin^2(theta/2) = 1 - cos theta, which keeps a small angle's digits
-    cosines = [math.cos(theta) for theta in angles]
-    moved = [2.0 * math.sin(0.5 * theta) ** 2 > grade_tol for theta in angles]
-    s = len(angles) - sum(moved)
-    t = sum(c <= grade_tol for c in cosines)
-    cos_interior = math.prod((c for c in cosines if c > grade_tol), start=1.0)
-    sin_prod = math.prod((math.sin(theta) for theta, m in zip(angles, moved) if m), start=1.0)
+    s = t = 0
+    cos_interior = sin_prod = 1.0
+    for theta in angles:
+        c = math.cos(theta)
+        if c > grade_tol:
+            cos_interior *= c
+        else:
+            t += 1
+        if 2.0 * math.sin(0.5 * theta) ** 2 > grade_tol:
+            sin_prod *= math.sin(theta)
+        else:
+            s += 1
 
     if (len(angles) != r or s + t > r or len(planes) != sum(0.0 < x < math.pi / 2.0 for x in angles)
             or not residual <= RESIDUAL_BOUND):
@@ -298,11 +325,14 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
             f"report breaks its invariants: r={r}, {len(angles)} angles, s={s}, t={t}, "
             f"{len(planes)} planes, residual {residual:.3e} (bound {RESIDUAL_BOUND:g})")
 
-    return AngleReport(
+    # one update of the instance dict: the frozen dataclass' __init__, which checks nothing,
+    # would set each of the twelve fields through object.__setattr__
+    report = object.__new__(AngleReport)
+    report.__dict__.update(
         s=s,
         t=t,
         angles=tuple(angles),
-        planes=planes,
+        planes=tuple(planes),
         cos_total=0.0 if t > 0 else cos_interior,
         cos_interior=cos_interior,
         sin_interior_product=sin_prod,
@@ -310,8 +340,9 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         residual=residual,
         has_equal_angles=any(x - y <= EQUAL_ANGLE_TOL for x, y in zip(thetas, thetas[1:])),
         lowest_blade=Multivector._of_finite(sig, lowest),
-        plane_frames=frames,
+        plane_frames=tuple(frames),
     )
+    return report
 
 
 def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> Multivector:
@@ -327,6 +358,7 @@ def rotor_reconstruction(report: AngleReport, norm_a: float, norm_b: float) -> M
     eigensolve, so each factor acts as c X + s x (y X), at vector cost.
     """
     thetas = [theta for theta in report.angles if 0.0 < theta < math.pi / 2.0]
-    sig, start = report.lowest_blade.sig, (norm_a * norm_b) * report.lowest_blade.coeffs
-    chain = _rotor_chain(sig, thetas, report.plane_frames, [], start, report.lowest_grade & 1)
+    sig, parity = report.lowest_blade.sig, report.lowest_grade & 1
+    start = (norm_a * norm_b) * _parity_half(sig, report.lowest_blade.coeffs, parity)
+    chain = _rotor_chain(sig, thetas, report.plane_frames, [], start, parity)
     return Multivector(sig, chain, _copy=False)

@@ -13,6 +13,8 @@ contraction_matrix and _rotor_chain, (c_1 + i_1 s_1)...(c_k + i_k s_k) L X.
 Rows are validated by the public wedge_vectors and blade_from_spanning_vectors,
 not _wedge_coeffs. Multivector._of_finite skips the constructor's finiteness scan;
 it runs only right after a finite norm of those coefficients (Blade, _unit_wedge).
+vector_product takes its matrix-vector step with np.dot, not @: the bytes are the
+same and, at n <= 12, matmul's dispatch costs more than the product.
 """
 
 from __future__ import annotations
@@ -182,23 +184,30 @@ def vector_product(sig: Signature, v: np.ndarray, half: np.ndarray, parity: int)
     against up to 4^n for the general kernel (Dorst, Fontijne & Mann,
     Geometric Algebra for Computer Science, ch. 19).
     """
-    return v @ np.concatenate((half, -half))[_vector_table(sig)[parity ^ 1]]
+    return np.dot(v, np.concatenate((half, -half))[_vector_table(sig)[parity ^ 1]])
 
 
-def _rotor_chain(sig, angles, pairs, flipped, x: np.ndarray, parity: int) -> np.ndarray:
-    """(c_1 + i_1 s_1)...(c_k + i_k s_k) L x with i_k = x_k ^ y_k for the
+def _parity_half(sig: Signature, x: np.ndarray, parity: int) -> np.ndarray:
+    """The 2^(n-1) coefficients of x on the masks of the given parity: _rotor_chain's start,
+    gathered before it is scaled, so a scaling touches only the half the chain reads."""
+    return x[_parity_masks(sig.n)[parity]]
+
+
+def _rotor_chain(sig, angles, pairs, flipped, half: np.ndarray, parity: int) -> np.ndarray:
+    """(c_1 + i_1 s_1)...(c_k + i_k s_k) L X with i_k = x_k ^ y_k for the
     orthonormal pairs (x_k, y_k) and L = l_1 ... l_m for the orthonormal rows
     of flipped, built from the right end by left products with vectors:
-    l_m x first, up to l_1, then each factor from the last plane's to the
+    l_m X first, up to l_1, then each factor from the last plane's to the
     first's, acting as c X + s x_k (y_k X), as x_k ^ y_k = x_k y_k.
 
-    x, the 2^n coefficients of a multivector of Cl(n,0), has the one parity
-    given (its other coefficients are zero), and each vector flips it, so the
-    chain runs on the 2^(n-1) coefficients of the current parity
-    (vector_product, n * 2^(n-1) terms a step): x's half is gathered once
-    and the last half scattered into the one full array returned."""
+    X, a multivector of Cl(n,0), has the one parity given (its other
+    coefficients are zero), and half holds its coefficients of that parity
+    (_parity_half). Each vector flips the parity, so the chain runs on the
+    2^(n-1) coefficients of the current parity (vector_product, n * 2^(n-1)
+    terms a step), and the last half is scattered into the one full array
+    returned."""
     masks = _parity_masks(sig.n)
-    out = x[masks[parity]]
+    out = half
     for row in flipped[::-1]:
         out = vector_product(sig, row, out, parity)
         parity ^= 1
@@ -266,9 +275,9 @@ def _wedge_coeffs(sig: Signature, rows) -> np.ndarray:
     np.add.reduce over axis 0 of a (rows, columns) step adds row after row onto +0.0, the
     table's order, while there are two columns or more; a single column (the pseudoscalar
     step) it sums pairwise from 8 rows on, so that step keeps the loop."""
-    acc = rows[0]
+    acc, n = rows[0], sig.n
     for k in range(1, len(rows)):
-        src, bits, sign = _wedge_table(sig.n, k)
+        src, bits, sign = _wedge_table(n, k)
         terms = sign * (acc[src] * rows[k][bits])
         if terms.shape[1] > 1:
             acc = np.add.reduce(terms, axis=0, initial=0.0)
@@ -276,8 +285,8 @@ def _wedge_coeffs(sig: Signature, rows) -> np.ndarray:
             acc = terms[0] + 0.0
             for term in terms[1:]:
                 acc += term
-    c = np.zeros(sig.size)
-    c[_grade_masks(sig.n, len(rows))] = acc
+    c = np.zeros(1 << n)
+    c[_grade_masks(n, len(rows))] = acc
     return c
 
 

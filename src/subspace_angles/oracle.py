@@ -22,7 +22,9 @@ sines as column norms, paired ascending with the cosines descending.
 
 Everything here is implemented from scratch and calls no numpy.linalg,
 so that agreement with the geometric-product engine is a genuine check
-between two independent implementations.
+between two independent implementations. Its three matrix products (M, the
+principal vectors and the sine route's projection) are np.dot, not @: the
+same bytes, and at these sizes matmul's dispatch costs more than the product.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def orthonormal_basis(vectors) -> np.ndarray:
         raise ValueError("expected a sequence of length-n vectors, one per row")
     basis: list[list[float]] = []
     for u in rows.tolist():
-        squared = _dot(u, u)
+        squared = sum(map(mul, u, u))
         if not math.isfinite(squared):
             if all(map(math.isfinite, u)):
                 raise ValueError(f"vector {len(basis)} overflows: its squared norm is not finite")
@@ -98,9 +100,9 @@ def orthonormal_basis(vectors) -> np.ndarray:
         original = math.sqrt(squared)
         for _ in range(2):
             for b in basis:
-                p = _dot(u, b)
+                p = sum(map(mul, u, b))
                 u = [x - p * y for x, y in zip(u, b)]
-        squared = _dot(u, u)
+        squared = sum(map(mul, u, u))
         res = math.sqrt(squared)
         if res < DEPENDENCE_TOL * original:
             raise DegenerateSpanError(f"vector {len(basis)} is dependent")
@@ -111,11 +113,7 @@ def orthonormal_basis(vectors) -> np.ndarray:
     return np.array(basis)
 
 
-def _dot(x, y) -> float:
-    return sum(map(mul, x, y))
-
-
-def _jacobi(columns: list, vectors: list | None = None) -> int:
+def _jacobi(columns: list, vectors: list | None = None) -> tuple[int, list[float]]:
     """One-sided Jacobi: rotate columns (lists of floats) in place until each
     pair is orthogonal to working precision; vectors take the same rotations.
 
@@ -123,11 +121,12 @@ def _jacobi(columns: list, vectors: list | None = None) -> int:
     rounding floor of the computed dot product g_ij (LAPACK's DGESVJ rule),
     or once one of its columns is no longer than eps times the whole matrix
     (Frobenius norm): such a column is rounding noise, with no direction to
-    settle. Returns the number of sweeps; the last one rotated nothing, so
-    every pair meets the rule, unless the count is MAX_SWEEPS.
+    settle. Returns (sweeps, squares): the number of sweeps, the last of which
+    rotated nothing, so every pair meets the rule, unless it is MAX_SWEEPS; and
+    each final column's squared norm sum(map(mul, c, c)), kept by the loop.
     """
     tol = math.sqrt(len(columns[0])) * EPS
-    sq = [_dot(c, c) for c in columns]
+    sq = [sum(map(mul, c, c)) for c in columns]
     noise = EPS * EPS * sum(sq)
     k = len(columns)
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -155,17 +154,20 @@ def _jacobi(columns: list, vectors: list | None = None) -> int:
                     vectors[j] = [sn * x + cs * y for x, y in zip(vi, vj)]
         if not rotated:
             break
-    return sweep
+    return sweep, sq
 
 
-def _jacobi_onesided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of m (rows >= cols): m = u @ diag(s) @ v.T."""
+def _jacobi_onesided(m: np.ndarray) -> tuple[list, list[float], list]:
+    """One-sided Jacobi SVD of m (rows >= cols), as lists of floats: (u, s, v) with s
+    descending and u[k], v[k] the k-th left and right singular vectors, so that
+    m = sum_k s[k] u[k] v[k]^T."""
     rows, cols = m.shape
     a = m.T.tolist()
     floor = 1e-14 * max(max(max(map(abs, c)) for c in a), 1e-300)
-    v = [[float(r == c) for r in range(cols)] for c in range(cols)]
-    _jacobi(a, v)
-    s = [math.sqrt(_dot(c, c)) for c in a]
+    v = [[0.0] * cols for _ in range(cols)]
+    for c in range(cols):
+        v[c][c] = 1.0
+    s = [math.sqrt(squared) for squared in _jacobi(a, v)[1]]
     u = [[x / sj for x in c] if sj > floor else None for c, sj in zip(a, s)]
     # complete near-null columns of u to an orthonormal set: the unit vector
     # that keeps the most of its length after projecting out the others
@@ -178,9 +180,9 @@ def _jacobi_onesided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             cand[k] = 1.0
             for ul in u:
                 if ul is not None:
-                    p = _dot(cand, ul)
+                    p = sum(map(mul, cand, ul))
                     cand = [x - p * y for x, y in zip(cand, ul)]
-            res = math.sqrt(_dot(cand, cand))
+            res = math.sqrt(sum(map(mul, cand, cand)))
             if res > best_res:
                 best, best_res = cand, res
             if res > 0.5:
@@ -188,8 +190,7 @@ def _jacobi_onesided(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         u[j] = [x / best_res for x in best]
 
     order = sorted(range(cols), key=s.__getitem__, reverse=True)
-    return (np.array([u[j] for j in order]).T, np.array([s[j] for j in order]),
-            np.array([v[j] for j in order]).T)
+    return [u[j] for j in order], [s[j] for j in order], [v[j] for j in order]
 
 
 def svd_small(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,12 +205,14 @@ def svd_small(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"matrix is empty, of shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
-    return _svd(m)
+    u, s, v = _svd(m)
+    return np.array(u).T, np.array(s), np.array(v).T
 
 
-def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """svd_small of a nonempty, finite 2-D float array, unchecked: the one-sided
-    Jacobi SVD of m or of its transpose, whichever has at least as many rows."""
+def _svd(m: np.ndarray) -> tuple[list, list[float], list]:
+    """svd_small of a nonempty, finite 2-D float array, unchecked, as _jacobi_onesided's
+    lists: the one-sided Jacobi SVD of m or of its transpose, whichever has at least as
+    many rows."""
     if m.shape[0] >= m.shape[1]:
         return _jacobi_onesided(m)
     u, s, v = _jacobi_onesided(m.T)
@@ -223,30 +226,47 @@ def principal_angles(basis_a, basis_b) -> PrincipalPairs:
     The cluster of angles near zero (sigma > SINE_ROUTE_SIGMA) takes its
     angles from sines instead: the singular values of the cluster's b_k with
     span(A) projected out, well conditioned where acos is not; a non-finite entry raises ValueError.
+    Four stages, each on the outputs of those before it: _inner_products (the checks and M),
+    _svd, _principal_vectors (the vectors and acos) and _sine_route (the sines and the result).
     """
+    qa, qb, m = _inner_products(basis_a, basis_b)
+    u, s, v = _svd(m)
+    cosines, angles, a_vecs, b_vecs = _principal_vectors(u, s, v, qa, qb)
+    return _sine_route(cosines, angles, a_vecs, b_vecs, qa)
+
+
+def _inner_products(basis_a, basis_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(qa, qb, m): both bases as nonempty, finite 2-D float arrays, and m = qa qb^T, finite."""
     qa = np.atleast_2d(np.asarray(basis_a, dtype=float))
     qb = np.atleast_2d(np.asarray(basis_b, dtype=float))
     if qa.size == 0 or qb.size == 0:
         raise DegenerateSpanError("empty basis")
     if not (np.isfinite(qa).all() and np.isfinite(qb).all()):
         raise ValueError("basis has a non-finite entry")
-    m = qa @ qb.T
+    m = np.dot(qa, qb.T)
     if not np.isfinite(m).all():   # finite bases can still overflow in the product
         raise ValueError("matrix has a non-finite entry")
-    u, s, v = _svd(m)
-    cosines = [min(max(c, 0.0), 1.0) for c in s.tolist()]
-    a_vecs = u.T @ qa
-    b_vecs = v.T @ qb
-    angles = np.array([math.acos(c) for c in cosines])
+    return qa, qb, m
+
+
+def _principal_vectors(u, s, v, qa, qb) -> tuple[list[float], list[float], np.ndarray, np.ndarray]:
+    """(cosines, angles, a_vectors, b_vectors) from _svd's lists for m = qa qb^T: the singular
+    values clamped to [0, 1], their arccosines, and the principal vectors U^T qa and V^T qb,
+    whose rows u[k] and v[k] are the singular vectors."""
+    cosines = [min(max(c, 0.0), 1.0) for c in s]
+    return cosines, [math.acos(c) for c in cosines], np.dot(u, qa), np.dot(v, qb)
+
+
+def _sine_route(cosines, angles, a_vecs, b_vecs, qa) -> PrincipalPairs:
+    """The result, with the angles of the cluster near zero (cosines above SINE_ROUTE_SIGMA)
+    read from sines: the column norms of that cluster's b_k with span(A) projected out,
+    after the Jacobi's rotations, ascending, paired with the cosines descending."""
     near = sum(c > SINE_ROUTE_SIGMA for c in cosines)
     if near:
-        resid = b_vecs[:near] - (b_vecs[:near] @ qa.T) @ qa
-        columns = resid.tolist()
-        _jacobi(columns)
-        # sines ascending pair with cosines descending
-        for k, sine in enumerate(sorted(math.sqrt(_dot(c, c)) for c in columns)):
-            angles[k] = math.asin(min(1.0, sine))
-    return PrincipalPairs(cosines=np.array(cosines), angles=angles, a_vectors=a_vecs, b_vectors=b_vecs)
+        resid = b_vecs[:near] - np.dot(np.dot(b_vecs[:near], qa.T), qa)
+        sines = sorted(map(math.sqrt, _jacobi(resid.tolist())[1]))
+        angles = [math.asin(min(1.0, sine)) for sine in sines] + angles[near:]
+    return PrincipalPairs(cosines=np.array(cosines), angles=np.array(angles), a_vectors=a_vecs, b_vectors=b_vecs)
 
 
 def rank_counts(pairs: PrincipalPairs) -> tuple[int, int]:

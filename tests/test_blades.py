@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -534,6 +535,21 @@ class TestFrame:
             assert not b.frame.flags.writeable
             with pytest.raises(ValueError):
                 b.frame[0, 0] = 1.0
+
+    def test_constructor_checks_freezes_and_replaces(self):
+        # Blade's own __init__, one update of the instance dict: the frame read-only, the
+        # magnitude refused when not finite, each declared field once, frozen, and
+        # dataclasses.replace still builds through it
+        frame = np.eye(3)[:2].copy()
+        b = Blade(E1 ^ E2, 2, 1.0, frame)
+        assert not frame.flags.writeable
+        assert list(vars(b)) == [f.name for f in dataclasses.fields(Blade)]
+        for magnitude in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^blade magnitude overflows"):
+                Blade(E1 ^ E2, 2, magnitude, np.eye(3)[:2].copy())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.grade = 1
+        assert dataclasses.replace(b, magnitude=2.0) == Blade(E1 ^ E2, 2, 2.0, frame)
 
     def test_frame_left_out_of_eq_and_repr(self):
         a = blade_from_spanning_vectors([[1, 0, 0], [0, 1, 0]])

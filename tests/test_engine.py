@@ -11,6 +11,7 @@ from subspace_angles import engine, ga
 from subspace_angles.blades import Blade, blade_from_spanning_vectors
 from subspace_angles.engine import (
     EQUAL_ANGLE_TOL,
+    AngleReport,
     RESIDUAL_BOUND,
     SPLIT_FLOOR,
     bivector_split,
@@ -671,6 +672,17 @@ class TestRotorReconstruction:
         other = dataclasses.replace(rep, plane_frames=tuple(-frame for frame in rep.plane_frames))
         assert rep == other and repr(rep) == repr(other)
         assert "plane_frames" not in repr(rep)
+
+    def test_report_holds_exactly_its_declared_fields(self):
+        # relative_angle fills the report's instance dict in one update, not through the
+        # dataclass' __init__: the report has each declared field once, equals the one the
+        # constructor builds from them, and stays frozen
+        a, b = known_pair((1.2, 0.7), 3, np.eye(5))
+        rep = relative_angle(a, b)
+        assert list(vars(rep)) == [f.name for f in dataclasses.fields(AngleReport)]
+        assert AngleReport(**vars(rep)) == rep
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.s = 0
 
     def test_random_pairs(self):
         rng = np.random.default_rng(42)

@@ -169,7 +169,8 @@ class TestSvdSmall:
             columns = m.T.tolist()
             vectors = np.eye(m.shape[1]).tolist()
             noise = EPS * EPS * sum(dot(c, c) for c in columns)
-            assert _jacobi(columns, vectors) <= 8
+            sweeps, _ = _jacobi(columns, vectors)
+            assert sweeps <= 8
             assert settled(columns, noise)
             self._check(m)
 
@@ -181,8 +182,24 @@ class TestSvdSmall:
                    [1.1102230246251565e-16, 0.0, 1.1102230246251565e-16],
                    [-1.1102230246251565e-16, 0.0, 0.0]]
         noise = EPS * EPS * sum(dot(c, c) for c in columns)
-        assert _jacobi(columns) <= 8
+        sweeps, _ = _jacobi(columns)
+        assert sweeps <= 8
         assert settled(columns, noise)
+
+    def test_kept_squares_are_those_of_the_final_columns(self):
+        # the squared norms _jacobi returns, which the SVD and the sine route read in place
+        # of a second dot per column, are the bytes of sum(map(mul, c, c)) of each final
+        # column: rotated columns, columns left alone and noise columns alike
+        rng = np.random.default_rng(31)
+        matrices = [np.array(CAPPED_M), np.diag([3.0, 2.0, 1.0]),
+                    np.array([[0.0, 1.1102230246251565e-16, -1.1102230246251565e-16],
+                              [0.0, 0.0, 0.0], [1.3877787807814457e-17, 1.1102230246251565e-16, 0.0]])]
+        for shape in ((2, 1), (3, 2), (4, 4), (7, 3), (12, 6)):
+            matrices += [rng.standard_normal(shape) for _ in range(10)]
+        for m in matrices:
+            columns = m.T.tolist()
+            _, squares = _jacobi(columns, np.eye(m.shape[1]).tolist())
+            assert [x.hex() for x in squares] == [dot(c, c).hex() for c in columns]
 
 
 class TestPrincipalAngles:

@@ -143,24 +143,28 @@ def test_report_digest_sees_the_scalar_product(tmp_path):
 
 def test_stages_runs():
     # one pass on a few pairs: the timer loads two versions side by side, times the pair,
-    # its four stages, the named stages inside relative_angle and their chain, and the
-    # calls inside blades and their chain, on both workloads, reads each own work off its
-    # chain, and ends with the figures as one JSON line
+    # its four stages, the named stages inside relative_angle and their chain, the calls
+    # inside blades and their chain, and the named stages inside principal_angles and their
+    # chain, on both workloads, reads each own work off its chain, and ends with the
+    # figures as one JSON line
     src = str(Path(subspace_angles.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "stages.py"), "--src", src, "--src", src,
                            "--passes", "1", "--pairs", "3"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines if line.startswith("version")] == \
-        ["version 0"] * 3 + ["version 1"] * 3
+        ["version 0"] * 4 + ["version 1"] * 4
     assert [line.split()[1] for line in lines if line.startswith("| ")
-            and not line.startswith("| workload")] == ["corpus_small", "wide_dense"] * 6
+            and not line.startswith("| workload")] == ["corpus_small", "wide_dense"] * 8
     inner_headings = ["`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`",
                       "chained", "own work"]
     blade_headings = ["blades", "`_wedge_coeffs`", "`_norm`", "`_mgs`", "chained", "own work"]
+    oracle_headings = ["`principal_angles`", "`_inner_products`", "`_svd`", "`_principal_vectors`",
+                       "`_sine_route`", "chained", "own work"]
     headings = [[cell.strip() for cell in line.split("|")[2:-1]]
                 for line in lines if line.startswith("| workload")]
-    assert headings[1::3] == [inner_headings] * 2 and headings[2::3] == [blade_headings] * 2
+    assert headings[1::4] == [inner_headings] * 2 and headings[2::4] == [blade_headings] * 2
+    assert headings[3::4] == [oracle_headings] * 2
     summary = json.loads(lines[-1])
     assert summary["passes"] == 1 and summary["pairs"] == 3 and summary["src"] == [src, src]
     for workload in ("corpus_small", "wide_dense"):
@@ -168,12 +172,15 @@ def test_stages_runs():
         assert list(stages) == ["pair", "blades", "relative_angle", "oracle_bases", "principal_angles"]
         inner = summary["inner_us_per_call"][workload]
         own, blades_own = inner.pop("own_work"), inner.pop("blades_own_work")
+        oracle_own = inner.pop("oracle_own_work")
         assert list(inner) == ["_spectrum", "_read_clusters", "plane_wedges", "_self_check", "chained",
-                               "_wedge_coeffs", "_norm", "_mgs", "blades_chained"]
+                               "_wedge_coeffs", "_norm", "_mgs", "blades_chained",
+                               "_inner_products", "_svd", "_principal_vectors", "_sine_route", "oracle_chained"]
         assert all(len(figures) == 2 and min(figures) > 0.0 for figures in [*stages.values(), *inner.values()])
         # each own work is its whole minus its chain, each rounded to 0.1 µs after the subtraction
         for whole, chain, rest in [*zip(stages["relative_angle"], inner["chained"], own),
-                                   *zip(stages["blades"], inner["blades_chained"], blades_own)]:
+                                   *zip(stages["blades"], inner["blades_chained"], blades_own),
+                                   *zip(stages["principal_angles"], inner["oracle_chained"], oracle_own)]:
             assert abs(rest - (whole - chain)) <= 0.11
 
 

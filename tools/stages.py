@@ -38,6 +38,17 @@ untimed run:
     blades_chained    the three back to back, one pair at a time, each
                       _norm on the coefficients just computed
 
+and, for a version whose oracle reads principal_angles in named stages,
+each of them in microseconds per pair, on the arguments principal_angles
+passed it, recorded on one untimed run:
+
+    _inner_products     the checks of both bases and M = Q_A Q_B^T
+    _svd                the one-sided Jacobi SVD of M
+    _principal_vectors  the principal vectors and the arccosines
+    _sine_route         the sines of the cluster near zero and the result
+    oracle_chained      the four back to back, one pair at a time, each on
+                        the outputs of the stages before it
+
 The versions are imported side by side in one process
 (report_digest.load_package), with one BLAS thread as in the benchmark.
 Every pair runs once untimed first, which fills each version's caches.
@@ -54,13 +65,15 @@ The stages timed one loop each sum to less than chained, so relative_angle
 minus their sum overstates its own work; minus chained it does not.  A
 third table does the same for blades: the three calls inside it, chained
 and own work, blades minus blades_chained (converting and checking the
-rows, their squared norms, the finiteness check and the Blade).  A
-version without the named stages gets one line saying so instead.  The
-last line of standard output is one JSON object: {"passes", "pairs",
-"src", "us_per_pair", "inner_us_per_call"}, where
+rows, their squared norms, the finiteness check and the Blade).  A fourth
+does the same for principal_angles: its four stages, chained and own work,
+principal_angles minus oracle_chained (the calls and the unpacking between
+them).  A version without the named stages or calls gets one line saying so
+instead of the table.  The last line of standard output is one JSON object:
+{"passes", "pairs", "src", "us_per_pair", "inner_us_per_call"}, where
 us_per_pair[workload][stage] and inner_us_per_call[workload][stage] (own
-work as own_work and blades_own_work) hold one figure per --src, in their
-order, null for a version without the named stages.  Two versions loaded
+work as own_work, blades_own_work and oracle_own_work) hold one figure per
+--src, in their order, null for a version without the named stages.  Two versions loaded
 in one process are not timed alike: the one loaded second can read a few
 per cent apart with identical code, so a gap under about 4 % holds only
 when it shows in both load orders (run once with each --src first).
@@ -92,10 +105,16 @@ NAMED_STAGES = ("_spectrum", "_read_clusters", "_self_check")
 BLADE_CALLS = ("_wedge_coeffs", "_norm", "_mgs")
 BLADE_INNER = (*BLADE_CALLS, "blades_chained")
 BLADE_HEADINGS = ("blades", "`_wedge_coeffs`", "`_norm`", "`_mgs`", "chained", "own work")
+ORACLE_CALLS = ("_inner_products", "_svd", "_principal_vectors", "_sine_route")
+ORACLE_INNER = (*ORACLE_CALLS, "oracle_chained")
+ORACLE_HEADINGS = ("`principal_angles`", "`_inner_products`", "`_svd`", "`_principal_vectors`", "`_sine_route`",
+                   "chained", "own work")
+OWN_WORK = (("own_work", "relative_angle", "chained"), ("blades_own_work", "blades", "blades_chained"),
+            ("oracle_own_work", "principal_angles", "oracle_chained"))
 # the order of the loops in a pass: each chain right after its whole, so that own work,
 # their difference, is read at one host speed
 TIMED = ("pair", "blades", "blades_chained", "relative_angle", "chained", "oracle_bases", "principal_angles",
-         *INNER[:-1], *BLADE_CALLS)
+         "oracle_chained", *INNER[:-1], *BLADE_CALLS, *ORACLE_CALLS)
 
 
 def stage_loops(sa, pairs) -> dict:
@@ -116,17 +135,17 @@ def stage_loops(sa, pairs) -> dict:
         "principal_angles": (sa.principal_angles, bases),
         **inner_loops(sa.engine, blades),
         **blade_calls,
+        **oracle_loops(sa.oracle, bases),
     }
 
 
-def blade_loops(blades, spans) -> dict:
-    """{stage: (call, argument tuples, one per pair)} for the calls inside
-    blade_from_spanning_vectors, on the arguments it passes them for each span, recorded
-    while it builds every span once; {} for a blades module without those calls."""
-    if not all(hasattr(blades, name) for name in BLADE_CALLS):
-        return {}
-    real = {name: getattr(blades, name) for name in BLADE_CALLS}
-    recorded = {name: [] for name in BLADE_CALLS}
+def record_calls(module, names, run) -> tuple[dict, dict] | None:
+    """(real, recorded): the module's functions of those names, and {name: [argument tuples]}
+    of every call run() made to them, in order; None for a module without them."""
+    if not all(hasattr(module, name) for name in names):
+        return None
+    real = {name: getattr(module, name) for name in names}
+    recorded = {name: [] for name in names}
 
     def recorder(name):
         def call(*args):
@@ -135,14 +154,24 @@ def blade_loops(blades, spans) -> dict:
         return call
 
     try:
-        for name in BLADE_CALLS:
-            setattr(blades, name, recorder(name))
-        for span in spans:
-            for rows in span:
-                blades.blade_from_spanning_vectors(rows)
+        for name in names:
+            setattr(module, name, recorder(name))
+        run()
     finally:
         for name, call in real.items():
-            setattr(blades, name, call)
+            setattr(module, name, call)
+    return real, recorded
+
+
+def blade_loops(blades, spans) -> dict:
+    """{stage: (call, argument tuples, one per pair)} for the calls inside
+    blade_from_spanning_vectors, on the arguments it passes them for each span, recorded
+    while it builds every span once; {} for a blades module without those calls."""
+    calls = record_calls(blades, BLADE_CALLS,
+                         lambda: [blades.blade_from_spanning_vectors(rows) for span in spans for rows in span])
+    if calls is None:
+        return {}
+    real, recorded = calls
     wedge, norm, mgs = real.values()
 
     def chained(a, b):
@@ -158,6 +187,24 @@ def blade_loops(blades, spans) -> dict:
            for name, call in real.items()},
         "blades_chained": (chained, per_pair(list(zip(recorded["_wedge_coeffs"], recorded["_mgs"])))),
     }
+
+
+def oracle_loops(oracle, bases) -> dict:
+    """{stage: (call, argument tuples, one per pair)} for the named stages inside
+    principal_angles, on the arguments it passes them for each pair's bases, recorded while
+    it runs every pair once; {} for an oracle without those stages."""
+    calls = record_calls(oracle, ORACLE_CALLS, lambda: [oracle.principal_angles(*pair) for pair in bases])
+    if calls is None:
+        return {}
+    real, recorded = calls
+    inner_products, svd, principal_vectors, sine_route = real.values()
+
+    def chained(basis_a, basis_b):
+        qa, qb, m = inner_products(basis_a, basis_b)
+        u, s, v = svd(m)
+        sine_route(*principal_vectors(u, s, v, qa, qb), qa)
+
+    return {**{name: (call, recorded[name]) for name, call in real.items()}, "oracle_chained": (chained, bases)}
 
 
 def inner_loops(engine, blades) -> dict:
@@ -198,12 +245,13 @@ def time_loop(call, arguments) -> float:
 
 def measure(srcs, passes: int, pairs: int) -> dict:
     """best[workload][stage]: the best of passes passes per version, in srcs' order,
-    None for a stage the version lacks; own_work is relative_angle minus chained, and
-    blades_own_work blades minus blades_chained."""
+    None for a stage the version lacks; own_work is relative_angle minus chained,
+    blades_own_work blades minus blades_chained and oracle_own_work principal_angles
+    minus oracle_chained."""
     versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
     loops = {workload: [stage_loops(sa, getattr(inputs, workload)(1)[:pairs]) for sa in versions]
              for workload in WORKLOADS}
-    best = {workload: {stage: [None] * len(versions) for stage in STAGES + INNER + BLADE_INNER}
+    best = {workload: {stage: [None] * len(versions) for stage in STAGES + INNER + BLADE_INNER + ORACLE_INNER}
             for workload in WORKLOADS}
     for n in range(passes):
         order = range(len(versions)) if n % 2 == 0 else range(len(versions) - 1, -1, -1)
@@ -215,8 +263,7 @@ def measure(srcs, passes: int, pairs: int) -> dict:
                         old = best[workload][stage][i]
                         best[workload][stage][i] = figure if old is None else min(old, figure)
     for stages in best.values():
-        for own, whole, chain in (("own_work", "relative_angle", "chained"),
-                                  ("blades_own_work", "blades", "blades_chained")):
+        for own, whole, chain in OWN_WORK:
             stages[own] = [None if part is None else total - part
                            for total, part in zip(stages[whole], stages[chain])]
     return best
@@ -224,7 +271,7 @@ def measure(srcs, passes: int, pairs: int) -> dict:
 
 def table(best: dict, i: int, stages, headings) -> list[str]:
     """Version i's table of stages[1:], each in µs and as a share of their sum (stages[0] is
-    the pair) or of stages[0] (relative_angle, whose stages leave out its own work)."""
+    the pair) or of stages[0] (a whole whose stages leave out its own work)."""
     widths = [max(len(h), 13) for h in headings]
     rows = ["| workload     | " + " | ".join(h.ljust(w) for h, w in zip(headings, widths)) + " |",
             "|--------------|" + "|".join("-" * (w + 2) for w in widths) + "|"]
@@ -263,6 +310,12 @@ def main(argv=None) -> int:
         else:
             print(f"version {i}: inside blades, µs per pair, share of blades")
             print(*table(best, i, ("blades", *BLADE_INNER, "blades_own_work"), BLADE_HEADINGS), sep="\n")
+        if best[WORKLOADS[0]][ORACLE_CALLS[0]][i] is None:
+            print(f"version {i}: principal_angles has no named stages ({', '.join(ORACLE_CALLS)})")
+        else:
+            print(f"version {i}: inside principal_angles, µs per pair, share of principal_angles")
+            print(*table(best, i, ("principal_angles", *ORACLE_INNER, "oracle_own_work"), ORACLE_HEADINGS),
+                  sep="\n")
 
     def figures(stages):
         return {w: {s: [None if x is None else round(x, 1) for x in best[w][s]] for s in stages}
@@ -270,7 +323,8 @@ def main(argv=None) -> int:
 
     print(json.dumps({"passes": args.passes, "pairs": args.pairs, "src": srcs,
                       "us_per_pair": figures(STAGES),
-                      "inner_us_per_call": figures((*INNER, "own_work", *BLADE_INNER, "blades_own_work"))}))
+                      "inner_us_per_call": figures((*INNER, "own_work", *BLADE_INNER, "blades_own_work",
+                                                    *ORACLE_INNER, "oracle_own_work"))}))
     return 0
 
 
