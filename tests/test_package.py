@@ -1,8 +1,12 @@
+import ast
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import subspace_angles
 
@@ -38,14 +42,22 @@ def run_digest(workloads, *srcs):
     return proc.returncode, proc.stdout.splitlines()
 
 
-def edited_copy(dest: Path, module: str, old: str, new: str) -> Path:
-    """A copy of the package under dest whose module has old replaced by new."""
+def edited_copy(dest: Path, module: str, function: str, old: str, new: str) -> Path:
+    """A copy of the package under dest whose module has old replaced by new inside the
+    named function, found by its ast line span; old must occur there exactly once."""
     src = Path(subspace_angles.__file__).resolve().parent
     shutil.copytree(src, dest / "subspace_angles", ignore=shutil.ignore_patterns("__pycache__"))
     path = dest / "subspace_angles" / module
     text = path.read_text()
-    assert text.count(old) == 1
-    path.write_text(text.replace(old, new))
+    spans = [(node.lineno - 1, node.end_lineno) for node in ast.walk(ast.parse(text))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function]
+    assert len(spans) == 1, f"{module} defines {function} {len(spans)} times"
+    lines = text.splitlines(keepends=True)
+    (start, end), = spans
+    body = "".join(lines[start:end])
+    count = body.count(old)
+    assert count == 1, f"{module}, {function}: the edit text occurs {count} times, not once"
+    path.write_text("".join(lines[:start]) + body.replace(old, new) + "".join(lines[end:]))
     return dest
 
 
@@ -72,7 +84,7 @@ def test_report_digest_runs():
 def test_report_digest_names_the_differing_pairs(tmp_path):
     # a copy whose selftest summary differs: only the last item, the selftest, moves
     src = Path(subspace_angles.__file__).resolve().parents[1]
-    copy = edited_copy(tmp_path, "problems.py", '"cases": cases,', '"cases": cases + 1,')
+    copy = edited_copy(tmp_path, "problems.py", "selftest", '"cases": cases,', '"cases": cases + 1,')
     code, rows = run_digest(["cli_batch"], src, copy)
     pairs = int(row_fields(rows[0])["pairs"])
     assert code == 1
@@ -85,7 +97,7 @@ def test_report_digest_except_leaves_one_field_out(tmp_path):
     # document's and the selftest's worst; every other field is left out of the listing, as
     # the former --except residual left them out of the hash, now down to the bytes
     src = Path(subspace_angles.__file__).resolve().parents[1]
-    doubled = edited_copy(tmp_path, "engine.py", "residual=residual,", "residual=2.0 * residual,")
+    doubled = edited_copy(tmp_path, "engine.py", "relative_angle", "residual=residual,", "residual=2.0 * residual,")
     code, rows = run_digest(["wide_dense", "cli_batch"], src, doubled)
     assert code == 1 and len(rows) == 6 and rows[-1] == "no discrete field moved"
     library, cli, pairs = row_fields(rows[0]), row_fields(rows[2]), {}
@@ -104,7 +116,7 @@ def test_report_digest_max_diff_measures_the_moves(tmp_path):
     # a copy whose s grows by one moves a discrete field of every item, which the summary
     # counts and names pair by pair, as the former --max-diff counted it
     src = Path(subspace_angles.__file__).resolve().parents[1]
-    shifted = edited_copy(tmp_path, "engine.py", "        s=s,", "        s=s + 1,")
+    shifted = edited_copy(tmp_path, "engine.py", "relative_angle", "        s=s,", "        s=s + 1,")
     code, rows = run_digest(["cli_batch"], src, shifted)
     pairs = int(row_fields(rows[0])["pairs"])
     assert code == 1
@@ -116,7 +128,7 @@ def test_report_digest_sees_the_frames(tmp_path):
     # a copy that negates the first row of every Gram-Schmidt frame: the blades' frames move
     # and nothing else does, since the engine reads a frame only through its projector
     src = Path(subspace_angles.__file__).resolve().parents[1]
-    negated = edited_copy(tmp_path, "blades.py", "    return np.array(basis)\n",
+    negated = edited_copy(tmp_path, "blades.py", "_mgs", "    return np.array(basis)\n",
                           "    return np.array([[-x for x in basis[0]], *basis[1:]])\n")
     code, rows = run_digest(["wide_dense", "cli_batch"], src, negated)
     assert code == 1 and rows[-1] == "no discrete field moved" and len(rows) == 4
@@ -132,7 +144,8 @@ def test_report_digest_sees_the_frames(tmp_path):
 def test_report_digest_sees_the_scalar_product(tmp_path):
     # a copy whose scalar product doubles moves <A reverse(B)>_0 and nothing else
     src = Path(subspace_angles.__file__).resolve().parents[1]
-    doubled = edited_copy(tmp_path, "ga.py", "self.sig), other.coeffs))", "self.sig), other.coeffs)) * 2.0")
+    doubled = edited_copy(tmp_path, "ga.py", "scalar_product", "self.sig), other.coeffs))",
+                          "self.sig), other.coeffs)) * 2.0")
     code, rows = run_digest(["wide_dense"], src, doubled)
     assert code == 1 and rows[-1] == "no discrete field moved" and len(rows) == 3
     fields = row_fields(rows[0])
@@ -182,6 +195,57 @@ def test_stages_runs():
                                    *zip(stages["blades"], inner["blades_chained"], blades_own),
                                    *zip(stages["principal_angles"], inner["oracle_chained"], oracle_own)]:
             assert abs(rest - (whole - chain)) <= 0.11
+
+
+def test_stages_records_the_outermost_calls(monkeypatch, capsys):
+    # the timer reads each stage off the library's own calls, recorded per pair while the
+    # stage's whole runs: the plane wedges are the report's planes (the wedge of L that
+    # _self_check makes is no plane wedge), each chain is exactly the pair's recorded calls
+    # in order, and a row that names a function its module lacks gives no table
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")                   # restored after the test
+    spec = importlib.util.spec_from_file_location("stages", ROOT / "tools" / "stages.py")
+    stages = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stages)
+    src = str(Path(subspace_angles.__file__).resolve().parents[1])
+    sa = stages.load_package(src, "subspace_angles_recorded")
+    for workload in stages.WORKLOADS:
+        pairs = getattr(stages.inputs, workload)(1)[:4]
+        runs = stages.record(sa, pairs)
+        for p, pair in enumerate(pairs):
+            report = stages.harness.run_pair(sa, pair)[0]
+            wedges = [args for _, _, args in runs["plane_wedges"][p]]
+            assert len(wedges) == len(report.planes)
+            assert all(np.array_equal(args[1], frame) for args, frame in zip(wedges, report.plane_frames))
+            expected = {"chained": ["_spectrum", "_read_clusters", *["plane_wedges"] * len(report.planes),
+                                    "_self_check"],
+                        "blades_chained": ["_wedge_coeffs", "_norm", "_mgs"] * 2,
+                        "oracle_chained": ["_inner_products", "_svd", "_principal_vectors", "_sine_route"]}
+            for row in stages.SPECS[1:]:
+                chain = runs[row.chain][p]
+                assert [key for key, _, _ in chain] == expected[row.chain]
+                module = getattr(sa, row.module)
+                for name, key, _ in row.stages:
+                    assert [call for call in chain if call[0] == key] == runs[key][p]
+                    assert getattr(module, name).__name__ == name     # the real function is back
+                    assert all(function is getattr(module, name) for _, function, _ in runs[key][p])
+        loops = stages.loops(runs)
+        assert all(stages.time_loop(calls, len(pairs)) > 0.0 for calls in loops.values())
+
+    rows = list(stages.SPECS)
+    rows[-1] = rows[-1]._replace(stages=(*rows[-1].stages[:-1], ("_no_such_stage", "_sine_route", "`_sine_route`")))
+    monkeypatch.setattr(stages, "SPECS", tuple(rows))
+    assert not {"_svd", "_sine_route", "oracle_chained"} & set(stages.record(sa, pairs))
+    assert stages.main(["--src", src, "--passes", "1", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("version")][-1] == \
+        "version 0: principal_angles has no _inner_products, _svd, _principal_vectors, _no_such_stage"
+    assert sum(line.startswith("| workload") for line in lines) == 3
+    inner = json.loads(lines[-1])["inner_us_per_call"]
+    for workload in stages.WORKLOADS:
+        assert inner[workload]["_svd"] == inner[workload]["oracle_own_work"] == [None]
+        assert inner[workload]["chained"][0] > 0.0
 
 
 def run_digest_truth(*args):

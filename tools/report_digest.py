@@ -144,19 +144,26 @@ def library_item(sa, pair) -> dict:
     return item
 
 
-def run_item(sa, mode: str, problem) -> dict:
-    return {"run": attempt(lambda: sa.run_problem(sa.parse_problem(json.dumps(problem.doc), mode=mode),
-                                                  oracle_enabled=True))}
+def problem_files(inputs, seed: int):
+    """(mode, problem) of each of cli_batch's problem files, the Euclidean ones first."""
+    for mode, problems in (("euclidean", inputs.euclidean_problems(seed)),
+                           ("conformal", inputs.conformal_problems(seed))):
+        for problem in problems:
+            yield mode, problem
+
+
+def run_document(sa, mode: str, problem):
+    """The `angles run --oracle` document of one problem file, or the exception it raised."""
+    return attempt(lambda: sa.run_problem(sa.parse_problem(json.dumps(problem.doc), mode=mode),
+                                          oracle_enabled=True))
 
 
 def items(inputs, workload: str, seed: int) -> list:
     """One function per pair (or problem file, or selftest) from a package to its result."""
     if workload != "cli_batch":
         return [partial(library_item, pair=pair) for pair in getattr(inputs, workload)(seed)]
-    return [*(partial(run_item, mode=mode, problem=problem)
-              for mode, problems in (("euclidean", inputs.euclidean_problems(seed)),
-                                     ("conformal", inputs.conformal_problems(seed)))
-              for problem in problems),
+    return [*((lambda sa, mode=mode, problem=problem: {"run": run_document(sa, mode, problem)})
+              for mode, problem in problem_files(inputs, seed)),
             lambda sa: {"selftest": attempt(sa.problems.selftest, seed=seed)}]
 
 
@@ -243,22 +250,17 @@ def truth_reports(harness, inputs, sa, workload: str, seed: int):
             yield pair, got if isinstance(got, Exception) else (
                 got[0].angles, got[0].s, got[0].t, got[1].angles, got[0].residual)
         return
-    from subspace_angles.problems import parse_problem, run_problem
-    for mode, problems in (("euclidean", inputs.euclidean_problems(seed)),
-                           ("conformal", inputs.conformal_problems(seed))):
-        for problem in problems:
-            doc = attempt(lambda: run_problem(parse_problem(json.dumps(problem.doc), mode=mode),
-                                              oracle_enabled=True))
-            yield problem.pair, doc if isinstance(doc, Exception) else (
-                doc["angles_rad"], doc["s"], doc["t"], doc["oracle"]["angles_rad"], doc["residual"])
+    for mode, problem in problem_files(inputs, seed):
+        doc = run_document(sa, mode, problem)
+        yield problem.pair, doc if isinstance(doc, Exception) else (
+            doc["angles_rad"], doc["s"], doc["t"], doc["oracle"]["angles_rad"], doc["residual"])
 
 
 def truth(src: str, workloads, seeds) -> int:
-    sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
     import run as harness
-    import subspace_angles as sa
+    sa = load_package(src, "subspace_angles_0")
 
     unexplained = 0
     for workload in workloads:

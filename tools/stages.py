@@ -7,82 +7,54 @@ Run from the repository root:
     python3 tools/stages.py --passes 5
 
 The inputs are the benchmark's seed-1 pairs (perfbench/inputs.py): the
-first --pairs (300) of corpus_small and of wide_dense, which has 63.  Per
-version and workload, each of these is timed as its own loop over the
-pairs, in microseconds per pair:
+first --pairs (300) of corpus_small and of wide_dense, which has 63.
 
-    pair              the whole cross-checked pair, perfbench/run.py's run_pair
-    blades            blade_from_spanning_vectors of both spans
-    relative_angle    relative_angle of the two blades
-    oracle_bases      orthonormal_basis of both spans
-    principal_angles  principal_angles of the two bases
-
-and, for a version whose engine reads its report in named stages, each
-stage inside relative_angle, in microseconds per call, on the outputs of
-the stage before it (the larger-grade blade first, as relative_angle
-swaps them):
-
-    _spectrum         O, the eigensolve of (O + O^T)/2 and O in its eigenbasis
-    _read_clusters    the principal planes and L's directions from them
-    plane_wedges      one _unit_wedge per principal plane
-    _self_check       L's wedge, the rotor chain, its sign and the residual
-    chained           the four stages above back to back, one pair at a time
-
-and, inside blade_from_spanning_vectors, in microseconds per pair (both
-spans), each call on the arguments the version passed it, recorded on one
-untimed run:
-
-    _wedge_coeffs     the wedge of the rows: the blade's coefficients
-    _norm             its magnitude, the 2-norm of those coefficients
-    _mgs              Gram-Schmidt of the rows: the blade's frame
-    blades_chained    the three back to back, one pair at a time, each
-                      _norm on the coefficients just computed
-
-and, for a version whose oracle reads principal_angles in named stages,
-each of them in microseconds per pair, on the arguments principal_angles
-passed it, recorded on one untimed run:
-
-    _inner_products     the checks of both bases and M = Q_A Q_B^T
-    _svd                the one-sided Jacobi SVD of M
-    _principal_vectors  the principal vectors and the arccosines
-    _sine_route         the sines of the cluster near zero and the result
-    oracle_chained      the four back to back, one pair at a time, each on
-                        the outputs of the stages before it
+Each table is one row of SPECS: its whole, the module of the package whose
+functions it times, and per function the JSON key and heading of its stage.
+The recorder wraps those functions, runs the whole once per pair and keeps
+each pair's outermost calls to them, in order, with their arguments: a call
+made inside another recorded call, such as the wedge of L that _self_check
+makes, is not one of the pair's calls.  The first row's whole is the pair,
+perfbench/run.py's run_pair; each other row's whole is one of the first
+row's stages, run on the arguments run_pair passed it.  Recording runs
+every pair, which fills each version's caches.  A stage is one loop over
+its recorded calls, in microseconds per pair.  A row under the first also
+times its chain, which replays each pair's recorded calls in order and
+drops each result as soon as it returns, and its own work, the whole minus
+the chain: the glue between the calls (argument checks, counts, the objects
+of the result) and the cost of keeping their outputs alive.  The stages
+timed one loop each sum to less than the chain, so the whole minus their
+sum would overstate own work.
 
 The versions are imported side by side in one process
 (report_digest.load_package), with one BLAS thread as in the benchmark.
-Every pair runs once untimed first, which fills each version's caches.
-Then each pass times every loop once per version, the versions taking
-turns to go first, and each figure is the best of --passes passes.
+Each pass times every loop once per version, the versions taking turns to
+go first, and each figure is the best of --passes passes; each chain is
+timed right after its whole, so that own work is read at one host speed.
 
-Per version, a table gives the pair's time and each stage's time with its
-share of the sum of the four stages.  A second table gives relative_angle
-and each of its named stages with its share of relative_angle, then
-chained and own work, relative_angle minus chained: its argument checks,
-the Multivectors of its planes and L, the counts and the report, and the
-cost of keeping its planes' and L's arrays alive, which chained drops.
-The stages timed one loop each sum to less than chained, so relative_angle
-minus their sum overstates its own work; minus chained it does not.  A
-third table does the same for blades: the three calls inside it, chained
-and own work, blades minus blades_chained (converting and checking the
-rows, their squared norms, the finiteness check and the Blade).  A fourth
-does the same for principal_angles: its four stages, chained and own work,
-principal_angles minus oracle_chained (the calls and the unpacking between
-them).  A version without the named stages or calls gets one line saying so
-instead of the table.  The last line of standard output is one JSON object:
+Per version, the first table gives the pair and each of its stages with its
+share of their sum; each later table gives its whole, its stages, the chain
+and own work, each with its share of the whole.  A version whose module
+lacks one of a row's functions gets one line saying so instead of the
+table.  The last line of standard output is one JSON object:
 {"passes", "pairs", "src", "us_per_pair", "inner_us_per_call"}, where
-us_per_pair[workload][stage] and inner_us_per_call[workload][stage] (own
-work as own_work, blades_own_work and oracle_own_work) hold one figure per
---src, in their order, null for a version without the named stages.  Two versions loaded
+us_per_pair[workload][key] holds the first table's figures and
+inner_us_per_call[workload][key] the later tables', one figure per --src,
+in their order, null for a version without the row.  Two versions loaded
 in one process are not timed alike: the one loaded second can read a few
 per cent apart with identical code, so a gap under about 4 % holds only
 when it shows in both load orders (run once with each --src first).
+
+The tables, one line per row of SPECS (whole, module: stage key = function
+where they differ; then the chain and own-work keys):
+
 """
 
 import argparse
 import json
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -96,190 +68,143 @@ import inputs  # noqa: E402
 import run as harness  # noqa: E402
 
 WORKLOADS = ("corpus_small", "wide_dense")
-STAGES = ("pair", "blades", "relative_angle", "oracle_bases", "principal_angles")
-HEADINGS = ("pair", "blades", "`relative_angle`", "oracle bases", "`principal_angles`")
-INNER = ("_spectrum", "_read_clusters", "plane_wedges", "_self_check", "chained")
-INNER_HEADINGS = ("`relative_angle`", "`_spectrum`", "`_read_clusters`", "plane wedges", "`_self_check`",
-                  "chained", "own work")
-NAMED_STAGES = ("_spectrum", "_read_clusters", "_self_check")
-BLADE_CALLS = ("_wedge_coeffs", "_norm", "_mgs")
-BLADE_INNER = (*BLADE_CALLS, "blades_chained")
-BLADE_HEADINGS = ("blades", "`_wedge_coeffs`", "`_norm`", "`_mgs`", "chained", "own work")
-ORACLE_CALLS = ("_inner_products", "_svd", "_principal_vectors", "_sine_route")
-ORACLE_INNER = (*ORACLE_CALLS, "oracle_chained")
-ORACLE_HEADINGS = ("`principal_angles`", "`_inner_products`", "`_svd`", "`_principal_vectors`", "`_sine_route`",
-                   "chained", "own work")
-OWN_WORK = (("own_work", "relative_angle", "chained"), ("blades_own_work", "blades", "blades_chained"),
-            ("oracle_own_work", "principal_angles", "oracle_chained"))
-# the order of the loops in a pass: each chain right after its whole, so that own work,
-# their difference, is read at one host speed
-TIMED = ("pair", "blades", "blades_chained", "relative_angle", "chained", "oracle_bases", "principal_angles",
-         "oracle_chained", *INNER[:-1], *BLADE_CALLS, *ORACLE_CALLS)
+
+# one row per table: stages are (function, JSON key, heading); module "" is the package itself
+Spec = namedtuple("Spec", "whole module stages chain own title")
+SPECS = (
+    Spec("pair", "", (("blade_from_spanning_vectors", "blades", "blades"),
+                      ("relative_angle", "relative_angle", "`relative_angle`"),
+                      ("orthonormal_basis", "oracle_bases", "oracle bases"),
+                      ("principal_angles", "principal_angles", "`principal_angles`")),
+         None, None, "{src}, µs per pair, best of {passes} passes"),
+    Spec("relative_angle", "engine", (("_spectrum", "_spectrum", "`_spectrum`"),
+                                      ("_read_clusters", "_read_clusters", "`_read_clusters`"),
+                                      ("_unit_wedge", "plane_wedges", "plane wedges"),
+                                      ("_self_check", "_self_check", "`_self_check`")),
+         "chained", "own_work", "inside relative_angle, µs per call, share of relative_angle"),
+    Spec("blades", "blades", (("_wedge_coeffs", "_wedge_coeffs", "`_wedge_coeffs`"), ("_norm", "_norm", "`_norm`"),
+                              ("_mgs", "_mgs", "`_mgs`")),
+         "blades_chained", "blades_own_work", "inside blades, µs per pair, share of blades"),
+    Spec("principal_angles", "oracle", (("_inner_products", "_inner_products", "`_inner_products`"),
+                                        ("_svd", "_svd", "`_svd`"),
+                                        ("_principal_vectors", "_principal_vectors", "`_principal_vectors`"),
+                                        ("_sine_route", "_sine_route", "`_sine_route`")),
+         "oracle_chained", "oracle_own_work", "inside principal_angles, µs per pair, share of principal_angles"),
+)
+HEADINGS = {"pair": "pair", **{key: heading for spec in SPECS for _, key, heading in spec.stages},
+            **{spec.chain: "chained" for spec in SPECS[1:]}, **{spec.own: "own work" for spec in SPECS[1:]}}
+
+__doc__ += "\n".join(
+    f"    {spec.whole:<18}{spec.module or 'package'}: "
+    + ", ".join(key if key == name else f"{key} = {name}" for name, key, _ in spec.stages)
+    + (f"; {spec.chain}, {spec.own}" if spec.chain else "") for spec in SPECS) + "\n"
 
 
-def stage_loops(sa, pairs) -> dict:
-    """{stage: (call, argument tuples, one per pair)} for one version; running every
-    pair once here fills the version's caches."""
-    for pair in pairs:
-        harness.run_pair(sa, pair)
-    spans = [(pair.a_rows, pair.b_rows) for pair in pairs]
-    blade_calls = blade_loops(sa.blades, spans)
-    blades = [tuple(map(sa.blade_from_spanning_vectors, span)) for span in spans]
-    bases = [tuple(map(sa.orthonormal_basis, span)) for span in spans]
-    return {
-        "pair": (lambda pair: harness.run_pair(sa, pair), [(pair,) for pair in pairs]),
-        "blades": (lambda a, b: (sa.blade_from_spanning_vectors(a), sa.blade_from_spanning_vectors(b)),
-                   spans),
-        "relative_angle": (sa.relative_angle, blades),
-        "oracle_bases": (lambda a, b: (sa.orthonormal_basis(a), sa.orthonormal_basis(b)), spans),
-        "principal_angles": (sa.principal_angles, bases),
-        **inner_loops(sa.engine, blades),
-        **blade_calls,
-        **oracle_loops(sa.oracle, bases),
-    }
+def columns(spec) -> list[str]:
+    """The keys of a row's table: its whole, its stages, then its chain and own work."""
+    return [spec.whole, *(key for _, key, _ in spec.stages), *((spec.chain, spec.own) if spec.chain else ())]
 
 
-def record_calls(module, names, run) -> tuple[dict, dict] | None:
-    """(real, recorded): the module's functions of those names, and {name: [argument tuples]}
-    of every call run() made to them, in order; None for a module without them."""
-    if not all(hasattr(module, name) for name in names):
-        return None
-    real = {name: getattr(module, name) for name in names}
-    recorded = {name: [] for name in names}
+def record_calls(module, stages, runs) -> list[list]:
+    """Per run (a list of (key, function, arguments) calls, replayed in order), the outermost
+    calls it made to the module's functions named in stages, as (key, real function,
+    arguments) in order; a call made inside another recorded call is left out."""
+    real = {name: getattr(module, name) for name, _, _ in stages}
+    recorded, depth = [], 0
 
-    def recorder(name):
+    def recorder(function, key):
         def call(*args):
-            recorded[name].append(args)
-            return real[name](*args)
+            nonlocal depth
+            if depth == 0:
+                recorded[-1].append((key, function, args))
+            depth += 1
+            try:
+                return function(*args)
+            finally:
+                depth -= 1
         return call
 
     try:
-        for name in names:
-            setattr(module, name, recorder(name))
-        run()
+        for name, key, _ in stages:
+            setattr(module, name, recorder(real[name], key))
+        for calls in runs:
+            recorded.append([])
+            for _, function, args in calls:
+                function(*args)
     finally:
-        for name, call in real.items():
-            setattr(module, name, call)
-    return real, recorded
+        for name, function in real.items():
+            setattr(module, name, function)
+    return recorded
 
 
-def blade_loops(blades, spans) -> dict:
-    """{stage: (call, argument tuples, one per pair)} for the calls inside
-    blade_from_spanning_vectors, on the arguments it passes them for each span, recorded
-    while it builds every span once; {} for a blades module without those calls."""
-    calls = record_calls(blades, BLADE_CALLS,
-                         lambda: [blades.blade_from_spanning_vectors(rows) for span in spans for rows in span])
-    if calls is None:
-        return {}
-    real, recorded = calls
-    wedge, norm, mgs = real.values()
-
-    def chained(a, b):
-        for wedge_args, mgs_args in (a, b):
-            norm(wedge(*wedge_args))
-            mgs(*mgs_args)
-
-    def per_pair(args):
-        return list(zip(args[0::2], args[1::2]))
-
-    return {
-        **{name: (lambda a, b, call=call: (call(*a), call(*b)), per_pair(recorded[name]))
-           for name, call in real.items()},
-        "blades_chained": (chained, per_pair(list(zip(recorded["_wedge_coeffs"], recorded["_mgs"])))),
-    }
+def record(sa, pairs) -> dict:
+    """{key: per pair, its recorded calls} for one version: the pair itself under "pair",
+    each row's calls of each stage under the stage's key, and all of them, in order, under
+    the row's chain; a row whose module lacks one of its functions is left out."""
+    runs = {"pair": [[("pair", harness.run_pair, (sa, pair))] for pair in pairs]}
+    for spec in SPECS:
+        module = getattr(sa, spec.module) if spec.module else sa
+        if spec.whole not in runs or not all(hasattr(module, name) for name, _, _ in spec.stages):
+            continue
+        recorded = record_calls(module, spec.stages, runs[spec.whole])
+        if spec.chain:
+            runs[spec.chain] = recorded
+        for _, key, _ in spec.stages:
+            runs[key] = [[call for call in calls if call[0] == key] for calls in recorded]
+    return runs
 
 
-def oracle_loops(oracle, bases) -> dict:
-    """{stage: (call, argument tuples, one per pair)} for the named stages inside
-    principal_angles, on the arguments it passes them for each pair's bases, recorded while
-    it runs every pair once; {} for an oracle without those stages."""
-    calls = record_calls(oracle, ORACLE_CALLS, lambda: [oracle.principal_angles(*pair) for pair in bases])
-    if calls is None:
-        return {}
-    real, recorded = calls
-    inner_products, svd, principal_vectors, sine_route = real.values()
-
-    def chained(basis_a, basis_b):
-        qa, qb, m = inner_products(basis_a, basis_b)
-        u, s, v = svd(m)
-        sine_route(*principal_vectors(u, s, v, qa, qb), qa)
-
-    return {**{name: (call, recorded[name]) for name, call in real.items()}, "oracle_chained": (chained, bases)}
+def loops(runs: dict) -> dict:
+    """{key: [(function, arguments)]}: each key's calls over every pair, in order."""
+    return {key: [(function, args) for calls in per_pair for _, function, args in calls]
+            for key, per_pair in runs.items()}
 
 
-def inner_loops(engine, blades) -> dict:
-    """{stage: (call, argument tuples)} for the named stages inside relative_angle, each
-    on the previous stage's outputs; {} for an engine without them."""
-    if not all(hasattr(engine, name) for name in NAMED_STAGES):
-        return {}
-    ordered = [(a, b) if a.grade >= b.grade else (b, a) for a, b in blades]
-    spectra = [engine._spectrum(a, b) for a, b in ordered]
-    clusters = [engine._read_clusters(*spectrum) for spectrum in spectra]
-    checks = [(a, b, [theta for theta, _ in interior], [pair for _, pair in interior], flipped)
-              for (a, b), (interior, flipped) in zip(ordered, clusters)]
-
-    def chained(a, b):
-        interior, flipped = engine._read_clusters(*engine._spectrum(a, b))
-        pairs = [pair for _, pair in interior]
-        for pair in pairs:
-            engine._unit_wedge(a.sig, pair)
-        engine._self_check(a, b, [theta for theta, _ in interior], pairs, flipped)
-
-    return {
-        "_spectrum": (engine._spectrum, ordered),
-        "_read_clusters": (engine._read_clusters, spectra),
-        "plane_wedges": (lambda sig, pairs: [engine._unit_wedge(sig, pair) for pair in pairs],
-                         [(a.sig, pairs) for a, _, _, pairs, _ in checks]),
-        "_self_check": (engine._self_check, checks),
-        "chained": (chained, ordered),
-    }
-
-
-def time_loop(call, arguments) -> float:
-    """Microseconds per call of one loop over the arguments."""
+def time_loop(calls, pairs: int) -> float:
+    """Microseconds per pair of one loop over the calls, each result dropped as it returns."""
     start = time.perf_counter_ns()
-    for args in arguments:
-        call(*args)
-    return (time.perf_counter_ns() - start) / len(arguments) / 1e3
+    for function, args in calls:
+        function(*args)
+    return (time.perf_counter_ns() - start) / pairs / 1e3
 
 
 def measure(srcs, passes: int, pairs: int) -> dict:
-    """best[workload][stage]: the best of passes passes per version, in srcs' order,
-    None for a stage the version lacks; own_work is relative_angle minus chained,
-    blades_own_work blades minus blades_chained and oracle_own_work principal_angles
-    minus oracle_chained."""
+    """best[workload][key]: the best of passes passes per version, in srcs' order, None for
+    a row the version lacks; each own work is its whole minus its chain."""
     versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
-    loops = {workload: [stage_loops(sa, getattr(inputs, workload)(1)[:pairs]) for sa in versions]
-             for workload in WORKLOADS}
-    best = {workload: {stage: [None] * len(versions) for stage in STAGES + INNER + BLADE_INNER + ORACLE_INNER}
-            for workload in WORKLOADS}
+    corpora = {workload: getattr(inputs, workload)(1)[:pairs] for workload in WORKLOADS}
+    timed = {workload: [loops(record(sa, corpora[workload])) for sa in versions] for workload in WORKLOADS}
+    chains = {spec.whole: spec.chain for spec in SPECS[1:]}
+    order = [key for stage in ("pair", *(key for spec in SPECS for _, key, _ in spec.stages))
+             for key in (stage, chains.get(stage)) if key]
+    best = {workload: {key: [None] * len(versions) for key in order} for workload in WORKLOADS}
     for n in range(passes):
-        order = range(len(versions)) if n % 2 == 0 else range(len(versions) - 1, -1, -1)
+        turns = range(len(versions)) if n % 2 == 0 else range(len(versions) - 1, -1, -1)
         for workload in WORKLOADS:
-            for stage in TIMED:
-                for i in order:
-                    if stage in loops[workload][i]:
-                        figure = time_loop(*loops[workload][i][stage])
-                        old = best[workload][stage][i]
-                        best[workload][stage][i] = figure if old is None else min(old, figure)
-    for stages in best.values():
-        for own, whole, chain in OWN_WORK:
-            stages[own] = [None if part is None else total - part
-                           for total, part in zip(stages[whole], stages[chain])]
+            for key in order:
+                for i in turns:
+                    if key in timed[workload][i]:
+                        figure = time_loop(timed[workload][i][key], len(corpora[workload]))
+                        old = best[workload][key][i]
+                        best[workload][key][i] = figure if old is None else min(old, figure)
+    for figures in best.values():
+        for spec in SPECS[1:]:
+            figures[spec.own] = [None if part is None else total - part
+                                 for total, part in zip(figures[spec.whole], figures[spec.chain])]
     return best
 
 
-def table(best: dict, i: int, stages, headings) -> list[str]:
-    """Version i's table of stages[1:], each in µs and as a share of their sum (stages[0] is
-    the pair) or of stages[0] (a whole whose stages leave out its own work)."""
-    widths = [max(len(h), 13) for h in headings]
-    rows = ["| workload     | " + " | ".join(h.ljust(w) for h, w in zip(headings, widths)) + " |",
+def table(best: dict, i: int, spec) -> list[str]:
+    """Version i's table of a row: each figure in µs and as a share of the sum of the stages
+    (the first row) or of the whole (a row with a chain, whose stages leave out own work)."""
+    keys = columns(spec)
+    widths = [max(len(HEADINGS[key]), 13) for key in keys]
+    rows = ["| workload     | " + " | ".join(HEADINGS[k].ljust(w) for k, w in zip(keys, widths)) + " |",
             "|--------------|" + "|".join("-" * (w + 2) for w in widths) + "|"]
     for workload in WORKLOADS:
-        us = {stage: best[workload][stage][i] for stage in stages}
-        whole = sum(us[stage] for stage in stages[1:]) if stages[0] == "pair" else us[stages[0]]
-        cells = [f"{us[stages[0]]:.1f}"] + [f"{us[stage]:.1f} ({100.0 * us[stage] / whole:.0f} %)"
-                                            for stage in stages[1:]]
+        us = {key: best[workload][key][i] for key in keys}
+        whole = us[spec.whole] if spec.chain else sum(us[key] for key in keys[1:])
+        cells = [f"{us[keys[0]]:.1f}"] + [f"{us[key]:.1f} ({100.0 * us[key] / whole:.0f} %)" for key in keys[1:]]
         rows.append(f"| {workload:<12} | " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |")
     return rows
 
@@ -298,33 +223,19 @@ def main(argv=None) -> int:
         parser.error("--passes and --pairs must be at least 1")
     best = measure(srcs, args.passes, args.pairs)
     for i, src in enumerate(srcs):
-        print(f"version {i}: {src}, µs per pair, best of {args.passes} passes")
-        print(*table(best, i, STAGES, HEADINGS), sep="\n")
-        if best[WORKLOADS[0]][INNER[0]][i] is None:
-            print(f"version {i}: relative_angle has no named stages ({', '.join(NAMED_STAGES)})")
-        else:
-            print(f"version {i}: inside relative_angle, µs per call, share of relative_angle")
-            print(*table(best, i, ("relative_angle", *INNER, "own_work"), INNER_HEADINGS), sep="\n")
-        if best[WORKLOADS[0]][BLADE_CALLS[0]][i] is None:
-            print(f"version {i}: blades has no {', '.join(BLADE_CALLS)}")
-        else:
-            print(f"version {i}: inside blades, µs per pair, share of blades")
-            print(*table(best, i, ("blades", *BLADE_INNER, "blades_own_work"), BLADE_HEADINGS), sep="\n")
-        if best[WORKLOADS[0]][ORACLE_CALLS[0]][i] is None:
-            print(f"version {i}: principal_angles has no named stages ({', '.join(ORACLE_CALLS)})")
-        else:
-            print(f"version {i}: inside principal_angles, µs per pair, share of principal_angles")
-            print(*table(best, i, ("principal_angles", *ORACLE_INNER, "oracle_own_work"), ORACLE_HEADINGS),
-                  sep="\n")
+        for spec in SPECS:
+            if best[WORKLOADS[0]][columns(spec)[1]][i] is None:
+                print(f"version {i}: {spec.whole} has no {', '.join(name for name, _, _ in spec.stages)}")
+            else:
+                print(f"version {i}: " + spec.title.format(src=src, passes=args.passes))
+                print(*table(best, i, spec), sep="\n")
 
-    def figures(stages):
-        return {w: {s: [None if x is None else round(x, 1) for x in best[w][s]] for s in stages}
-                for w in WORKLOADS}
+    def figures(keys):
+        return {w: {k: [None if x is None else round(x, 1) for x in best[w][k]] for k in keys} for w in WORKLOADS}
 
     print(json.dumps({"passes": args.passes, "pairs": args.pairs, "src": srcs,
-                      "us_per_pair": figures(STAGES),
-                      "inner_us_per_call": figures((*INNER, "own_work", *BLADE_INNER, "blades_own_work",
-                                                    *ORACLE_INNER, "oracle_own_work"))}))
+                      "us_per_pair": figures(columns(SPECS[0])),
+                      "inner_us_per_call": figures([key for spec in SPECS[1:] for key in columns(spec)[1:]])}))
     return 0
 
 
