@@ -1,71 +1,80 @@
-"""Seeded random subspace-pair generation for self-tests and demos.
+"""Seeded subspace pairs built from known principal angles.
 
-Spanning vectors are drawn from a uniform distribution; a fraction of
-the pairs gets forced shared directions (vectors of B drawn inside
-span A) and forced perpendicular directions (vectors of B orthogonal to
-all of span A), so zero and right principal angles are exercised.
+Each principal angle is defined by a pair of principal vectors with
+a_k . b_k = cos(theta_k) (Björck & Golub, 1973); run backwards, that
+definition builds a pair whose angles are known. A random orthonormal
+frame f_0..f_{n-1} gives A the basis f_0..f_{ra-1} and B the vectors
+b_k = cos(theta_k) f_k + sin(theta_k) w_k, with w_k a fresh frame vector
+for each angle off zero, so the theta_k are exactly the principal angles.
+Each basis is then mixed by a random matrix of condition number <= 4.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DegenerateSpanError
-from .oracle import orthonormal_basis
+ZERO = (0.0, 1.0, 0.0)
+RIGHT = (math.pi / 2, 0.0, 1.0)
+
+
+def _mixed(rng: np.random.Generator, basis):
+    """Rows spanning the same space, through a matrix of condition <= 4."""
+    k = basis.shape[0]
+    q1 = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return (q1 * rng.uniform(0.5, 2.0, k)) @ q2 @ basis
+
+
+def spans_from_angles(rng: np.random.Generator, n: int, q: int, drawn):
+    """Spanning rows of A (grade len(drawn) + q) and B with the drawn angles.
+
+    drawn holds (theta, cos theta, sin theta) per angle. An angle whose
+    sine is 0.0 shares its frame vector with A; every other angle takes a
+    fresh one, so n must cover len(drawn) + q plus those angles.
+    """
+    frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    ra = len(drawn) + q
+    spare = ra
+    rows = []
+    for k, (_, c, s) in enumerate(drawn):
+        if s == 0.0:
+            rows.append(frame[k])
+        else:
+            rows.append(c * frame[k] + s * frame[spare])
+            spare += 1
+    return _mixed(rng, frame[:ra]), _mixed(rng, np.array(rows))
 
 
 def sample_spans(rng: np.random.Generator):
-    """Draw one random pair of spanning sets.
+    """Draw one random pair of spanning sets with known angles.
 
     Draws n in 2..8, the smaller grade rb in 1..min(4, n), the grade
-    difference q and whether to force shared and perpendicular
-    directions, in that order.
+    difference q, then each of the rb angles as exactly zero (1 in 4),
+    exactly right (1 in 4) or generic, uniform in [0.05, pi/2 - 0.05].
+    An angle off zero takes one of the n - ra spare frame vectors; once
+    they run out, the remaining angles are zero.
     Returns (a_rows, b_rows, meta) where a_rows spans the larger-grade
-    subspace (grade rb + q) and meta records the draw.
+    subspace (grade ra = rb + q) and meta records the draw: n, ra, rb, q,
+    the number of zero angles (shared), of right angles (perp) and the
+    true angles in descending order (angles).
     """
     n = int(rng.integers(2, 9))
     rb = int(rng.integers(1, min(4, n) + 1))
     q = int(rng.integers(0, min(2, n - rb) + 1))
     ra = rb + q
-    force_shared = bool(rng.random() < 0.25)
-    force_perp = bool(rng.random() < 0.25)
-
-    shared = 0
-    if force_shared:
-        shared = int(rng.integers(1, min(2, rb) + 1))
-    perp = 0
-    perp_cap = min(2, rb - shared, n - ra)
-    if force_perp and perp_cap >= 1:
-        perp = int(rng.integers(1, perp_cap + 1))
-
-    for _attempt in range(100):
-        a_rows = rng.uniform(-1.0, 1.0, (ra, n))
-        try:
-            qa = orthonormal_basis(a_rows)
-        except DegenerateSpanError:
-            continue
-        b_list = []
-        degenerate = False
-        for _ in range(shared):
-            b_list.append(rng.uniform(-1.0, 1.0, ra) @ a_rows)
-        for _ in range(perp):
-            v = rng.uniform(-1.0, 1.0, n)
-            v = v - qa.T @ (qa @ v)
-            nrm = float(np.sqrt(v @ v))
-            if nrm < 1e-6:
-                degenerate = True
-                break
-            b_list.append(v / nrm)
-        if degenerate:
-            continue
-        while len(b_list) < rb:
-            b_list.append(rng.uniform(-1.0, 1.0, n))
-        b_rows = np.array(b_list)
-        rng.shuffle(b_rows)
-        try:
-            orthonormal_basis(b_rows)
-        except DegenerateSpanError:
-            continue
-        meta = {"n": n, "ra": ra, "rb": rb, "q": q, "shared": shared, "perp": perp}
-        return a_rows, b_rows, meta
-    raise RuntimeError("failed to draw an independent spanning set")
+    drawn = []
+    for _ in range(rb):
+        u = rng.random()
+        if u < 0.25 or len(drawn) - drawn.count(ZERO) == n - ra:   # no spare frame vector left
+            drawn.append(ZERO)
+        elif u < 0.5:
+            drawn.append(RIGHT)
+        else:
+            theta = float(rng.uniform(0.05, math.pi / 2 - 0.05))
+            drawn.append((theta, math.cos(theta), math.sin(theta)))
+    a_rows, b_rows = spans_from_angles(rng, n, q, drawn)
+    meta = {"n": n, "ra": ra, "rb": rb, "q": q, "shared": drawn.count(ZERO), "perp": drawn.count(RIGHT),
+            "angles": sorted((theta for theta, _, _ in drawn), reverse=True)}
+    return a_rows, b_rows, meta

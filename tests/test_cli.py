@@ -112,6 +112,16 @@ class TestExitCodes:
         assert main(["run", str(point), "--mode", "conformal"]) == EXIT_FAILURE
         assert "CarrierError" in capsys.readouterr().err
 
+    def test_conformal_overflow_is_a_one_line_error(self, tmp_path, capsys):
+        # finite coefficients whose wedge with e_inf overflows in the round: one error
+        # line, and no overflow warning on the way (warnings are errors under pytest)
+        big = tmp_path / "big_round.json"
+        big.write_text('{"n": 3, "A": {"e4": 1e308, "e5": -1e308}, "B": {"e145": 1.0}}')
+        assert main(["run", str(big), "--mode", "conformal"]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{big}: ValueError: coefficients must be finite\n"
+
     def test_conformal_non_blade(self, tmp_path, capsys):
         # once accepted as a blade (its square is a scalar) and refused later by the carrier
         bad = tmp_path / "non_blade.json"
@@ -400,7 +410,7 @@ class TestFormatsAndModes:
         assert main(["selftest", "--seed", "1", "--cases", "5"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == [
-            "selftest", "max angle deviation vs oracle", "max reconstruction residual",
+            "selftest", "max angle error vs truth", "max reconstruction residual",
             "s/t mismatches", "selftest"]
         assert lines[-1] == "selftest: PASS"
 
@@ -420,28 +430,26 @@ class TestFormatsAndModes:
         assert captured.err == "angles selftest: --cases: expected an integer >= 1\n"
 
     def test_selftest_failure_names_the_cases(self, monkeypatch, capsys):
-        # case 2 gets wrong oracle counts and case 3 a large deviation
-        counts, compare = problems.rank_counts, problems.oracle_comparison
-        seen = {"counts": 0, "compare": 0}
+        # case 2 gets a wrong count in its truth and case 3 wrong angles
+        draw = problems.sample_spans
+        seen = {"draws": 0}
 
-        def wrong_counts(pairs):
-            s, t = counts(pairs)
-            seen["counts"] += 1
-            return (s + 1, t) if seen["counts"] == 3 else (s, t)
+        def wrong_truth(rng):
+            a_rows, b_rows, meta = draw(rng)
+            seen["draws"] += 1
+            if seen["draws"] == 3:
+                meta = {**meta, "shared": meta["shared"] + 1}
+            if seen["draws"] == 4:
+                meta = {**meta, "angles": [theta + 0.5 for theta in meta["angles"]]}
+            return a_rows, b_rows, meta
 
-        def deviating(pairs, report):
-            out = compare(pairs, report)
-            seen["compare"] += 1
-            return {**out, "max_deviation": 0.5} if seen["compare"] == 4 else out
-
-        monkeypatch.setattr(problems, "rank_counts", wrong_counts)
-        monkeypatch.setattr(problems, "oracle_comparison", deviating)
+        monkeypatch.setattr(problems, "sample_spans", wrong_truth)
         assert main(["selftest", "--seed", "1", "--cases", "6"]) == EXIT_FAILURE
         lines = capsys.readouterr().out.splitlines()
         assert "s/t mismatches: 1" in lines
         assert lines[-2:] == ["failing cases: worst deviation at case 3, s/t mismatches at cases 2",
                               "selftest: FAIL"]
-        seen.update(counts=0, compare=0)
+        seen.update(draws=0)
         summary = problems.selftest(seed=1, cases=6)
         assert (summary["worst_case"], summary["mismatch_cases"]) == (3, [2])
 

@@ -554,7 +554,7 @@ class TestRelativeAngle:
         # the equal-grade draws among the first 150 of seed 40
         rng = np.random.default_rng(40)
         draws = [draw for draw in (sample_spans(rng) for _ in range(150)) if draw[2]["q"] == 0]
-        assert len(draws) == 57
+        assert len(draws) == 69
         for a_rows, b_rows, _ in draws:
             a = blade_from_spanning_vectors(a_rows)
             b = blade_from_spanning_vectors(b_rows)
@@ -584,11 +584,11 @@ class TestGradeTolerance:
 
     @staticmethod
     def perpendicular_pair():
-        # the first draw of seed 3 with one forced perpendicular direction
+        # the first draw of seed 3 with one right angle
         rng = np.random.default_rng(3)
         a_rows, b_rows, meta = next(draw for draw in (sample_spans(rng) for _ in range(100))
                                     if draw[2]["perp"] == 1)
-        assert (meta["n"], meta["perp"]) == (4, 1)
+        assert (meta["n"], meta["perp"]) == (2, 1)
         return blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows)
 
     def test_default_counts_the_right_angle(self):

@@ -1,9 +1,10 @@
 """Pairs built from known principal angles, drawn with hypothesis.
 
-A random orthonormal frame f_0..f_{n-1} gives A the basis f_0..f_{ra-1}
-and B the vectors b_k = cos(theta_k) f_k + sin(theta_k) w_k, with w_k a
-fresh frame vector, so the theta_k are exactly the principal angles.
-Each basis is then mixed by a random matrix of condition number <= 4.
+`sampling.spans_from_angles` builds each pair: a random orthonormal frame
+f_0..f_{n-1} gives A the basis f_0..f_{ra-1} and B the vectors
+b_k = cos(theta_k) f_k + sin(theta_k) w_k, with w_k a fresh frame vector,
+so the theta_k are exactly the principal angles; each basis is then mixed
+by a random matrix of condition number <= 4.
 Offsets from 0 and pi/2 run from 1e-12 to 1e-3 and keep the classified
 quantity (1 - cos near zero, cos near pi/2) at least 10x from the 1e-9
 cutoff, so the true s and t are unambiguous. Two tests place one angle
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from subspace_angles.blades import blade_from_spanning_vectors
 from subspace_angles.engine import relative_angle, rotor_reconstruction
 from subspace_angles.oracle import orthonormal_basis, principal_angles, rank_counts
+from subspace_angles.sampling import spans_from_angles
 
 CUTOFF = 1e-9
 MARGIN = 10.0
@@ -51,30 +53,6 @@ def angle(draw, kind):
     return math.pi / 2 - eps, math.sin(eps), math.cos(eps)
 
 
-def mixed(rng, basis):
-    """Rows spanning the same space, through a matrix of condition <= 4."""
-    k = basis.shape[0]
-    q1 = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    q2 = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    return (q1 * rng.uniform(0.5, 2.0, k)) @ q2 @ basis
-
-
-def build(seed, n, q, drawn):
-    """Spanning rows of A (grade len(drawn) + q) and B with the drawn angles."""
-    rng = np.random.default_rng(seed)
-    frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    ra = len(drawn) + q
-    spare = ra
-    rows = []
-    for k, (theta, c, s) in enumerate(drawn):
-        if s == 0.0:
-            rows.append(frame[k])
-        else:
-            rows.append(c * frame[k] + s * frame[spare])
-            spare += 1
-    return mixed(rng, frame[:ra]), mixed(rng, np.array(rows))
-
-
 @st.composite
 def known_pairs(draw, kinds=st.sampled_from(KINDS)):
     """(A rows, B rows, [(theta, cos, sin)]) with 1..4 angles and grade gap 0..2."""
@@ -82,7 +60,7 @@ def known_pairs(draw, kinds=st.sampled_from(KINDS)):
     q = draw(st.integers(0, 2))
     needed = len(drawn) + q + sum(s != 0.0 for _, _, s in drawn)
     n = draw(st.integers(max(needed, 2), 10))
-    a_rows, b_rows = build(draw(st.integers(0, 2**32 - 1)), n, q, drawn)
+    a_rows, b_rows = spans_from_angles(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, q, drawn)
     return a_rows, b_rows, drawn
 
 
@@ -131,7 +109,7 @@ def test_offsets_from_zero_and_right(pair):
        st.integers(0, 2**32 - 1))
 def test_near_zero_and_near_right_in_one_pair(low, high, seed):
     assume(low[0] < math.pi / 4 < high[0])
-    a_rows, b_rows = build(seed, 6, 1, [low, high])
+    a_rows, b_rows = spans_from_angles(np.random.default_rng(seed), 6, 1, [low, high])
     check(a_rows, b_rows, [low, high])
 
 
@@ -140,7 +118,7 @@ def test_near_zero_and_near_right_in_one_pair(low, high, seed):
        st.integers(2, 3), st.integers(0, 2**32 - 1))
 def test_equal_angle_clusters_set_the_flag(theta, times, seed):
     drawn = [theta] * times
-    a_rows, b_rows = build(seed, 2 * times + 1, 1, drawn)
+    a_rows, b_rows = spans_from_angles(np.random.default_rng(seed), 2 * times + 1, 1, drawn)
     rep = check(a_rows, b_rows, drawn)
     assert len(rep.planes) == times
     assert rep.has_equal_angles
@@ -171,7 +149,7 @@ def test_zero_cutoff_by_construction(d):
     theta = 2.0 * math.asin(math.sqrt(CUTOFF * (1.0 + d) / 2.0))
     drawn = [(theta, math.cos(theta), math.sin(theta)), (0.7, math.cos(0.7), math.sin(0.7))]
     for seed in range(20):
-        engine, oracle = both_counts(*build(seed, 6, seed % 3, drawn))
+        engine, oracle = both_counts(*spans_from_angles(np.random.default_rng(seed), 6, seed % 3, drawn))
         assert engine[0] == oracle[0] == (d < 0.0)
 
 
@@ -181,5 +159,5 @@ def test_right_cutoff_by_construction(d):
     c = CUTOFF * (1.0 + d)
     drawn = [(math.acos(c), c, math.sqrt(1.0 - c * c)), (0.7, math.cos(0.7), math.sin(0.7))]
     for seed in range(20):
-        engine, oracle = both_counts(*build(seed, 6, seed % 3, drawn))
+        engine, oracle = both_counts(*spans_from_angles(np.random.default_rng(seed), 6, seed % 3, drawn))
         assert engine[1] == oracle[1] == (d < 0.0)

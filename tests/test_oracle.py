@@ -19,6 +19,7 @@ from subspace_angles.oracle import (
     svd_small,
 )
 from subspace_angles.blades import subspace_membership
+from subspace_angles.sampling import ZERO, spans_from_angles
 
 SQ2 = math.sqrt(0.5)
 
@@ -27,12 +28,6 @@ def random_frame(rng, n):
     """A random n x n orthogonal matrix (rows orthonormal)."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
-
-
-def mixed_span(rng, basis):
-    """Rows spanning the same space as basis, through a matrix of condition <= 4."""
-    k = basis.shape[0]
-    return (random_frame(rng, k) * rng.uniform(0.5, 2.0, k)) @ random_frame(rng, k) @ basis
 
 
 def dot(x, y):
@@ -271,17 +266,15 @@ class TestPrincipalAngles:
         rng = np.random.default_rng(31 + with_generic)
         for _ in range(20):
             n = int(rng.integers(5, 9))
-            frame = random_frame(rng, n)
             tiny = 2e-8 * rng.uniform(0.8, 1.25)
-            b_basis = [math.cos(tiny) * frame[0] + math.sin(tiny) * frame[3], frame[1]]
-            truth = [tiny, 0.0]
+            drawn = [(tiny, math.cos(tiny), math.sin(tiny)), ZERO]
             if with_generic:
                 g = rng.uniform(0.2, 1.4)
-                b_basis.insert(0, math.cos(g) * frame[2] + math.sin(g) * frame[4])
-                truth.insert(0, g)
-            pairs = principal_angles(orthonormal_basis(mixed_span(rng, frame[:3])),
-                                     orthonormal_basis(mixed_span(rng, np.array(b_basis))))
+                drawn.insert(0, (g, math.cos(g), math.sin(g)))
+            a_rows, b_rows = spans_from_angles(rng, n, 3 - len(drawn), drawn)
+            pairs = principal_angles(orthonormal_basis(a_rows), orthonormal_basis(b_rows))
             got = sorted(pairs.angles.tolist(), reverse=True)
+            truth = sorted((theta for theta, _, _ in drawn), reverse=True)
             assert np.max(np.abs(np.array(got) - truth)) <= 1e-14
 
     def test_small_angle_sine_route(self):

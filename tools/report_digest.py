@@ -48,8 +48,10 @@ form of a known defect ("unexplained"), the worst engine and oracle
 error against the truth, their root-mean-square error over every angle
 matched to the truth (which, unlike a maximum, ranks two versions that
 differ by rounding) and the worst rotor residual.  cli_batch runs its
-problem files in-process, without the selftest, whose cases have no
-known truth.  The exit status is 1 when any failure is unexplained.
+problem files in-process, without the selftest, which checks both routes
+against the angles its own cases are built from (`sampling.sample_spans`)
+and whose summary the comparison above reads.  The exit status is 1 when
+any failure is unexplained.
 """
 
 import os

@@ -24,13 +24,17 @@ drops each result as soon as it returns, and its own work, the whole minus
 the chain: the glue between the calls (argument checks, counts, the objects
 of the result) and the cost of keeping their outputs alive.  The stages
 timed one loop each sum to less than the chain, so the whole minus their
-sum would overstate own work.
+sum would overstate own work.  The whole and the chain are timed in one
+loop over the pairs, back to back on each pair, so that each pair's
+difference is read at one host speed; own work is, per pair, the median
+of that difference over the passes, averaged over the pairs.  The replayed
+chain also pays for its own loop over the calls, so an own work near zero
+can read slightly below 0.
 
 The versions are imported side by side in one process
 (report_digest.load_package), with one BLAS thread as in the benchmark.
 Each pass times every loop once per version, the versions taking turns to
-go first, and each figure is the best of --passes passes; each chain is
-timed right after its whole, so that own work is read at one host speed.
+go first, and each other figure is the best of --passes passes.
 
 Per version, the first table gives the pair and each of its stages with its
 share of their sum; each later table gives its whole, its stages, the chain
@@ -52,6 +56,7 @@ where they differ; then the chain and own-work keys):
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from collections import namedtuple
@@ -168,29 +173,61 @@ def time_loop(calls, pairs: int) -> float:
     return (time.perf_counter_ns() - start) / pairs / 1e3
 
 
+def time_paired(wholes, chains) -> tuple[float, float, list[float]]:
+    """One loop over the pairs that runs each pair's whole and then its chain, each timed,
+    back to back: the whole and the chain in microseconds per pair, and per pair the whole
+    minus the chain in microseconds."""
+    clock = time.perf_counter_ns
+    differences, whole_ns, chain_ns = [], 0, 0
+    for whole, chain in zip(wholes, chains):
+        start = clock()
+        for _, function, args in whole:
+            function(*args)
+        middle = clock()
+        for _, function, args in chain:
+            function(*args)
+        end = clock()
+        whole_ns, chain_ns = whole_ns + middle - start, chain_ns + end - middle
+        differences.append((2 * middle - start - end) / 1e3)
+    return whole_ns / len(wholes) / 1e3, chain_ns / len(wholes) / 1e3, differences
+
+
 def measure(srcs, passes: int, pairs: int) -> dict:
     """best[workload][key]: the best of passes passes per version, in srcs' order, None for
-    a row the version lacks; each own work is its whole minus its chain."""
+    a row the version lacks; each own work is, per pair, the median over the passes of its
+    whole minus its chain, timed back to back, averaged over the pairs."""
     versions = [load_package(src, f"subspace_angles_{i}") for i, src in enumerate(srcs)]
     corpora = {workload: getattr(inputs, workload)(1)[:pairs] for workload in WORKLOADS}
-    timed = {workload: [loops(record(sa, corpora[workload])) for sa in versions] for workload in WORKLOADS}
-    chains = {spec.whole: spec.chain for spec in SPECS[1:]}
-    order = [key for stage in ("pair", *(key for spec in SPECS for _, key, _ in spec.stages))
-             for key in (stage, chains.get(stage)) if key]
-    best = {workload: {key: [None] * len(versions) for key in order} for workload in WORKLOADS}
+    runs = {workload: [record(sa, corpora[workload]) for sa in versions] for workload in WORKLOADS}
+    timed = {workload: [loops(per_version) for per_version in runs[workload]] for workload in WORKLOADS}
+    rows = {spec.whole: spec for spec in SPECS[1:]}
+    order = ["pair", *(key for spec in SPECS for _, key, _ in spec.stages)]
+    best = {workload: {key: [None] * len(versions) for key in (*order, *(spec.chain for spec in SPECS[1:]))}
+            for workload in WORKLOADS}
+    differences = {workload: {spec.own: [[] for _ in versions] for spec in SPECS[1:]} for workload in WORKLOADS}
+
+    def keep(figures, i, figure):
+        figures[i] = figure if figures[i] is None else min(figures[i], figure)
+
     for n in range(passes):
         turns = range(len(versions)) if n % 2 == 0 else range(len(versions) - 1, -1, -1)
         for workload in WORKLOADS:
+            figures = best[workload]
             for key in order:
+                spec = rows.get(key)
                 for i in turns:
-                    if key in timed[workload][i]:
-                        figure = time_loop(timed[workload][i][key], len(corpora[workload]))
-                        old = best[workload][key][i]
-                        best[workload][key][i] = figure if old is None else min(old, figure)
-    for figures in best.values():
-        for spec in SPECS[1:]:
-            figures[spec.own] = [None if part is None else total - part
-                                 for total, part in zip(figures[spec.whole], figures[spec.chain])]
+                    recorded = runs[workload][i]
+                    if spec is not None and spec.chain in recorded:
+                        whole, chain, per_pair = time_paired(recorded[key], recorded[spec.chain])
+                        keep(figures[key], i, whole)
+                        keep(figures[spec.chain], i, chain)
+                        differences[workload][spec.own][i].append(per_pair)
+                    elif key in timed[workload][i]:
+                        keep(figures[key], i, time_loop(timed[workload][i][key], len(corpora[workload])))
+    for workload, figures in best.items():
+        for own, per_version in differences[workload].items():
+            figures[own] = [statistics.fmean(map(statistics.median, zip(*per_pass))) if per_pass else None
+                            for per_pass in per_version]
     return best
 
 
