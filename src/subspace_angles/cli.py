@@ -1,7 +1,6 @@
 """Batch front door: run subspace problems from files, print reports.
 
-    angles run <files...> [--oracle] [--tolerance T] [--format json|text]
-                          [--mode euclidean|conformal]
+    angles run <files...> [--oracle] [--format json|text] [--mode euclidean|conformal]
     angles selftest [--seed S] [--cases N]
 
 Exit codes: 0 success, 2 parse/usage error, 3 degenerate span,
@@ -16,7 +15,7 @@ import json
 import sys
 
 from .errors import AmbiguousRankError, DegenerateSpanError, GaError, ProblemFormatError
-from .problems import MODES, _expect_tolerance, parse_problem, run_problem, selftest
+from .problems import MODES, parse_problem, run_problem, selftest
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -72,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("files", nargs="+", help="problem documents (one JSON object each)")
     run.add_argument("--oracle", action="store_true",
                      help="cross-check with the matrix-decomposition route")
-    run.add_argument("--tolerance", type=float, default=None,
-                     help="override the per-angle cutoff, in (0, 1): an angle counts as "
-                          "zero when 1 - cos <= T and as right when cos <= T")
     run.add_argument("--format", choices=("json", "text"), default="json")
     run.add_argument("--mode", choices=MODES, default=MODES[0])
 
@@ -85,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args, out, err) -> int:
-    if args.tolerance is not None:
-        try:
-            _expect_tolerance(args.tolerance, "--tolerance")
-        except ProblemFormatError as exc:
-            print(f"angles run: {exc}", file=err)
-            return EXIT_PARSE
     first = True
     for path in args.files:
         try:
@@ -101,8 +91,7 @@ def _run_command(args, out, err) -> int:
             return EXIT_PARSE
         try:
             problem = parse_problem(text, mode=args.mode)
-            oracle = True if args.oracle else None
-            doc = run_problem(problem, oracle_enabled=oracle, tolerance=args.tolerance)
+            doc = run_problem(problem, oracle_enabled=args.oracle)
         except (GaError, ValueError) as exc:  # ValueError: non-finite coefficients
             print(f"{path}: {type(exc).__name__}: {exc}", file=err)
             return _exit_code(exc)

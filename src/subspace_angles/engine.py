@@ -85,7 +85,7 @@ class AngleReport:
     vectors a_k of A and b_k of B with a_k . b_k = cos theta_k, where A is
     the operand of larger grade (the first one when the grades are
     equal). s counts the angles whose versine 2 sin^2(theta/2) = 1 - cos
-    theta is at most grade_tol and t those whose cosine is, so a near-zero
+    theta is at most ANGLE_COS_TOL and t those whose cosine is, so a near-zero
     or near-right interior angle is counted there and still has its computed
     value and its plane. lowest_blade is the unit blade of the directions O
     sends to their negatives: the right-angle planes plus, for blades of
@@ -266,12 +266,12 @@ def _self_check(a: Blade, b: Blade, thetas, frames, flipped) -> tuple[np.ndarray
     return lowest, math.sqrt(np.dot(d, d))
 
 
-def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> AngleReport:
+def relative_angle(a: Blade, b: Blade) -> AngleReport:
     """Full relative-orientation report for two blades over Cl(n,0).
 
     The blades may have different grades; the larger-grade blade plays
     the role of A internally, which leaves the report unchanged under
-    swapping. grade_tol, in (0, 1), is the per-angle cutoff of s and t.
+    swapping. s and t are counted at ANGLE_COS_TOL, the oracle's cutoff.
     Raises AmbiguousRankError when the report would break its own
     invariants (see AngleReport and RESIDUAL_BOUND). See AngleReport for
     the layout of the result.
@@ -280,8 +280,6 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
         raise SignatureMismatchError(f"{a.sig} vs {b.sig}")
     if not a.sig.is_euclidean:
         raise NonEuclideanError("relative angles are computed in Euclidean carriers")
-    if not 0.0 < grade_tol < 1.0:
-        raise ValueError(f"grade_tol must lie in (0, 1), got {grade_tol!r}")
     if a.magnitude == 0.0 or b.magnitude == 0.0:
         raise NotABladeError("zero blade")
     if a.grade < b.grade:
@@ -310,11 +308,11 @@ def relative_angle(a: Blade, b: Blade, *, grade_tol: float = ANGLE_COS_TOL) -> A
     cos_interior = sin_prod = 1.0
     for theta in angles:
         c = math.cos(theta)
-        if c > grade_tol:
+        if c > ANGLE_COS_TOL:
             cos_interior *= c
         else:
             t += 1
-        if 2.0 * math.sin(0.5 * theta) ** 2 > grade_tol:
+        if 2.0 * math.sin(0.5 * theta) ** 2 > ANGLE_COS_TOL:
             sin_prod *= math.sin(theta)
         else:
             s += 1

@@ -450,22 +450,26 @@ class Multivector:
         if self.sig != other.sig:
             raise SignatureMismatchError(f"{self.sig} vs {other.sig}")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op(self, other) on the coefficients, a Python number read as a scalar;
+        any other operand is left to Python, which refuses it."""
         if isinstance(other, (int, float)):
             other = Multivector.scalar(self.sig, other)
+        elif not isinstance(other, Multivector):
+            return NotImplemented
         self._check_sig(other)
-        return Multivector(self.sig, self.coeffs + other.coeffs, _copy=False)
+        return Multivector(self.sig, op(self.coeffs, other.coeffs), _copy=False)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = Multivector.scalar(self.sig, other)
-        self._check_sig(other)
-        return Multivector(self.sig, self.coeffs - other.coeffs, _copy=False)
+        return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._combine(other, lambda c, d: d - c)
 
     def __neg__(self):
         return Multivector(self.sig, -self.coeffs, _copy=False)

@@ -3,7 +3,7 @@
 A problem is a single JSON object:
 
     {"n": 3, "signature": [3, 0], "A": [[1,0,0],[0,1,0]],
-     "B": [[1,0,0],[0,0,1]], "options": {"oracle": true}}
+     "B": [[1,0,0],[0,0,1]]}
 
 The optional signature must be [n, 0]: angles are taken over a Euclidean
 signature only, and the key is kept for the report's input echo. In
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import conformal
 from .blades import Blade, blade_from_spanning_vectors
-from .engine import ANGLE_COS_TOL, AngleReport, relative_angle
+from .engine import AngleReport, relative_angle
 from .errors import ProblemFormatError
 from .ga import MAX_DIMENSION, Multivector, euclidean_signature, mask_from_name, name_from_mask
 from .oracle import PrincipalPairs, orthonormal_basis, principal_angles, rank_counts
@@ -44,7 +44,6 @@ class SubspaceProblem:
     signature: tuple[int, int]
     a_span: object
     b_span: object
-    options: dict = field(default_factory=dict)
 
 
 def _expect(condition: bool, message: str):
@@ -61,12 +60,6 @@ def _number(x) -> float | None:
         return float(x)
     except OverflowError:
         return math.inf
-
-
-def _expect_tolerance(value, key: str):
-    """The grade tolerance, from a document or the command line, lies in (0, 1)."""
-    x = _number(value)
-    _expect(x is not None and 0 < x < 1, f"{key}: expected a number in (0, 1)")
 
 
 def _parse_vectors(key: str, value, n: int) -> list[list[float]]:
@@ -133,7 +126,7 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
     except RecursionError:
         raise ProblemFormatError("arrays or objects nested too deeply to parse") from None
     _expect(isinstance(data, dict), "top level must be a JSON object")
-    allowed = {"n", "signature", "A", "B", "options"}
+    allowed = {"n", "signature", "A", "B"}
     unknown = set(data) - allowed
     _expect(not unknown, f"unknown keys: {sorted(unknown)}")
     for key in ("n", "A", "B"):
@@ -151,15 +144,6 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
                 f"signature: expected [{n}, 0], the Euclidean signature of n={n}")
     signature = (n, 0) if mode == "euclidean" else astuple(conformal.conformal_signature(n))
 
-    options = data.get("options", {})
-    _expect(isinstance(options, dict), "options: expected an object")
-    unknown_opts = set(options) - {"tolerance", "oracle"}
-    _expect(not unknown_opts, f"options: unknown keys {sorted(unknown_opts)}")
-    if "tolerance" in options:
-        _expect_tolerance(options["tolerance"], "options.tolerance")
-    if "oracle" in options:
-        _expect(isinstance(options["oracle"], bool), "options.oracle: expected a boolean")
-
     if mode == "euclidean":
         a_span = _parse_vectors("A", data["A"], n)
         b_span = _parse_vectors("B", data["B"], n)
@@ -168,7 +152,7 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
         b_span = _parse_conformal_object("B", data["B"], n)
 
     return SubspaceProblem(n=n, mode=mode, signature=signature,
-                           a_span=a_span, b_span=b_span, options=dict(options))
+                           a_span=a_span, b_span=b_span)
 
 
 def _conformal_multivector(spec, n: int) -> Multivector:
@@ -217,21 +201,15 @@ def oracle_comparison(pairs: PrincipalPairs, report: AngleReport) -> dict:
     return {"angles_rad": oracle_angles, "max_deviation": deviation}
 
 
-def run_problem(problem: SubspaceProblem, *, oracle_enabled: bool | None = None,
-                tolerance: float | None = None) -> dict:
+def run_problem(problem: SubspaceProblem, *, oracle_enabled: bool = False) -> dict:
     """Run one problem and assemble the report document.
 
-    oracle_enabled/tolerance override the document's options when given.
-    Engine errors (DegenerateSpanError, AmbiguousRankError, ...)
-    propagate to the caller.
+    oracle_enabled adds the matrix route's angles and their worst deviation
+    from the engine's. Engine errors (DegenerateSpanError,
+    AmbiguousRankError, ...) propagate to the caller.
     """
-    if oracle_enabled is None:
-        oracle_enabled = bool(problem.options.get("oracle", False))
-    if tolerance is None:
-        tolerance = float(problem.options.get("tolerance", ANGLE_COS_TOL))
-
     blade_a, blade_b = problem_blades(problem)
-    report = relative_angle(blade_a, blade_b, grade_tol=tolerance)
+    report = relative_angle(blade_a, blade_b)
 
     doc = {
         "input": {
@@ -266,8 +244,11 @@ def selftest(seed: int = 0, cases: int = 100) -> dict:
     error against those angles, the case (from 0) of the worst of either,
     the worst residual, and the number and cases where either route's s or
     t differs from the built counts; 'ok' is True when every error is
-    within 1e-8 and no count differs.
+    within 1e-8 and no count differs. Raises ValueError for cases < 1,
+    which would check nothing.
     """
+    if cases < 1:
+        raise ValueError(f"cases: expected an integer >= 1, got {cases}")
     rng = np.random.default_rng(seed)
     worst, worst_case, worst_residual, mismatched = [0.0, 0.0], None, 0.0, []
     for i in range(cases):

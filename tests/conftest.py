@@ -20,6 +20,12 @@ def random_blade(rng, sig, grade) -> Blade:
     raise RuntimeError("could not draw an independent spanning set")
 
 
+def random_frame(rng, n) -> np.ndarray:
+    """A random n x n orthogonal matrix (rows orthonormal): a QR whose columns are signed by diag(R)."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
 def random_rotor(rng, sig):
     """Product of two random unit vectors: a rotor for conjugation tests."""
     u = rng.uniform(-1.0, 1.0, sig.n)

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_frame
+
 from subspace_angles import blades, oracle
 from subspace_angles import conformal as cf
 from subspace_angles import ga
@@ -120,20 +122,15 @@ def mgs2_reference(rows) -> np.ndarray:
     return np.array(basis)
 
 
-def orthogonal(rng, n) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
 def conditioned_span(rng, k, n, cond) -> np.ndarray:
     """k random rows in R^n whose singular values run from 1 down to 1/cond."""
-    return (orthogonal(rng, k) * np.geomspace(1.0, 1.0 / cond, k)) @ orthogonal(rng, n)[:k]
+    return (random_frame(rng, k) * np.geomspace(1.0, 1.0 / cond, k)) @ random_frame(rng, n)[:k]
 
 
 def nearly_dependent_span(rng, k, n, residual) -> np.ndarray:
     """k rows in R^n, the last of unit norm and at distance residual from the span
     of the others, so its Gram-Schmidt residual is residual times its norm."""
-    frame = orthogonal(rng, n)
+    frame = random_frame(rng, n)
     inside = rng.standard_normal(k - 1) @ frame[:k - 1]
     last = math.sqrt(1.0 - residual * residual) * inside / math.sqrt(inside @ inside)
     return np.vstack([conditioned_span(rng, k - 1, k - 1, 4.0) @ frame[:k - 1],
@@ -205,7 +202,7 @@ def test_second_pass_only_where_the_first_cancels(monkeypatch):
     # projects it and takes its squared norm once more (2 n products) only at 0.49
     rng = np.random.default_rng(5)
     n, counts = 5, {}
-    frame = orthogonal(rng, n)
+    frame = random_frame(rng, n)
     for kept in (0.49, 0.51):
         calls = []
         last = math.sqrt(1.0 - kept) * frame[0] + math.sqrt(kept) * frame[1]

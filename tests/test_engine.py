@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -25,7 +26,7 @@ from subspace_angles.errors import (
     SignatureMismatchError,
 )
 from subspace_angles.ga import Multivector, Signature, basis_vectors, wedge_vectors
-from subspace_angles.oracle import orthonormal_basis, principal_angles
+from subspace_angles.oracle import orthonormal_basis, principal_angles, rank_counts
 from subspace_angles.problems import parse_problem, run_problem
 from subspace_angles.sampling import sample_spans
 
@@ -577,10 +578,7 @@ class TestRelativeAngle:
 
 
 class TestGradeTolerance:
-    """grade_tol must lie in (0, 1); outside it the counts come out wrong
-    with a tiny residual, so nothing downstream would notice."""
-
-    BAD = [0.0, -1.0, 1.0, math.nan, math.inf]
+    """s and t are counted at ANGLE_COS_TOL, the oracle's cutoff; no parameter moves it."""
 
     @staticmethod
     def perpendicular_pair():
@@ -594,17 +592,26 @@ class TestGradeTolerance:
     def test_default_counts_the_right_angle(self):
         assert relative_angle(*self.perpendicular_pair()).t == 1
 
-    @pytest.mark.parametrize("value", BAD)
-    def test_outside_unit_interval_rejected(self, value):
-        with pytest.raises(ValueError, match=r"grade_tol must lie in \(0, 1\)"):
-            relative_angle(*self.perpendicular_pair(), grade_tol=value)
+    def test_relative_angle_has_no_cutoff_parameter(self):
+        with pytest.raises(TypeError, match="grade_tol"):
+            relative_angle(*self.perpendicular_pair(), grade_tol=1e-9)
 
-    @pytest.mark.parametrize("value", BAD)
-    def test_run_problem_inherits_the_check(self, value):
+    def test_run_problem_has_no_cutoff_parameter(self):
         problem = parse_problem('{"n": 3, "A": [[1, 0, 0], [0, 1, 0]], "B": [[1, 0, 0], [0, 0, 1]]}')
-        assert run_problem(problem, tolerance=0.5)["t"] == 1
-        with pytest.raises(ValueError, match="grade_tol"):
-            run_problem(problem, tolerance=value)
+        assert run_problem(problem)["t"] == 1
+        with pytest.raises(TypeError, match="tolerance"):
+            run_problem(problem, tolerance=1e-9)
+
+    @pytest.mark.parametrize("theta", [1e-3, math.pi / 4, math.pi / 2 - 1e-3])
+    def test_counts_agree_with_the_oracle(self, theta):
+        # span(e1) against span(cos theta e1 + sin theta e2): one angle, neither zero nor right,
+        # so both routes count (0, 0) and the report keeps its invariants
+        a_rows, b_rows = [[1.0, 0.0]], [[math.cos(theta), math.sin(theta)]]
+        rep = relative_angle(blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows))
+        assert (rep.s, rep.t) == rank_counts(principal_angles(a_rows, b_rows)) == (0, 0)
+        problem = parse_problem(json.dumps({"n": 2, "A": a_rows, "B": b_rows}))
+        report = run_problem(problem, oracle_enabled=True)
+        assert (report["s"], report["t"]) == (0, 0)
 
 
 class TestInvariantGuard:
@@ -645,10 +652,10 @@ class TestRotorReconstruction:
     NEAR_RIGHT = (math.pi / 2 - 1e-7, 0.4)
 
     def test_near_right_angle_counted_by_t(self):
-        # t counts the first angle (cos 1e-7 <= grade_tol), which still has a plane
-        theta1, theta2 = self.NEAR_RIGHT
-        a, b = known_pair(self.NEAR_RIGHT, 2, np.eye(4))
-        rep = relative_angle(a, b, grade_tol=1e-6)
+        # t counts the first angle (cos 1e-10 <= ANGLE_COS_TOL), which still has a plane
+        theta1, theta2 = math.pi / 2 - 1e-10, 0.4
+        a, b = known_pair((theta1, theta2), 2, np.eye(4))
+        rep = relative_angle(a, b)
         assert (rep.s, rep.t, len(rep.planes)) == (0, 1, 2)
         assert np.allclose(rep.angles, [theta1, theta2], rtol=0.0, atol=1e-15)
         rebuilt = rotor_reconstruction(rep, a.magnitude, b.magnitude)

@@ -576,7 +576,13 @@ class TestOperands:
         lambda mv: mv * "x",
         lambda mv: "x" * mv,
         lambda mv: mv ^ 2,
-    ], ids=["mv * str", "str * mv", "mv ^ int"])
+        lambda mv: mv + "x",
+        lambda mv: "x" + mv,
+        lambda mv: mv - "x",
+        lambda mv: "x" - mv,
+        lambda mv: mv + None,
+    ], ids=["mv * str", "str * mv", "mv ^ int", "mv + str", "str + mv", "mv - str", "str - mv",
+            "mv + None"])
     def test_foreign_operand_raises(self, op):
         with pytest.raises(TypeError):
             op(self.MV)

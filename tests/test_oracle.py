@@ -4,6 +4,8 @@ from operator import mul
 import numpy as np
 import pytest
 
+from conftest import random_frame
+
 from subspace_angles.blades import blade_from_spanning_vectors
 from subspace_angles.errors import DegenerateSpanError
 from subspace_angles.ga import Multivector, Signature
@@ -22,12 +24,6 @@ from subspace_angles.blades import subspace_membership
 from subspace_angles.sampling import ZERO, spans_from_angles
 
 SQ2 = math.sqrt(0.5)
-
-
-def random_frame(rng, n):
-    """A random n x n orthogonal matrix (rows orthonormal)."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
 
 
 def dot(x, y):

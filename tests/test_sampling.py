@@ -65,3 +65,9 @@ def test_both_routes_meet_the_built_angles():
 @pytest.mark.parametrize("seed", range(10))
 def test_selftest_passes_against_the_truth(seed):
     assert selftest(seed=seed)["ok"]
+
+
+@pytest.mark.parametrize("cases", [0, -1])
+def test_selftest_refuses_to_check_nothing(cases):
+    with pytest.raises(ValueError, match=r"^cases: expected an integer >= 1, got -?\d+$"):
+        selftest(cases=cases)
