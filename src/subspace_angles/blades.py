@@ -136,41 +136,31 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
     return Blade(Multivector._of_finite(sig, coeffs), len(lists), magnitude, frame)
 
 
-def _span(vectors, sig: Signature | None) -> tuple[np.ndarray | list, list[list[float]], Signature]:
-    """(rows, lists, sig): the k spanning vectors as rows of n floats, once as arrays and once
-    as lists, and the signature, Euclidean Cl(n,0) by default.
+def _span(vectors, sig: Signature | None) -> tuple[np.ndarray, list[list[float]], Signature]:
+    """(rows, lists, sig): the k spanning vectors as one (k, n) float array and as lists of
+    floats, and the signature, Euclidean Cl(n,0) by default.
 
-    vectors is converted once. Only when that raises or gives no (k, n) array with k >= 1 (a
-    ragged or flat list, no rows, a generator) is it converted row by row, and the rows are
-    checked one by one, which names what is wrong. The refusals come in this order: no rows,
-    a row that is not 1-D, a signature of another dimension, a non-Euclidean signature, more
-    rows than n, rows of unequal length.
+    vectors is converted once, as oracle.orthonormal_basis converts it, so both routes refuse
+    the same malformed spans with the same exception. The refusals come in this order:
+    NumPy's conversion (ragged rows, an entry that is not a real number, an iterable that is
+    not a sequence), no coordinates, rows that do not form a 2-D array, a signature of another
+    dimension, a non-Euclidean signature, more rows than n.
     """
-    try:
-        rows = np.asarray(vectors, dtype=float)
-        whole = rows.ndim == 2 and len(rows) > 0
-    except (TypeError, ValueError, OverflowError):  # ragged rows, a generator: the rows say what is wrong
-        whole = False
-    if not whole:
-        rows = [np.asarray(v, dtype=float) for v in vectors]
-        if not rows:
-            raise DegenerateSpanError("empty spanning set")
-        if any(row.ndim != 1 for row in rows):
-            raise ValueError("expected a sequence of length-n vectors, one per row")
-    n = rows[0].shape[0]
+    rows = np.asarray(vectors, dtype=float)
+    if rows.size == 0:
+        raise DegenerateSpanError("empty spanning set")
+    if rows.ndim != 2:
+        raise ValueError("expected a sequence of length-n vectors, one per row")
+    k, n = rows.shape
     if sig is None:
         sig = euclidean_signature(n)
     if sig.n != n:
         raise ValueError(f"vectors of length {n} in Cl({sig.p},{sig.q})")
     if not sig.is_euclidean:
         raise NonEuclideanError("blade frames implemented for Euclidean blades")
-    if len(rows) > n:
-        raise DegenerateSpanError(f"{len(rows)} vectors cannot be independent in R^{n}")
-    if whole:
-        return rows, rows.tolist(), sig
-    if any(row.shape != (n,) for row in rows):
-        raise ValueError(f"need k >= 1 rows of {n} coordinates")
-    return rows, [row.tolist() for row in rows], sig
+    if k > n:
+        raise DegenerateSpanError(f"{k} vectors cannot be independent in R^{n}")
+    return rows, rows.tolist(), sig
 
 
 def _mgs(lists: list[list[float]], squares: list[float]) -> np.ndarray:

@@ -180,7 +180,7 @@ def bivector_split(f: Multivector) -> list[tuple[float, Multivector]]:
     (c beta_k, i_k) at any scale. The split is unique only for distinct coefficients; for
     coinciding ones any orthogonal choice inside the eigenspace is returned.
     """
-    if f.grades(tol=0.0) not in ([], [2]):
+    if f.grades() not in ([], [2]):
         raise NotABladeError(f"bivector_split needs a pure bivector, grades {f.grades()}")
     if not f.sig.is_euclidean:
         raise NonEuclideanError("bivector split implemented for Euclidean signature")

@@ -20,8 +20,10 @@ class DegenerateSpanError(GaError):
 class AmbiguousRankError(GaError):
     """The angle report would break its own invariants: the counts of
     principal planes and reversed directions do not fit the blades'
-    grades, s + t exceeds r (a cutoff of 0.5 or more can count one angle
-    as both zero and right), or the rotor residual is above its bound."""
+    grades, s + t exceeds r, or the rotor residual is above its bound. At
+    the fixed cutoff of 1e-9 no angle has both its versine and its cosine
+    at or below it, so s + t cannot exceed r; the clause stays in the
+    guard as a safety check."""
 
 
 class NonEuclideanError(GaError):

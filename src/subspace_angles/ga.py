@@ -259,10 +259,13 @@ def wedge_vectors(sig: Signature, rows) -> Multivector:
     row at a time. Terms the kernel leaves out (a zero factor) are added as +-0.0,
     which changes no byte. A non-finite intermediate always reaches the
     result, so an overflow raises the constructor's ValueError, with no
-    RuntimeWarning on the way.
+    RuntimeWarning on the way. rows is converted once, as blades._span
+    converts a span: what NumPy refuses (ragged rows, a generator, a set)
+    raises its own error, and anything but a (k, n) array with k >= 1
+    raises ValueError.
     """
-    rows = [np.asarray(row, dtype=float) for row in rows]
-    if not rows or any(row.shape != (sig.n,) for row in rows):
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or not len(rows) or rows.shape[1] != sig.n:
         raise ValueError(f"need k >= 1 rows of {sig.n} coordinates")
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _wedge_coeffs(sig, rows)
@@ -422,11 +425,10 @@ class Multivector:
     def support(self) -> np.ndarray:
         return self.coeffs.nonzero()[0]
 
-    def grades(self, tol: float = 0.0) -> list[int]:
-        """Grades with any coefficient of magnitude above tol."""
+    def grades(self) -> list[int]:
+        """Grades with any nonzero coefficient."""
         g = _grades(self.sig.n)
-        present = np.abs(self.coeffs) > tol
-        return np.bincount(g[present]).nonzero()[0].tolist()
+        return np.bincount(g[self.coeffs != 0.0]).nonzero()[0].tolist()
 
     def max_grade(self) -> int:
         grs = self.grades()

@@ -6,7 +6,9 @@ A problem is a single JSON object:
      "B": [[1,0,0],[0,0,1]]}
 
 The optional signature must be [n, 0]: angles are taken over a Euclidean
-signature only, and the key is kept for the report's input echo. In
+signature only, so the key only restates n and is checked. The report's
+input echo gives the signature the mode implies ([n, 0], or [n + 1, 1] in
+conformal mode) whether or not the document gives the key. In
 conformal mode A and B are conformal objects of Cl(n+1,1) given
 either as a dense coefficient list of length 2^(n+2) or as a sparse
 map of basis-blade names ("e145": value); basis vectors n+1 and n+2
@@ -25,7 +27,7 @@ from . import conformal
 from .blades import Blade, blade_from_spanning_vectors
 from .engine import AngleReport, relative_angle
 from .errors import ProblemFormatError
-from .ga import MAX_DIMENSION, Multivector, euclidean_signature, mask_from_name, name_from_mask
+from .ga import MAX_DIMENSION, Multivector, mask_from_name, name_from_mask
 from .oracle import PrincipalPairs, orthonormal_basis, principal_angles, rank_counts
 from .sampling import sample_spans
 
@@ -168,9 +170,7 @@ def _conformal_multivector(spec, n: int) -> Multivector:
 def problem_blades(problem: SubspaceProblem) -> tuple[Blade, Blade]:
     """Carrier blades of the two subspaces, both over a Euclidean algebra."""
     if problem.mode == "euclidean":
-        sig = euclidean_signature(problem.n)
-        return (blade_from_spanning_vectors(problem.a_span, sig),
-                blade_from_spanning_vectors(problem.b_span, sig))
+        return blade_from_spanning_vectors(problem.a_span), blade_from_spanning_vectors(problem.b_span)
     xa = conformal.ConformalObject.from_multivector(_conformal_multivector(problem.a_span, problem.n))
     xb = conformal.ConformalObject.from_multivector(_conformal_multivector(problem.b_span, problem.n))
     return conformal.euclidean_carrier(xa), conformal.euclidean_carrier(xb)

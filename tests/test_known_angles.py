@@ -64,11 +64,11 @@ def known_pairs(draw, kinds=st.sampled_from(KINDS)):
     return a_rows, b_rows, drawn
 
 
-def check(a_rows, b_rows, drawn, **kwargs):
+def check(a_rows, b_rows, drawn):
     """The report against the truth; returns it."""
     a = blade_from_spanning_vectors(a_rows)
     b = blade_from_spanning_vectors(b_rows)
-    rep = relative_angle(a, b, **kwargs)
+    rep = relative_angle(a, b)
     truth = sorted(drawn, reverse=True)
     assert len(rep.angles) == len(truth)
     for got, (theta, _, _) in zip(rep.angles, truth):
