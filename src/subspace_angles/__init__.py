@@ -4,7 +4,9 @@ Two subspaces of R^n, represented as blades A and B, expose their full
 relative-orientation data in the single geometric product A reverse(B):
 intersection dimension, perpendicularity count, all principal angles and
 principal-plane bivectors. An independent matrix route (Gram-Schmidt +
-Jacobi SVD over the mutual inner products) cross-validates the result.
+Jacobi SVD over the mutual inner products) cross-validates the result. It
+shares no code and no LAPACK driver with the engine: LAPACK's svd supplies
+only the starting basis of its Jacobi, whose own rule decides the answer.
 """
 
 from .blades import (

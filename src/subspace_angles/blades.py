@@ -28,8 +28,8 @@ from operator import mul
 import numpy as np
 
 from .errors import DegenerateSpanError, NonEuclideanError, NotABladeError
-from .ga import (Multivector, Signature, _norm, _wedge_coeffs, contraction_matrix, euclidean_signature,
-                 wedge_vectors)
+from .ga import (Multivector, Signature, _norm, _real_rows, _wedge_coeffs, contraction_matrix,
+                 euclidean_signature, wedge_vectors)
 
 # A spanning vector is dependent when its Gram-Schmidt residual drops
 # below this fraction of its original norm.
@@ -140,13 +140,14 @@ def _span(vectors, sig: Signature | None) -> tuple[np.ndarray, list[list[float]]
     """(rows, lists, sig): the k spanning vectors as one (k, n) float array and as lists of
     floats, and the signature, Euclidean Cl(n,0) by default.
 
-    vectors is converted once, as oracle.orthonormal_basis converts it, so both routes refuse
-    the same malformed spans with the same exception. The refusals come in this order:
-    NumPy's conversion (ragged rows, an entry that is not a real number, an iterable that is
-    not a sequence), no coordinates, rows that do not form a 2-D array, a signature of another
+    vectors is converted once (ga._real_rows), as oracle.orthonormal_basis converts it, so both
+    routes refuse the same malformed spans with the same exception. The refusals come in this
+    order: NumPy's conversion (ragged rows, an iterable that is not a sequence, an object it
+    cannot make a float), entries NumPy infers as booleans, strings, bytes or complex numbers
+    (TypeError), no coordinates, rows that do not form a 2-D array, a signature of another
     dimension, a non-Euclidean signature, more rows than n.
     """
-    rows = np.asarray(vectors, dtype=float)
+    rows = _real_rows(vectors)
     if rows.size == 0:
         raise DegenerateSpanError("empty spanning set")
     if rows.ndim != 2:

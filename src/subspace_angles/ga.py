@@ -259,17 +259,33 @@ def wedge_vectors(sig: Signature, rows) -> Multivector:
     row at a time. Terms the kernel leaves out (a zero factor) are added as +-0.0,
     which changes no byte. A non-finite intermediate always reaches the
     result, so an overflow raises the constructor's ValueError, with no
-    RuntimeWarning on the way. rows is converted once, as blades._span
-    converts a span: what NumPy refuses (ragged rows, a generator, a set)
-    raises its own error, and anything but a (k, n) array with k >= 1
+    RuntimeWarning on the way. rows is converted once by _real_rows, as
+    blades._span converts a span: what NumPy refuses (ragged rows, a
+    generator, a set) raises its own error, entries that are not real
+    numbers raise TypeError, and anything but a (k, n) array with k >= 1
     raises ValueError.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _real_rows(rows)
     if rows.ndim != 2 or not len(rows) or rows.shape[1] != sig.n:
         raise ValueError(f"need k >= 1 rows of {sig.n} coordinates")
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _wedge_coeffs(sig, rows)
     return Multivector(sig, coeffs, _copy=False)
+
+
+# dtype kinds that convert to float silently (or with only a ComplexWarning) but are not
+# real coordinates: booleans, str and bytes (numeric strings parse), complex numbers
+_NOT_REAL = {"b": "booleans", "U": "strings", "S": "bytes", "c": "complex numbers"}
+
+
+def _real_rows(rows) -> np.ndarray:
+    """rows as one float array, converted once; TypeError when the array NumPy infers from
+    them holds booleans, strings, bytes or complex numbers. Object arrays (a Fraction, an int
+    beyond int64) go through the float conversion."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind in _NOT_REAL:
+        raise TypeError(f"coordinates must be real numbers, not {_NOT_REAL[rows.dtype.kind]}")
+    return np.asarray(rows, dtype=float)
 
 
 def _wedge_coeffs(sig: Signature, rows) -> np.ndarray:

@@ -20,11 +20,15 @@ Argentati, 2002): the same rotations on R = B_J - (B_J Q_A^T) Q_A, the
 cluster's principal vectors of B with span(A) projected out, give the
 sines as column norms, paired ascending with the cosines descending.
 
-Everything here is implemented from scratch and calls no numpy.linalg,
-so that agreement with the geometric-product engine is a genuine check
-between two independent implementations. Its three matrix products (M, the
-principal vectors and the sine route's projection) are np.dot, not @: the
-same bytes, and at these sizes matmul's dispatch costs more than the product.
+Gram-Schmidt and the Jacobi are implemented here and share no code with the
+geometric-product engine, so that agreement between the two is a genuine
+check between independent implementations. The one LAPACK call,
+numpy.linalg.svd, supplies only the Jacobi's starting basis at three columns
+or more; Jacobi's own rule decides the answer, and svd is not a driver the
+engine calls (it calls eigh and qr). Its four matrix products (M, the LAPACK
+start M V0^T, the principal vectors and the sine route's projection) are
+np.dot, not @: the same bytes, and at these sizes matmul's dispatch costs
+more than the product.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ RANK_COS_TOL = 1e-9
 # from sines instead.
 SINE_ROUTE_SIGMA = 0.99
 
+# dtype kinds that convert to float silently (or with only a ComplexWarning) but are not
+# real coordinates: the blade route's refusal, written out here so that the two routes
+# share no code
+_NOT_REAL = {"b": "booleans", "U": "strings", "S": "bytes", "c": "complex numbers"}
+
 EPS = sys.float_info.epsilon
 # The smallest normal float: a squared norm below it has lost digits.
 NORMAL_MIN = sys.float_info.min
@@ -61,7 +70,9 @@ class PrincipalPairs:
     """Principal angles and vectors of two subspaces.
 
     cosines are descending; a_vectors/b_vectors are row-paired unit
-    principal vectors with a_k . b_k = cosines[k].
+    principal vectors with a_k . b_k = cosines[k]. Inside a cluster of
+    equal cosines, a_k and b_k are any orthonormal pairing of the
+    cluster's space: which one comes out depends on the Jacobi's start.
     """
 
     cosines: np.ndarray
@@ -80,8 +91,13 @@ def orthonormal_basis(vectors) -> np.ndarray:
     vector with a non-finite entry raises ValueError, and so does one whose
     squared norm overflows, or whose squared norm or residual's squared
     norm is below the normal range, where the square root loses digits.
+    Entries that NumPy infers as booleans, strings, bytes or complex numbers
+    raise TypeError before any conversion to float.
     """
-    rows = np.asarray(vectors, dtype=float)
+    rows = np.asarray(vectors)
+    if rows.dtype.kind in _NOT_REAL:
+        raise TypeError(f"coordinates must be real numbers, not {_NOT_REAL[rows.dtype.kind]}")
+    rows = np.asarray(rows, dtype=float)
     if rows.size == 0:
         raise DegenerateSpanError("empty spanning set")
     if rows.ndim != 2:
@@ -160,13 +176,26 @@ def _jacobi(columns: list, vectors: list | None = None) -> tuple[int, list[float
 def _jacobi_onesided(m: np.ndarray) -> tuple[list, list[float], list]:
     """One-sided Jacobi SVD of m (rows >= cols), as lists of floats: (u, s, v) with s
     descending and u[k], v[k] the k-th left and right singular vectors, so that
-    m = sum_k s[k] u[k] v[k]^T."""
+    m = sum_k s[k] u[k] v[k]^T.
+
+    With three columns or more the rotations start from LAPACK's right singular vectors
+    V0 (numpy.linalg.svd, a driver the engine does not call): the columns m V0^T are then
+    nearly orthogonal, and Jacobi settles them in one or two sweeps where the identity start
+    takes four to six (Drmac & Veselic, 2008). Jacobi's own rule still decides every
+    singular value, and any orthogonal start gives the same answer to rounding. One or two
+    columns keep the identity start: one rotation and its check sweep cost less than the
+    LAPACK call."""
     rows, cols = m.shape
     a = m.T.tolist()
     floor = 1e-14 * max(max(max(map(abs, c)) for c in a), 1e-300)
-    v = [[0.0] * cols for _ in range(cols)]
-    for c in range(cols):
-        v[c][c] = 1.0
+    if cols >= 3:
+        v0 = np.linalg.svd(m, full_matrices=False)[2]
+        a = np.dot(m, v0.T).T.tolist()
+        v = v0.tolist()
+    else:
+        v = [[0.0] * cols for _ in range(cols)]
+        for c in range(cols):
+            v[c][c] = 1.0
     s = [math.sqrt(squared) for squared in _jacobi(a, v)[1]]
     u = [[x / sj for x in c] if sj > floor else None for c, sj in zip(a, s)]
     # complete near-null columns of u to an orthonormal set: the unit vector
@@ -198,7 +227,9 @@ def svd_small(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     U is (rows x k), V is (cols x k) with k = min(rows, cols); both have
     orthonormal columns, s is descending and nonnegative; an empty matrix or a
-    non-finite entry raises ValueError.
+    non-finite entry raises ValueError. One-sided Jacobi on lists of floats; with
+    k >= 3 it starts from numpy.linalg.svd's right singular vectors, and its own
+    rule decides the answer (_jacobi_onesided).
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.size == 0:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +233,20 @@ def ragged_object_array():
     return rows
 
 
+# spans whose entries NumPy infers as booleans, strings, bytes or complex numbers: each converts
+# to float (a numeric string parses, True reads as 1.0, a complex array loses its imaginary part
+# with only a ComplexWarning), so every route refuses them itself, before that conversion
+NOT_REAL = {
+    "numeric-strings": [["1", "0", "0"]],
+    "booleans": [[True, False, False]],
+    "bytes": [[b"1", b"0", b"0"]],
+    "complex": [[1 + 1j, 0, 0], [0, 1, 0]],
+}
+NOT_REAL_FORMS = [pytest.param(lambda rows=rows, form=form: form(rows), id=f"{name}-{label}")
+                  for name, rows in NOT_REAL.items()
+                  for label, form in (("lists", list), ("ndarray", np.array))]
+
+
 @pytest.mark.parametrize("make, converts", [
     pytest.param(lambda: [[1, 0, 0], [0, 1]], False, id="ragged-lists"),
     pytest.param(lambda: [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0])], False, id="ragged-arrays"),
@@ -246,6 +261,7 @@ def ragged_object_array():
     pytest.param(lambda: ["1 0 0", "0 1 0"], False, id="strings"),
     pytest.param(lambda: [[1 + 1j, 0, 0]], False, id="complex-entry"),
     pytest.param(lambda: [[10**400, 0, 0]], False, id="int-too-large-for-a-float"),
+    *[pytest.param(*form.values, False, id=form.id) for form in NOT_REAL_FORMS],
 ])
 def test_both_routes_refuse_a_malformed_span_alike(make, converts):
     # the blade route and the oracle each convert a span once, so they raise the same
@@ -260,6 +276,28 @@ def test_both_routes_refuse_a_malformed_span_alike(make, converts):
             route(make())
         raised.append(info.type)
     assert len(set(raised)) == 1, raised
+
+
+@pytest.mark.parametrize("make", NOT_REAL_FORMS)
+def test_coordinates_that_are_not_real_numbers_raise_type_error(make):
+    # once accepted: "1" parsed as 1.0, True built e1, a complex array lost its imaginary part
+    routes = [blade_from_spanning_vectors, orthonormal_basis, lambda rows: wedge_vectors(SIG3, rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in routes:
+            with pytest.raises(TypeError, match=r"^coordinates must be real numbers, not "):
+                route(make())
+
+
+def test_object_arrays_still_convert():
+    # an object array (a Fraction, an int beyond int64) goes through the float conversion
+    rows = np.array([[Fraction(1, 3), 0, 2**70], [0, 1, 0]], dtype=object)
+    floats = np.asarray(rows, dtype=float)
+    built, expected = blade_from_spanning_vectors(rows), blade_from_spanning_vectors(floats)
+    assert built.frame.tobytes() == expected.frame.tobytes()
+    assert built.mv.coeffs.tobytes() == expected.mv.coeffs.tobytes()
+    assert orthonormal_basis(rows).tobytes() == orthonormal_basis(floats).tobytes()
+    assert wedge_vectors(SIG3, rows) == wedge_vectors(SIG3, floats)
 
 
 S = 2.8e102     # rows orthogonal to (1, 1, 1, 1): four coefficients of 1.3e308, magnitude 2.6e308

@@ -1,3 +1,4 @@
+import itertools
 import math
 from operator import mul
 
@@ -10,18 +11,20 @@ from subspace_angles.blades import blade_from_spanning_vectors
 from subspace_angles.errors import DegenerateSpanError
 from subspace_angles.ga import Multivector, Signature
 from subspace_angles.engine import ANGLE_COS_TOL
+from subspace_angles import oracle
 from subspace_angles.oracle import (
     EPS,
     RANK_COS_TOL,
     PrincipalPairs,
     _jacobi,
+    _svd,
     orthonormal_basis,
     principal_angles,
     rank_counts,
     svd_small,
 )
 from subspace_angles.blades import subspace_membership
-from subspace_angles.sampling import ZERO, spans_from_angles
+from subspace_angles.sampling import RIGHT, ZERO, spans_from_angles
 
 SQ2 = math.sqrt(0.5)
 
@@ -191,6 +194,110 @@ class TestSvdSmall:
             columns = m.T.tolist()
             _, squares = _jacobi(columns, np.eye(m.shape[1]).tolist())
             assert [x.hex() for x in squares] == [dot(c, c).hex() for c in columns]
+
+
+def refuse(name):
+    def raising(*args, **kwargs):
+        raise AssertionError(f"numpy.linalg.{name} called")
+    return raising
+
+
+def identity_started(m):
+    """The singular values of m (rows >= cols), descending, from _jacobi started at the identity."""
+    columns = m.T.tolist()
+    _, squares = _jacobi(columns, np.eye(m.shape[1]).tolist())
+    return sorted(map(math.sqrt, squares), reverse=True)
+
+
+def lapack_started_matrices():
+    """Matrices of three columns or more, rows >= cols: random, rank-deficient, with repeated
+    singular values, CAPPED_M and with a zero column."""
+    rng = np.random.default_rng(40)
+    matrices = [np.array(CAPPED_M)]
+    for rows, cols in ((3, 3), (4, 3), (6, 6), (12, 6), (7, 5)):
+        matrices += [rng.standard_normal((rows, cols)) for _ in range(5)]
+        matrices.append(rng.standard_normal((rows, 2)) @ rng.standard_normal((2, cols)))
+        repeated = np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.25][:cols])
+        matrices.append(random_frame(rng, rows)[:, :cols] @ repeated @ random_frame(rng, cols))
+        zero_column = rng.standard_normal((rows, cols))
+        zero_column[:, 1] = 0.0
+        matrices.append(zero_column)
+    return matrices
+
+
+class TestLapackStart:
+    # with three columns or more, the Jacobi SVD starts from numpy.linalg.svd's right vectors;
+    # with one or two it starts from the identity, as the goldens' problems do
+
+    @pytest.mark.parametrize("index", range(len(lapack_started_matrices())))
+    def test_same_singular_values_as_the_identity_start(self, index):
+        m = lapack_started_matrices()[index]
+        assert m.shape[1] >= 3
+        # each start lies within a few ulp of the largest singular value from the exact values
+        # (measured against 40-digit SVDs of these matrices: at most 4 ulp from LAPACK's start,
+        # 6 from the identity's), so the two agree within twice 8 ulp
+        got = _svd(m)[1]
+        want = identity_started(m)
+        assert np.max(np.abs(np.subtract(got, want))) <= 16 * math.ulp(want[0])
+        TestSvdSmall()._check(m)
+
+    @pytest.mark.parametrize("rank", range(3, 7))
+    def test_principal_angles_use_no_driver_of_the_engine(self, monkeypatch, rank):
+        # the engine calls numpy.linalg's eigh and qr; the oracle calls neither
+        rng = np.random.default_rng(41 + rank)
+        pairs = []
+        for _ in range(5):
+            drawn = [(theta, math.cos(theta), math.sin(theta)) for theta in rng.uniform(0.05, 1.5, rank - 2)]
+            a_rows, b_rows = spans_from_angles(rng, 12, 1, drawn + [ZERO, RIGHT])
+            pairs.append((orthonormal_basis(a_rows), orthonormal_basis(b_rows), drawn))
+        monkeypatch.setattr(np.linalg, "eigh", refuse("eigh"))
+        monkeypatch.setattr(np.linalg, "qr", refuse("qr"))
+        for qa, qb, drawn in pairs:
+            got = principal_angles(qa, qb).angles
+            truth = sorted([theta for theta, _, _ in drawn] + [0.0, math.pi / 2])
+            assert np.max(np.abs(got - truth)) <= 1e-14
+
+    @pytest.mark.parametrize("m, u, s, v", [
+        ([[0.6, 0.1], [0.3, -0.7], [0.2, 0.4]],
+         [["-0x1.0c6e580bfc8a2p-3", "-0x1.d63a9284ec461p-1", "0x1.7e3b86e4e805fp-2"],
+          ["0x1.c17235784406dp-1", "0x1.144d9ab51afb0p-4", "0x1.e596ef2531b5fp-2"]],
+         ["0x1.a7ca60348676bp-1", "0x1.5d184575b71dbp-1"],
+         [["-0x1.59cb8aac62501p-2", "0x1.e1ec76bbfbbb8p-1"], ["0x1.e1ec76bbfbbb8p-1", "0x1.59cb8aac62501p-2"]]),
+        ([[0.3], [0.4], [-1.2]],
+         [["0x1.d89d89d89d89dp-3", "0x1.3b13b13b13b14p-2", "-0x1.d89d89d89d89dp-1"]],
+         ["0x1.4cccccccccccdp+0"], [["0x1.0000000000000p+0"]]),
+    ], ids=["two-columns", "one-column"])
+    def test_one_or_two_columns_keep_the_identity_start(self, monkeypatch, m, u, s, v):
+        # the goldens' path: no LAPACK call, and the bytes of the identity-started Jacobi
+        monkeypatch.setattr(np.linalg, "svd", refuse("svd"))
+        got = _svd(np.array(m))
+        assert [[x.hex() for x in row] for row in got[0]] == u
+        assert [x.hex() for x in got[1]] == s
+        assert [[x.hex() for x in row] for row in got[2]] == v
+
+    def test_wide_dense_pairs_settle_in_three_sweeps(self, monkeypatch):
+        # n = 12, grades 3..6, generic angles beside zero and right ones; the identity start
+        # took 4.6-6.3 sweeps per pair on the benchmark's wide_dense pairs
+        sweeps = []
+
+        def counted(columns, vectors=None):
+            result = _jacobi(columns, vectors)
+            if vectors is not None:
+                sweeps.append(result[0])
+            return result
+
+        monkeypatch.setattr(oracle, "_jacobi", counted)
+        rng = np.random.default_rng(42)
+        for rank, q, first in itertools.product(range(3, 7), (0, 1), (None, ZERO, RIGHT)):
+            drawn = [first] if first else []
+            while len(drawn) < rank:   # generic angles while a spare frame vector is left
+                theta = float(rng.uniform(0.05, 1.5))
+                spare = len(drawn) - drawn.count(ZERO) < 12 - rank - q
+                drawn.append((theta, math.cos(theta), math.sin(theta)) if spare else ZERO)
+            a_rows, b_rows = spans_from_angles(rng, 12, q, drawn)
+            principal_angles(orthonormal_basis(a_rows), orthonormal_basis(b_rows))
+        assert len(sweeps) == 24
+        assert max(sweeps) <= 3
 
 
 class TestPrincipalAngles:

@@ -98,13 +98,17 @@ def test_factor_projector(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_oracle_products(n):
-    # Q_A Q_B^T, the principal vectors u^T Q_A and v^T Q_B, and the sine route's
-    # projection (B_J Q_A^T) Q_A for every cluster size J
+    # Q_A Q_B^T, the Jacobi's LAPACK start M V0^T (M with rows >= cols, three columns or
+    # more), the principal vectors u^T Q_A and v^T Q_B, and the sine route's projection
+    # (B_J Q_A^T) Q_A for every cluster size J
     rng = np.random.default_rng(300 + n)
     for ra, rb in itertools.product(range(1, n + 1), repeat=2):
         qa = orthonormal_basis(rng.standard_normal((ra, n)))
         qb = orthonormal_basis(rng.standard_normal((rb, n)))
         assert_same(qa, qb.T)
+        m = qa @ qb.T if ra >= rb else (qa @ qb.T).T   # as _svd hands it over: a view when transposed
+        if m.shape[1] >= 3:
+            assert_same(m, np.linalg.svd(m, full_matrices=False)[2].T)
         u, _, v = _svd(qa @ qb.T)   # the singular vectors as lists of rows
         assert_same(u, qa)
         assert_same(v, qb)
