@@ -12,9 +12,11 @@ read from a multivector takes it from one eigensolve of its projector,
 built from ga.contraction_matrix, which also gives engine.bivector_split its
 matrix. The frame is not unique, only the reconstruction is contractual.
 pure_blade, one grade-and-factor test that reads no metric, also
-validates conformal objects. blade_from_spanning_vectors refuses malformed rows,
-then a non-finite wedge (its norm is the finiteness check; only a non-finite norm
-scans the coefficients), then _mgs's refusals, then an overflowing magnitude.
+validates conformal objects. Blade's constructor is the one place that decides
+whether a blade is usable: a Euclidean signature and a magnitude in the normal float
+range. blade_from_spanning_vectors refuses malformed rows, then a non-finite wedge (its
+norm is the finiteness check; only a non-finite norm scans the coefficients), then
+_mgs's refusals, then, in the constructor, a magnitude that overflows or underflows.
 _factor's projector C C^T is np.dot, not @: the same bytes, without matmul's dispatch.
 """
 
@@ -49,9 +51,15 @@ class Blade:
     validates (Gram-Schmidt of the spanning vectors, or an eigensolve of
     the projector for from_multivector), so magnitude * wedge_vectors(sig,
     frame) rebuilds mv. The engine's projectors read the frame; == and
-    repr ignore it. A magnitude that overflows to inf or nan raises
-    ValueError: finite coefficients can still have a norm above the float
-    range, e.g. a trivector of R^4 whose four coefficients are 1.3e308."""
+    repr ignore it. The constructor, which every route goes through, refuses
+    a signature with q > 0 (NonEuclideanError: the frame is orthonormal in
+    the coefficients, which only a Euclidean metric agrees with), a
+    magnitude that overflows to inf or nan (ValueError: finite coefficients
+    can still have a norm above the float range, e.g. a trivector of R^4
+    whose four coefficients are 1.3e308) and one below NORMAL_MIN
+    (ValueError, the rule _mgs applies to squared norms: four rows of 1e-80,
+    each of a normal squared norm, wedge to about 1e-320, which has lost
+    its digits)."""
 
     mv: Multivector
     grade: int
@@ -59,8 +67,12 @@ class Blade:
     frame: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, mv: Multivector, grade: int, magnitude: float, frame: np.ndarray):
+        if not mv.sig.is_euclidean:
+            raise NonEuclideanError("blade frames implemented for Euclidean blades")
         if not math.isfinite(magnitude):
             raise ValueError("blade magnitude overflows: its coefficient norm is not finite")
+        if magnitude < NORMAL_MIN:
+            raise ValueError("blade magnitude underflows: its coefficient norm is below the normal range")
         frame.setflags(write=False)
         # one update of the instance dict, where a frozen dataclass' own __init__ sets each
         # field through object.__setattr__ and then calls __post_init__
@@ -75,13 +87,11 @@ class Blade:
 
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "Blade":
-        """Validate (pure_blade at BLADE_TOL), keep its frame and wrap; a
-        frame of grade k > 0 needs a Euclidean metric (NonEuclideanError).
-        The magnitude is the coefficient norm, which _factor normalises
-        the frame's wedge by."""
+        """Validate (pure_blade at BLADE_TOL), keep its frame and wrap;
+        the constructor then checks the signature and the magnitude. The
+        magnitude is the coefficient norm, which _factor normalises the
+        frame's wedge by."""
         k, clean, frame = pure_blade(mv, BLADE_TOL)
-        if k and not mv.sig.is_euclidean:
-            raise NonEuclideanError("blade frames implemented for Euclidean blades")
         return cls(clean, k, clean.coeff_norm(), frame)
 
 
@@ -106,19 +116,17 @@ def pure_blade(mv: Multivector, tol: float) -> tuple[int, Multivector, np.ndarra
     return k, part, _factor(part, k, tol)
 
 
-def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
+def blade_from_spanning_vectors(vectors) -> Blade:
     """Outer product of spanning vectors; magnitude is the spanned volume.
 
     Parameters
     ----------
-    vectors : sequence of length-n arrays
-    sig : optional Signature, defaults to Euclidean Cl(n,0)
+    vectors : sequence of length-n arrays, whose width n fixes Cl(n,0)
 
-    Raises DegenerateSpanError on dependent vectors, ValueError on overflow
-    and, as Blade.from_multivector does, NonEuclideanError over a signature
-    with q > 0, whose metric the Gram-Schmidt frame is not orthonormal in.
+    Raises DegenerateSpanError on dependent vectors and ValueError on a
+    malformed span, on overflow and on a magnitude that underflows.
     """
-    rows, lists, sig = _span(vectors, sig)
+    rows, lists, sig = _span(vectors)
     squares = [sum(map(mul, u, u)) for u in lists]
     # Hadamard: a step's terms are a minor of the rows before it, at most the product of
     # their norms, times an entry of the next row, so below 1e300 none overflows; a
@@ -136,16 +144,15 @@ def blade_from_spanning_vectors(vectors, sig: Signature | None = None) -> Blade:
     return Blade(Multivector._of_finite(sig, coeffs), len(lists), magnitude, frame)
 
 
-def _span(vectors, sig: Signature | None) -> tuple[np.ndarray, list[list[float]], Signature]:
+def _span(vectors) -> tuple[np.ndarray, list[list[float]], Signature]:
     """(rows, lists, sig): the k spanning vectors as one (k, n) float array and as lists of
-    floats, and the signature, Euclidean Cl(n,0) by default.
+    floats, and their signature, Euclidean Cl(n,0).
 
     vectors is converted once (ga._real_rows), as oracle.orthonormal_basis converts it, so both
     routes refuse the same malformed spans with the same exception. The refusals come in this
     order: NumPy's conversion (ragged rows, an iterable that is not a sequence, an object it
     cannot make a float), entries NumPy infers as booleans, strings, bytes or complex numbers
-    (TypeError), no coordinates, rows that do not form a 2-D array, a signature of another
-    dimension, a non-Euclidean signature, more rows than n.
+    (TypeError), no coordinates, rows that do not form a 2-D array, more rows than n.
     """
     rows = _real_rows(vectors)
     if rows.size == 0:
@@ -153,15 +160,9 @@ def _span(vectors, sig: Signature | None) -> tuple[np.ndarray, list[list[float]]
     if rows.ndim != 2:
         raise ValueError("expected a sequence of length-n vectors, one per row")
     k, n = rows.shape
-    if sig is None:
-        sig = euclidean_signature(n)
-    if sig.n != n:
-        raise ValueError(f"vectors of length {n} in Cl({sig.p},{sig.q})")
-    if not sig.is_euclidean:
-        raise NonEuclideanError("blade frames implemented for Euclidean blades")
     if k > n:
         raise DegenerateSpanError(f"{k} vectors cannot be independent in R^{n}")
-    return rows, rows.tolist(), sig
+    return rows, rows.tolist(), euclidean_signature(n)
 
 
 def _mgs(lists: list[list[float]], squares: list[float]) -> np.ndarray:

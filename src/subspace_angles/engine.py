@@ -272,16 +272,14 @@ def relative_angle(a: Blade, b: Blade) -> AngleReport:
     The blades may have different grades; the larger-grade blade plays
     the role of A internally, which leaves the report unchanged under
     swapping. s and t are counted at ANGLE_COS_TOL, the oracle's cutoff.
-    Raises AmbiguousRankError when the report would break its own
-    invariants (see AngleReport and RESIDUAL_BOUND). See AngleReport for
-    the layout of the result.
+    Each Blade was checked once, when it was built: a Euclidean signature
+    and a magnitude in the normal range, so only the signatures' match is
+    checked here (SignatureMismatchError). Raises AmbiguousRankError when
+    the report would break its own invariants (see AngleReport and
+    RESIDUAL_BOUND). See AngleReport for the layout of the result.
     """
     if a.sig != b.sig:
         raise SignatureMismatchError(f"{a.sig} vs {b.sig}")
-    if not a.sig.is_euclidean:
-        raise NonEuclideanError("relative angles are computed in Euclidean carriers")
-    if a.magnitude == 0.0 or b.magnitude == 0.0:
-        raise NotABladeError("zero blade")
     if a.grade < b.grade:
         a, b = b, a
     q, r, sig = a.grade - b.grade, b.grade, a.sig

@@ -229,15 +229,19 @@ def svd_small(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     orthonormal columns, s is descending and nonnegative; an empty matrix or a
     non-finite entry raises ValueError. One-sided Jacobi on lists of floats; with
     k >= 3 it starts from numpy.linalg.svd's right singular vectors, and its own
-    rule decides the answer (_jacobi_onesided).
+    rule decides the answer (_jacobi_onesided). It runs on matrix over 2^e, the
+    exact power of two with its largest entry in [1/2, 1), and scales s back by
+    2^e, so the squares of its largest entries neither overflow nor underflow: the
+    SVD of matrix * 2^k is U, s * 2^k, V bit for bit.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.size == 0:
         raise ValueError(f"matrix is empty, of shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a non-finite entry")
-    u, s, v = _svd(m)
-    return np.array(u).T, np.array(s), np.array(v).T
+    e = math.frexp(float(np.max(np.abs(m))))[1]
+    u, s, v = _svd(np.ldexp(m, -e))
+    return np.array(u).T, np.ldexp(s, e), np.array(v).T
 
 
 def _svd(m: np.ndarray) -> tuple[list, list[float], list]:

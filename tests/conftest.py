@@ -14,7 +14,7 @@ def random_blade(rng, sig, grade) -> Blade:
     for _ in range(50):
         rows = rng.uniform(-1.0, 1.0, (grade, sig.n))
         try:
-            return blade_from_spanning_vectors(rows, sig)
+            return blade_from_spanning_vectors(rows)
         except DegenerateSpanError:
             continue
     raise RuntimeError("could not draw an independent spanning set")

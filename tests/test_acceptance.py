@@ -182,7 +182,6 @@ def test_criterion_8_conformal_translation_invariance():
     with criterion(8, "translating both conformal flats leaves the report unchanged"):
         rng = np.random.default_rng(CORPUS_SEED + 8)
         csig = cf.conformal_signature(3)
-        esig = Signature(3)
         for _ in range(100):
             flats = []
             for _side in range(2):
@@ -190,7 +189,7 @@ def test_criterion_8_conformal_translation_invariance():
                 for _draw in range(100):
                     rows = rng.uniform(-1.0, 1.0, (grade, 3))
                     try:
-                        d = blade_from_spanning_vectors(rows, esig)
+                        d = blade_from_spanning_vectors(rows)
                         break
                     except DegenerateSpanError:
                         continue

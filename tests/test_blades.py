@@ -18,6 +18,7 @@ from subspace_angles.blades import (
     is_blade,
     subspace_membership,
 )
+from subspace_angles.engine import relative_angle
 from subspace_angles.errors import DegenerateSpanError, NonEuclideanError, NotABladeError
 from subspace_angles.ga import Multivector, Signature, basis_vectors, contraction_matrix, wedge_vectors
 from subspace_angles.oracle import orthonormal_basis
@@ -56,15 +57,11 @@ class TestBladeFromSpanningVectors:
     def test_empty_or_misfit_span_rejected(self):
         with pytest.raises(DegenerateSpanError, match="^empty spanning set$"):
             blade_from_spanning_vectors([])
-        with pytest.raises(ValueError, match=r"^vectors of length 3 in Cl\(4,0\)$"):
-            blade_from_spanning_vectors([[1, 0, 0]], Signature(4))
 
-    def test_non_euclidean_signature_raises(self):
-        # as Blade.from_multivector: no Gram-Schmidt frame, and no magnitude-0 null blade
-        sig = Signature(2, 1)
-        for rows in ([[1, 0, 1], [0, 1, 0]], [[1, 0, 1]], [[1, 0, 0]]):
-            with pytest.raises(NonEuclideanError, match="blade frames implemented for Euclidean blades"):
-                blade_from_spanning_vectors(rows, sig)
+    def test_signature_is_not_an_argument(self):
+        # the width of the rows fixes Cl(n,0): there is no signature to pass
+        with pytest.raises(TypeError):
+            blade_from_spanning_vectors([[1, 0, 0], [0, 1, 0]], Signature(3))
 
     def test_too_many_vectors(self):
         with pytest.raises(DegenerateSpanError):
@@ -302,35 +299,51 @@ def test_object_arrays_still_convert():
 
 S = 2.8e102     # rows orthogonal to (1, 1, 1, 1): four coefficients of 1.3e308, magnitude 2.6e308
 
+# (A, B, tiny, small): k rows of A in R^n, whose wedge underflows once they are scaled by tiny,
+# about 1e-(308/k) or less, though each row's squared norm is normal, and holds at small. Read
+# against B, the tiny spans' lost digits once gave a report that broke its residual bound, a
+# zero blade, and a residual a hundred times the unscaled one
+TINY_SPANS = {
+    "4 in R^8": ([[1, 2, 0, 1, 0, 0, 3, 1], [0, 1, 1, 0, 2, 1, 0, 0],
+                  [2, 0, 1, 1, 0, 3, 1, 0], [0, 0, 1, 2, 1, 0, 0, 2]],
+                 [[1, 0, 0, 1, 1, 2, 0, 1], [3, 1, 0, 0, 1, 0, 1, 2],
+                  [0, 2, 1, 1, 0, 0, 2, 1], [1, 1, 2, 0, 0, 1, 1, 0]], 1e-80, 1e-60),
+    "6 in R^12": ([[0, 2, -3, 1, 0, 3, -3, -3, 0, 1, -3, 3], [1, 0, -3, -1, 1, 1, 2, 2, 2, -3, 3, -3],
+                   [-1, 1, -2, -3, 0, -3, 2, -1, 1, -2, -2, 2], [-2, 2, -3, -2, 2, -3, 0, -1, 0, 0, 0, 0],
+                   [3, -1, 2, 0, 2, -1, 2, -2, -3, 1, -1, -2], [2, -1, 3, 0, 2, -1, 2, -1, 2, -2, -2, -2]],
+                  [[2, -2, -1, -1, 1, 1, -3, -2, 3, 1, 1, 0], [2, -2, -1, -1, -1, -1, 2, -1, 3, -3, -2, 0],
+                   [1, 1, 0, -2, -2, -3, 1, 0, 1, -1, -3, -3], [0, -3, -2, 3, 0, 2, -2, 1, 1, -1, 1, 3],
+                   [0, 0, -2, 1, 2, -2, -2, 0, -1, 1, -1, 2], [-2, 1, 3, 3, 2, -3, -1, 3, 0, 1, -1, -1]],
+                  1e-60, 1e-40),
+    "3 in R^6": ([[0, 2, -2, -3, -3, -3], [-1, 3, -2, 2, 1, 3], [-3, -2, -2, -1, 2, -1]],
+                 [[3, 3, 0, 3, 3, 2], [-1, -3, 3, -2, -1, 1], [1, -1, 1, -3, 1, 3]], 1e-104, 1e-90),
+}
+
 
 @pytest.mark.parametrize("form", ["lists", "ndarray", "arrays"])
-@pytest.mark.parametrize("rows, sig, error, message", [
-    ([[1, 0, 0], [0, 1]], None, ValueError, r"^setting an array element with a sequence"),
-    ([[1, 0, 0], [0, 1, 0, 5]], None, ValueError, r"^setting an array element with a sequence"),
-    ([1.0, 2.0, 3.0], None, ValueError, r"^expected a sequence of length-n vectors, one per row$"),
-    ([[[1, 0, 0]], [[0, 1, 0]]], None, ValueError, r"^expected a sequence of length-n vectors, one per row$"),
-    ([], None, DegenerateSpanError, r"^empty spanning set$"),
-    ([[1, 0], [0, 1], [1, 1]], None, DegenerateSpanError, r"^3 vectors cannot be independent in R\^2$"),
-    ([[1, 0], [0, 1], [1]], None, ValueError, r"^setting an array element with a sequence"),
-    ([[1, 0, 0]], Signature(4), ValueError, r"^vectors of length 3 in Cl\(4,0\)$"),
-    ([[1, 0, 0], [0, 1]], Signature(4), ValueError, r"^setting an array element with a sequence"),
-    ([[1, 0, 1], [0, 1, 0]], Signature(2, 1), NonEuclideanError, r"^blade frames implemented for Euclidean"),
-    ([[1, 0, 1], [0, 1]], Signature(2, 1), ValueError, r"^setting an array element with a sequence"),
-    ([[1e160, 0, 0], [0, 1e160, 0]], None, ValueError, r"^coefficients must be finite$"),
-    ([[1e155, 0, 0]], None, ValueError, r"^vector 0 overflows"),
-    ([[1, 0, 0], [2, 0, 0]], None, DegenerateSpanError, r"^vector 1 is dependent"),
-    ([[S, -S, 0, 0], [S, S, -2 * S, 0], [S, S, S, -3 * S]], None, ValueError, r"^blade magnitude overflows"),
+@pytest.mark.parametrize("rows, error, message", [
+    ([[1, 0, 0], [0, 1]], ValueError, r"^setting an array element with a sequence"),
+    ([[1, 0, 0], [0, 1, 0, 5]], ValueError, r"^setting an array element with a sequence"),
+    ([1.0, 2.0, 3.0], ValueError, r"^expected a sequence of length-n vectors, one per row$"),
+    ([[[1, 0, 0]], [[0, 1, 0]]], ValueError, r"^expected a sequence of length-n vectors, one per row$"),
+    ([], DegenerateSpanError, r"^empty spanning set$"),
+    ([[1, 0], [0, 1], [1, 1]], DegenerateSpanError, r"^3 vectors cannot be independent in R\^2$"),
+    ([[1, 0], [0, 1], [1]], ValueError, r"^setting an array element with a sequence"),
+    ([[1e160, 0, 0], [0, 1e160, 0]], ValueError, r"^coefficients must be finite$"),
+    ([[1e155, 0, 0]], ValueError, r"^vector 0 overflows"),
+    ([[1, 0, 0], [2, 0, 0]], DegenerateSpanError, r"^vector 1 is dependent"),
+    ([[S, -S, 0, 0], [S, S, -2 * S, 0], [S, S, S, -3 * S]], ValueError, r"^blade magnitude overflows"),
 ])
-def test_every_form_of_a_span_is_refused_alike(form, rows, sig, error, message):
+def test_every_form_of_a_span_is_refused_alike(form, rows, error, message):
     # the same refusal, message and order whichever form the rows come in; ragged rows are
-    # refused by the conversion, before the count and the signature are read
+    # refused by the conversion, before the count is read
     with pytest.raises(error, match=message):
-        blade_from_spanning_vectors(span_forms(rows)[form], sig)
+        blade_from_spanning_vectors(span_forms(rows)[form])
 
 
 class TestOverflow:
-    """A span whose norm overflows raises ValueError; no Blade has an infinite
-    magnitude or a zero frame row."""
+    """A span whose norm overflows or underflows raises ValueError; no Blade has
+    an infinite or subnormal magnitude or a zero frame row."""
 
     @pytest.mark.parametrize("rows", [
         [[1e155, 0, 0]],                         # the row's squared norm overflows
@@ -385,6 +398,37 @@ class TestOverflow:
         b = blade_from_spanning_vectors([[1e76, 0, 0], [0, 1e76, 0]])
         assert b.magnitude == pytest.approx(1e152)
         assert np.array_equal(b.frame, np.eye(3)[:2])
+
+    @pytest.mark.parametrize("name", TINY_SPANS)
+    def test_underflowing_magnitude_raises(self, name):
+        # each row's squared norm is normal, so _mgs builds the frame; the wedge is below
+        # the normal range, where it has lost digits or all of them, and Blade refuses it
+        rows, _, tiny, _ = TINY_SPANS[name]
+        with pytest.raises(ValueError, match="^blade magnitude underflows: its coefficient norm "
+                                             "is below the normal range$"):
+            blade_from_spanning_vectors(np.multiply(rows, tiny))
+
+    @pytest.mark.parametrize("name", TINY_SPANS)
+    def test_small_magnitude_builds_with_the_unscaled_angles(self, name):
+        rows, other, _, small = TINY_SPANS[name]
+        b = blade_from_spanning_vectors(other)
+        scaled = relative_angle(blade_from_spanning_vectors(np.multiply(rows, small)), b)
+        unscaled = relative_angle(blade_from_spanning_vectors(rows), b)
+        assert scaled.angles == pytest.approx(unscaled.angles, rel=0.0, abs=1e-14)
+        assert (scaled.s, scaled.t) == (unscaled.s, unscaled.t)
+        assert scaled.residual <= 1e-14
+
+    @pytest.mark.parametrize("magnitude, message", [
+        (0.0, "underflows"), (5e-324, "underflows"), (math.nan, "overflows"), (math.inf, "overflows"),
+    ])
+    def test_constructor_refuses_a_magnitude_out_of_range(self, magnitude, message):
+        with pytest.raises(ValueError, match=f"^blade magnitude {message}: its coefficient norm"):
+            Blade(E1 ^ E2, 2, magnitude, np.eye(3)[:2].copy())
+
+    def test_subnormal_multivector_refused(self):
+        # pure_blade factors it (its test is relative), and the constructor refuses its magnitude
+        with pytest.raises(ValueError, match="^blade magnitude underflows"):
+            Blade.from_multivector(Multivector.basis_blade(SIG3, "e12", 1e-310))
 
 
 class TestIsBlade:
@@ -597,9 +641,12 @@ class TestFrame:
                 Blade.from_multivector(x)
 
     def test_grade_zero_frame_is_empty(self):
-        for sig in (SIG3, Signature(2, 1)):
-            b = Blade.from_multivector(Multivector.scalar(sig, -2.0))
-            assert b.frame.shape == (0, sig.n)
+        assert Blade.from_multivector(Multivector.scalar(SIG3, -2.0)).frame.shape == (0, 3)
+        # a Blade is Euclidean, but pure_blade reads no metric and factors any scalar alike
+        sig = Signature(2, 1)
+        assert blades.pure_blade(Multivector.scalar(sig, -2.0), blades.BLADE_TOL)[2].shape == (0, sig.n)
+        with pytest.raises(NonEuclideanError):
+            Blade.from_multivector(Multivector.scalar(sig, -2.0))
 
     def test_frame_is_read_only(self):
         for b in (blade_from_spanning_vectors([[1, 2, 0], [0, 1, 1]]), Blade.from_multivector(E1 ^ E3)):

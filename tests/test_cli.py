@@ -172,6 +172,20 @@ class TestExitCodes:
         assert captured.err.startswith(f"{big}: ValueError: {message}")
         assert len(captured.err.splitlines()) == 1
 
+    def test_underflowing_magnitude_names_the_underflow(self, tmp_path, capsys):
+        # four rows of 1e-80 in R^8: each squared norm is normal, the wedge is not, so the blade
+        # is refused where it is built (exit 1), not read into a report that breaks its bound (4)
+        a = np.multiply([[1, 2, 0, 1, 0, 0, 3, 1], [0, 1, 1, 0, 2, 1, 0, 0],
+                         [2, 0, 1, 1, 0, 3, 1, 0], [0, 0, 1, 2, 1, 0, 0, 2]], 1e-80).tolist()
+        b = [[1, 0, 0, 1, 1, 2, 0, 1], [3, 1, 0, 0, 1, 0, 1, 2], [0, 2, 1, 1, 0, 0, 2, 1], [1, 1, 2, 0, 0, 1, 1, 0]]
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({"n": 8, "A": a, "B": b}))
+        assert main(["run", str(tiny), "--oracle"]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{tiny}: ValueError: blade magnitude underflows: its coefficient norm "
+                                "is below the normal range\n")
+
     @pytest.mark.parametrize("a, got", [("[[1, 0, 0], [0, 1]]", 2), ("[[1, 0, 0], [0, 1, 0, 5]]", 4)])
     def test_ragged_span_refused_at_parse(self, tmp_path, capsys, a, got):
         # the document's rows are checked before any blade is built, so the library's

@@ -18,7 +18,7 @@ E1, E2, E3 = basis_vectors(ESIG)
 
 def random_direction_blade(rng, grade):
     rows = rng.uniform(-1.0, 1.0, (grade, N))
-    return blade_from_spanning_vectors(rows, ESIG)
+    return blade_from_spanning_vectors(rows)
 
 
 def random_flat(rng, grade):

@@ -141,6 +141,40 @@ class TestSvdSmall:
         rng = np.random.default_rng(22)
         self._check(rng.uniform(-1, 1, (2, 5)))
 
+    def test_entries_whose_squares_overflow(self):
+        # the squares of 1e200 overflow; svd_small runs on the matrix over a power of two
+        u, s, v = svd_small([[1e200, 1e200]])
+        assert s[0] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
+
+    def test_tiny_and_subnormal_entries_are_kept(self):
+        assert svd_small([[1e-200, 0.0], [0.0, 5e-324]])[1].tolist() == [1e-200, 5e-324]
+        assert svd_small([[5e-324]])[1].tolist() == [5e-324]
+        self._check(np.random.default_rng(23).uniform(-1, 1, (4, 3)) * 1e-300)
+
+    @pytest.mark.parametrize("power", [700, -700])
+    def test_a_power_of_two_scales_only_the_singular_values(self, power):
+        rng = np.random.default_rng(24)
+        for shape in [(1, 1), (3, 2), (2, 3), (5, 4), (6, 6)]:
+            m = rng.standard_normal(shape)
+            u, s, v = svd_small(m)
+            su, ss, sv = svd_small(np.ldexp(m, power))
+            assert su.tobytes() == u.tobytes() and sv.tobytes() == v.tobytes()
+            assert ss.tobytes() == np.ldexp(s, power).tobytes()
+
+    def test_ordinary_matrices_keep_the_unscaled_bytes(self):
+        # over a power of two every rounding is the same, so at ordinary scales svd_small gives
+        # the bytes of the Jacobi run on the matrix itself; one to six columns, both starts
+        rng = np.random.default_rng(25)
+        for _ in range(400):
+            rows, cols = (int(x) for x in rng.integers(1, 7, 2))
+            m = rng.uniform(-1, 1, (rows, cols)) * 2.0 ** int(rng.integers(-30, 31)) * 3.7
+            u, s, v = _svd(m)
+            got = svd_small(m)
+            assert got[0].tobytes() == np.array(u).T.tobytes()
+            assert got[1].tobytes() == np.array(s).tobytes()
+            assert got[2].tobytes() == np.array(v).T.tobytes()
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_raises(self, entry):
         with pytest.raises(ValueError, match="matrix has a non-finite entry"):
