@@ -12,7 +12,6 @@ only the starting basis of its Jacobi, whose own rule decides the answer.
 from .blades import (
     Blade,
     blade_from_spanning_vectors,
-    is_blade,
     subspace_membership,
 )
 from .conformal import ConformalObject, conformal_relative_angle, to_offset_flat
@@ -53,7 +52,6 @@ __all__ = [
     "bivector_split",
     "blade_from_spanning_vectors",
     "conformal_relative_angle",
-    "is_blade",
     "orthonormal_basis",
     "parse_problem",
     "principal_angles",

@@ -11,8 +11,8 @@ per projection costs more than its arithmetic) with a second pass only where the
 read from a multivector takes it from one eigensolve of its projector,
 built from ga.contraction_matrix, which also gives engine.bivector_split its
 matrix. The frame is not unique, only the reconstruction is contractual.
-pure_blade, one grade-and-factor test that reads no metric, also
-validates conformal objects. Blade's constructor is the one place that decides
+pure_blade, one grade-and-factor test that reads no metric, answers
+whether any multivector is a blade and also validates conformal objects. Blade's constructor is the one place that decides
 whether a blade is usable: a Euclidean signature and a magnitude in the normal float
 range. blade_from_spanning_vectors refuses malformed rows, then a non-finite wedge (its
 norm is the finiteness check; only a non-finite norm scans the coefficients), then
@@ -231,16 +231,6 @@ def _factor(mv: Multivector, k: int, tol: float) -> np.ndarray:
     if 2.0 * (rebuilt - unit).coeff_norm() > tol:
         raise NotABladeError("orthogonal factors do not reproduce the input")
     return factors
-
-
-def is_blade(mv: Multivector) -> bool:
-    """True iff mv is pure-grade and factors within BLADE_TOL (pure_blade);
-    that check reads no metric, so it answers for any signature."""
-    try:
-        pure_blade(mv, BLADE_TOL)
-    except NotABladeError:
-        return False
-    return True
 
 
 def subspace_membership(x: Multivector, b: Blade) -> bool:

@@ -2,14 +2,12 @@
 
 A problem is a single JSON object:
 
-    {"n": 3, "signature": [3, 0], "A": [[1,0,0],[0,1,0]],
-     "B": [[1,0,0],[0,0,1]]}
+    {"n": 3, "A": [[1,0,0],[0,1,0]], "B": [[1,0,0],[0,0,1]]}
 
-The optional signature must be [n, 0]: angles are taken over a Euclidean
-signature only, so the key only restates n and is checked. The report's
-input echo gives the signature the mode implies ([n, 0], or [n + 1, 1] in
-conformal mode) whether or not the document gives the key. In
-conformal mode A and B are conformal objects of Cl(n+1,1) given
+n, A and B are its only keys. n fixes the signature: angles are taken over
+Cl(n,0), and the report's input echo gives the signature the mode implies,
+derived where the report is built ([n, 0], or [n + 1, 1] in conformal
+mode). In conformal mode A and B are conformal objects of Cl(n+1,1) given
 either as a dense coefficient list of length 2^(n+2) or as a sparse
 map of basis-blade names ("e145": value); basis vectors n+1 and n+2
 are e_plus and e_minus of the conformal split.
@@ -39,11 +37,11 @@ PLANE_COEFF_MIN = 1e-12
 
 @dataclass
 class SubspaceProblem:
-    """A parsed and validated input document."""
+    """A parsed and validated input document: n, the mode it was read in, and the two
+    spans (rows of n numbers, or conformal coefficients of Cl(n+1,1))."""
 
     n: int
     mode: str
-    signature: tuple[int, int]
     a_span: object
     b_span: object
 
@@ -116,8 +114,9 @@ def _unique_keys(pairs) -> dict:
 def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
     """Parse and validate one problem document.
 
-    Raises ProblemFormatError with a position-annotated message on
-    malformed JSON and a field-annotated message on invalid content.
+    The document's keys are exactly n, A and B; any other key, a signature
+    included, is refused. Raises ProblemFormatError with a position-annotated
+    message on malformed JSON and a field-annotated message on invalid content.
     """
     _expect(mode in MODES, f"unknown mode {mode!r}")
     try:
@@ -128,8 +127,7 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
     except RecursionError:
         raise ProblemFormatError("arrays or objects nested too deeply to parse") from None
     _expect(isinstance(data, dict), "top level must be a JSON object")
-    allowed = {"n", "signature", "A", "B"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {"n", "A", "B"}
     _expect(not unknown, f"unknown keys: {sorted(unknown)}")
     for key in ("n", "A", "B"):
         _expect(key in data, f"missing required key {key!r}")
@@ -139,13 +137,6 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
     max_n = MAX_DIMENSION if mode == "euclidean" else MAX_DIMENSION - 2   # conformal: n + 2 dims
     _expect(1 <= n <= max_n, f"n: must be in 1..{max_n} for {mode} mode")
 
-    if "signature" in data:
-        _expect(mode == "euclidean", "signature: only valid in euclidean mode")
-        sig = data["signature"]
-        _expect(sig == [n, 0] and all(type(v) is int for v in sig),
-                f"signature: expected [{n}, 0], the Euclidean signature of n={n}")
-    signature = (n, 0) if mode == "euclidean" else astuple(conformal.conformal_signature(n))
-
     if mode == "euclidean":
         a_span = _parse_vectors("A", data["A"], n)
         b_span = _parse_vectors("B", data["B"], n)
@@ -153,8 +144,7 @@ def parse_problem(text: str, *, mode: str = "euclidean") -> SubspaceProblem:
         a_span = _parse_conformal_object("A", data["A"], n)
         b_span = _parse_conformal_object("B", data["B"], n)
 
-    return SubspaceProblem(n=n, mode=mode, signature=signature,
-                           a_span=a_span, b_span=b_span)
+    return SubspaceProblem(n=n, mode=mode, a_span=a_span, b_span=b_span)
 
 
 def _conformal_multivector(spec, n: int) -> Multivector:
@@ -215,7 +205,8 @@ def run_problem(problem: SubspaceProblem, *, oracle_enabled: bool = False) -> di
         "input": {
             "n": problem.n,
             "mode": problem.mode,
-            "signature": list(problem.signature),
+            "signature": [problem.n, 0] if problem.mode == "euclidean"
+            else list(astuple(conformal.conformal_signature(problem.n))),
             "A": problem.a_span,
             "B": problem.b_span,
         },

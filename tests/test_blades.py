@@ -13,9 +13,10 @@ from subspace_angles import blades, oracle
 from subspace_angles import conformal as cf
 from subspace_angles import ga
 from subspace_angles.blades import (
+    BLADE_TOL,
     Blade,
     blade_from_spanning_vectors,
-    is_blade,
+    pure_blade,
     subspace_membership,
 )
 from subspace_angles.engine import relative_angle
@@ -72,7 +73,7 @@ class TestBladeFromSpanningVectors:
         # the span's one conversion refuses ragged rows, as the oracle's does; the wedge trusts its rows
         with pytest.raises(ValueError, match=r"^setting an array element with a sequence"):
             blade_from_spanning_vectors(rows)
-        problem = SubspaceProblem(n=3, mode="euclidean", signature=(3, 0), a_span=rows, b_span=[[1, 1, 0]])
+        problem = SubspaceProblem(n=3, mode="euclidean", a_span=rows, b_span=[[1, 1, 0]])
         with pytest.raises(ValueError, match=r"^setting an array element with a sequence"):
             run_problem(problem)
 
@@ -431,21 +432,27 @@ class TestOverflow:
             Blade.from_multivector(Multivector.basis_blade(SIG3, "e12", 1e-310))
 
 
-class TestIsBlade:
+class TestPureBlade:
+    """Whether a multivector is a blade: pure_blade at BLADE_TOL returns its grade, part and
+    frame, or raises NotABladeError."""
+
     def test_basis_bivector(self):
-        assert is_blade(E1 ^ E2)
+        assert pure_blade(E1 ^ E2, BLADE_TOL)[0] == 2
 
     def test_sum_of_disjoint_bivectors_is_not(self):
         sig = Signature(4)
         e = basis_vectors(sig)
         x = (e[0] ^ e[1]) + (e[2] ^ e[3])
-        assert not is_blade(x)
+        with pytest.raises(NotABladeError):
+            pure_blade(x, BLADE_TOL)
 
     def test_zero_is_not(self):
-        assert not is_blade(Multivector.zero(SIG3))
+        with pytest.raises(NotABladeError, match="^zero multivector$"):
+            pure_blade(Multivector.zero(SIG3), BLADE_TOL)
 
     def test_mixed_grade_is_not(self):
-        assert not is_blade(Multivector.scalar(SIG3, 1.0) + E1)
+        with pytest.raises(NotABladeError, match="^not of pure grade"):
+            pure_blade(Multivector.scalar(SIG3, 1.0) + E1, BLADE_TOL)
 
     def test_from_multivector_rejects_mixed(self):
         with pytest.raises(NotABladeError):
@@ -456,8 +463,8 @@ class TestIsBlade:
         # blade-ness is decided in coefficient space, so no metric is needed to answer
         sig = Signature(p, q)
         e = basis_vectors(sig)
-        assert is_blade(e[0] ^ e[-1])
-        assert is_blade((e[0] + 2.0 * e[1]) ^ (e[1] - e[-1]))
+        assert pure_blade(e[0] ^ e[-1], BLADE_TOL)[0] == 2
+        assert pure_blade((e[0] + 2.0 * e[1]) ^ (e[1] - e[-1]), BLADE_TOL)[0] == 2
         with pytest.raises(NonEuclideanError):
             Blade.from_multivector(e[0] ^ e[-1])
 
@@ -465,9 +472,11 @@ class TestIsBlade:
     def test_non_blade_over_a_non_euclidean_signature(self, p, q):
         sig = Signature(p, q)
         e = basis_vectors(sig)
-        assert not is_blade(e[0] + (e[1] ^ e[2]))
+        with pytest.raises(NotABladeError):
+            pure_blade(e[0] + (e[1] ^ e[2]), BLADE_TOL)
         if sig.n >= 4:
-            assert not is_blade((e[0] ^ e[1]) + (e[2] ^ e[3]))
+            with pytest.raises(NotABladeError):
+                pure_blade((e[0] ^ e[1]) + (e[2] ^ e[3]), BLADE_TOL)
 
 
 class TestContractionMatrix:
@@ -515,9 +524,9 @@ class TestBladeValidationHalves:
         # (e123 + e456) reverse(e123 + e456) = 2: no square test sees that it is no blade
         sig = Signature(6)
         x = Multivector.basis_blade(sig, "e123") + Multivector.basis_blade(sig, "e456")
-        with pytest.raises(NotABladeError):
-            Blade.from_multivector(x)
-        assert not is_blade(x)
+        for check in (Blade.from_multivector, lambda mv: pure_blade(mv, BLADE_TOL)):
+            with pytest.raises(NotABladeError):
+                check(x)
 
     def test_scalar_test_rejects_near_blade(self):
         # the wedge of its frame, e12, misses the unit input by 8e-10 in norm, and 2 * 8e-10 > BLADE_TOL
@@ -531,9 +540,9 @@ class TestBladeValidationHalves:
         # the factorization compares unit blades, so its bound does not grow with the magnitude
         sig = Signature(6)
         x = Multivector.basis_blade(sig, "e123") + Multivector.basis_blade(sig, "e456")
-        assert not is_blade(x * scale)
-        with pytest.raises(NotABladeError):
-            Blade.from_multivector(x * scale)
+        for check in (Blade.from_multivector, lambda mv: pure_blade(mv, BLADE_TOL)):
+            with pytest.raises(NotABladeError):
+                check(x * scale)
         rows = np.random.default_rng(14).uniform(-1, 1, (3, 6))
         b = Blade.from_multivector(wedge_vectors(sig, rows) * scale)
         assert b.frame.shape == (3, 6)
@@ -701,7 +710,7 @@ class TestFrame:
         csig = cf.conformal_signature(n)
         xa = cf.flat(csig, [0.0, 0.0, 0.0], E1 ^ E2)
         xb = cf.sphere(csig, [1.0, 2.0, 3.0], 1.5)
-        problem = SubspaceProblem(n=n, mode="conformal", signature=(n + 1, 1),
+        problem = SubspaceProblem(n=n, mode="conformal",
                                   a_span=[float(v) for v in xa.coeffs],
                                   b_span=[float(v) for v in xb.coeffs])
         callers = []

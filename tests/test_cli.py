@@ -148,14 +148,14 @@ class TestExitCodes:
         assert captured.err == f"{deep}: ProblemFormatError: arrays or objects nested too deeply to parse\n"
 
     def test_non_euclidean_signature(self, tmp_path, capsys):
-        # refused at parse, before any blade is built: blade frames are Euclidean
+        # refused at parse, before any blade is built: n alone fixes Cl(n,0), so a document
+        # has no signature key to give
         bad = tmp_path / "minkowski.json"
         bad.write_text('{"n": 3, "signature": [2, 1], "A": [[0, 0, 1]], "B": [[0, 1, 0]]}')
         assert main(["run", str(bad)]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"{bad}: ProblemFormatError: signature: expected [3, 0], "
-                                "the Euclidean signature of n=3\n")
+        assert captured.err == f"{bad}: ProblemFormatError: unknown keys: ['signature']\n"
 
     @pytest.mark.parametrize("a, message", [
         ("[[1e155, 0, 0]]", "vector 0 overflows"),
@@ -247,7 +247,6 @@ class TestParseProblem:
     def test_valid_problem(self):
         p = parse_problem('{"n":3,"A":[[1,0,0],[0,1,0]],"B":[[1,0,0],[0,0,1]]}')
         assert p.n == 3
-        assert p.signature == (3, 0)
         assert len(p.a_span) == 2
 
     def test_short_vector_rejected(self):
@@ -270,27 +269,9 @@ class TestParseProblem:
         with pytest.raises(ProblemFormatError, match="unknown keys"):
             parse_problem('{"n":3,"A":[[1,0,0]],"B":[[0,1,0]],"extra":1}')
 
-    def test_explicit_euclidean_signature(self, tmp_path, capsys):
-        doc = json.loads((DATA / "perpendicular_planes.json").read_text())
-        doc["signature"] = [3, 0]
-        assert parse_problem(json.dumps(doc)).signature == (3, 0)
-        path = tmp_path / "signed.json"
-        path.write_text(json.dumps(doc))
-        assert main(["run", str(path), "--oracle"]) == EXIT_OK
-        golden = (GOLDEN / "perpendicular_planes.json.out").read_text(encoding="utf-8")
-        assert capsys.readouterr().out == golden
-
     def test_bad_signature_rejected(self):
-        with pytest.raises(ProblemFormatError, match="signature"):
+        with pytest.raises(ProblemFormatError, match=r"^unknown keys: \['signature'\]$"):
             parse_problem('{"n":3,"signature":[2,2],"A":[[1,0,0]],"B":[[0,1,0]]}')
-
-    @pytest.mark.parametrize("sig", [[2, 1], [0, 3], [3.0, 0], "[3, 0]"])
-    def test_only_the_euclidean_signature_accepted(self, sig):
-        doc = {"n": 3, "signature": sig, "A": [[0, 0, 1]], "B": [[0, 1, 0]]}
-        with pytest.raises(ProblemFormatError, match=r"^signature: expected \[3, 0\]"):
-            parse_problem(json.dumps(doc))
-        doc["signature"] = [3, 0]
-        assert parse_problem(json.dumps(doc)).signature == (3, 0)
 
     def test_deeply_nested_json_rejected(self):
         for text in ("[" * 100000, '{"a":' * 100000):
@@ -416,6 +397,7 @@ class TestFormatsAndModes:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         rep = json.loads(out)
+        assert rep["input"]["signature"] == [4, 1]   # Cl(n+1,1), derived from the mode and n
         assert rep["s"] == 1 and rep["t"] == 1
         assert rep["oracle"]["max_deviation"] <= 1e-9
 
