@@ -14,9 +14,10 @@ subspace projectors (Halmos, "Two subspaces", 1969), which
 So the engine builds each projector as P = F^T F from the orthonormal
 frame F its blade carries (see Blade) and reads the report in three
 stages. _spectrum forms O, the eigensolve of S = (O + O^T)/2 and O in
-S's eigenbasis, where each cluster of equal cos 2 theta is a diagonal
-block. _read_clusters splits each block by one Hermitian eigensolve of
-its antisymmetric part (_planes) into planes, with each plane's rate,
+S's eigenbasis, where each cluster, a run of cos 2 theta within
+CLUSTER_WIDTH of its neighbours, is a diagonal block. _read_clusters
+splits each block by one Hermitian eigensolve of its antisymmetric part
+(_planes) into planes, with each plane's rate,
 sin 2 theta, and its oriented orthonormal pair (x, y); cos 2 theta is the
 mean of the block's diagonal entries on x and y. A 2-dim cluster needs no
 eigensolve: its one rate is |K[1, 0]| for the block's antisymmetric part
@@ -60,13 +61,21 @@ ANGLE_COS_TOL = 1e-9
 # this floor are rounding noise: those directions lie in no plane.
 SPLIT_FLOOR = 1e-12
 
-# Two scales, one value: eigenvalues cos 2 theta of S within this distance
-# share a cluster, and adjacent interior angles theta within it set
-# has_equal_angles. A pair of angles can share a cluster and not count as
-# equal, or count as equal and sit in two clusters. As cos 2 theta ~ 1 - 2 theta^2,
-# angles of 6.1e-7 and 7.2e-10 share the +1 cluster, each in its own plane,
-# so the flag is not read off the clusters.
+# Adjacent interior angles theta within this distance set has_equal_angles. The flag
+# compares the angles, not the clusters of CLUSTER_WIDTH: angles of 0.7 and 0.70001
+# share a cluster and are not equal, and as cos 2 theta ~ 1 - 2 theta^2, angles of
+# 6.1e-7 and 7.2e-10 share the +1 cluster, each in its own plane.
 EQUAL_ANGLE_TOL = 1e-8
+
+# Eigenvalues cos 2 theta of S within this distance of their neighbour share a cluster.
+# Two planes whose cos 2 theta lie close have nearly degenerate eigenvectors of S: read
+# from a cluster each, their frames come from a nearly arbitrary basis of the joint
+# space, and the rebuilt chain's residual grows as about 3e-16 / gap (2e-8 at a gap of
+# 1e-8). A merged block is split by one eigensolve of its antisymmetric part, which
+# commutes with S (O is normal), and rounding cannot rotate the planes that eigensolve
+# reads. So the residual is at rounding for gaps within the width and about 3e-16 /
+# gap past it, at most about 3e-13.
+CLUSTER_WIDTH = 1e-3
 
 # A report whose rebuilt chain misses unit(A) by more than this is not returned.
 RESIDUAL_BOUND = 1e-6
@@ -212,9 +221,10 @@ def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list
     """(interior, flipped) from _spectrum's (w, v, rot): (theta, frame) of each principal
     plane, theta descending, frame its orthonormal rows (x, -y), and the directions O sends
     to their negatives, L's. A cluster is a run of w whose neighbours lie within
-    EQUAL_ANGLE_TOL; its block of rot is O on it. A 2-dim cluster's frame is one copy of
-    its two rows of v^T, the second negated where k10 > 0."""
-    cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > EQUAL_ANGLE_TOL), len(w)]
+    CLUSTER_WIDTH, so planes of nearby angles are split by one eigensolve; its block of rot
+    is O on it. A 2-dim cluster's frame is one copy of its two rows of v^T, the second
+    negated where k10 > 0."""
+    cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > CLUSTER_WIDTH), len(w)]
     rl = rot.tolist()
     interior, flipped = [], []
     for lo, hi in zip(cuts, cuts[1:]):

@@ -11,6 +11,7 @@ from conftest import random_blade, random_rotor
 from subspace_angles import engine, ga
 from subspace_angles.blades import Blade, blade_from_spanning_vectors
 from subspace_angles.engine import (
+    CLUSTER_WIDTH,
     EQUAL_ANGLE_TOL,
     AngleReport,
     RESIDUAL_BOUND,
@@ -835,31 +836,46 @@ class TestFlippedComplement:
 
 
 class TestClusterEdge:
-    """Two interior angles whose cos 2 theta lie about EQUAL_ANGLE_TOL apart, in a
-    random frame of R^6: just under it they share one cluster, just over it each
-    plane gets its own from nearly degenerate eigenvectors."""
+    """Two interior angles whose cos 2 theta lie close, in a random frame of R^6: within
+    CLUSTER_WIDTH they share one cluster, split by one eigensolve, past it each plane
+    gets its own."""
 
     @staticmethod
-    def report(thetas):
-        frame = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
+    def report(thetas, seed=5):
+        frame = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))[0]
         a, b = known_pair(thetas, 2, frame)
         rep = relative_angle(a, b)
         assert np.allclose(rep.angles, sorted(thetas, reverse=True), rtol=0.0, atol=1e-13)
         assert rep.residual <= RESIDUAL_BOUND
         # the cut rule as the reference: a new cluster wherever neighbours of the
-        # ascending eigenvalues of S differ by more than EQUAL_ANGLE_TOL
+        # ascending eigenvalues of S differ by more than CLUSTER_WIDTH
         w, _, _ = engine._spectrum(a, b)
-        cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > EQUAL_ANGLE_TOL), len(w)]
+        cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > CLUSTER_WIDTH), len(w)]
         return rep, sorted(hi - lo for lo, hi in zip(cuts, cuts[1:]))
 
     @pytest.mark.parametrize("theta", [0.7, 1.2])
     @pytest.mark.parametrize("times, sizes", [(0.9, [2, 4]), (1.1, [2, 2, 2])])
     def test_cos_2theta_gap_decides_the_clusters(self, theta, times, sizes):
-        other = 0.5 * math.acos(math.cos(2.0 * theta) - times * EQUAL_ANGLE_TOL)
+        other = 0.5 * math.acos(math.cos(2.0 * theta) - times * CLUSTER_WIDTH)
         rep, got = self.report((theta, other))
         assert got == sizes
-        # the flag compares the angles, here under EQUAL_ANGLE_TOL apart either way
-        assert rep.has_equal_angles
+        # the flag compares the angles, here far more than EQUAL_ANGLE_TOL apart either way
+        assert not rep.has_equal_angles
+
+    @pytest.mark.parametrize("theta", [0.7, 1.2])
+    @pytest.mark.parametrize("gap, bound", [
+        (9e-9, 1e-14), (1.1e-8, 1e-14), (3e-8, 1e-14), (3e-7, 1e-14), (1e-5, 1e-14), (1e-4, 1e-14),
+        (1e-3, 1e-12),
+    ])
+    def test_residual_at_every_gap(self, theta, gap, bound):
+        # gaps in cos 2 theta from 0.9 to 1e5 times EQUAL_ANGLE_TOL: planes read from a
+        # cluster each come from nearly degenerate eigenvectors, a residual of about
+        # 3e-16 / gap, so within CLUSTER_WIDTH both share one cluster and its eigensolve,
+        # and at the width itself the residual is about 3e-13
+        other = 0.5 * math.acos(math.cos(2.0 * theta) - gap)
+        for seed in range(5):
+            rep, _ = self.report((theta, other), seed)
+            assert rep.residual <= bound
 
     @pytest.mark.parametrize("theta", [0.7, 1.2])
     @pytest.mark.parametrize("times", [0.9, 1.1])

@@ -10,17 +10,19 @@ quantity (1 - cos near zero, cos near pi/2) at least 10x from the 1e-9
 cutoff, so the true s and t are unambiguous. Two tests place one angle
 right at either cutoff instead, where only the classified quantity of
 each route decides, and check both routes' counts against the truth.
+An edge search draws angles next to each other and to 0 and pi/2 and lets
+hypothesis steer toward the largest residual and angle error.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from subspace_angles.blades import blade_from_spanning_vectors
-from subspace_angles.engine import relative_angle, rotor_reconstruction
+from subspace_angles.engine import SPLIT_FLOOR, relative_angle, rotor_reconstruction
 from subspace_angles.oracle import orthonormal_basis, principal_angles, rank_counts
 from subspace_angles.sampling import spans_from_angles
 
@@ -161,3 +163,50 @@ def test_right_cutoff_by_construction(d):
     for seed in range(20):
         engine, oracle = both_counts(*spans_from_angles(np.random.default_rng(seed), 6, seed % 3, drawn))
         assert engine[1] == oracle[1] == (d < 0.0)
+
+
+# Where an edge search moves angles from: both ends, three interior angles and, for
+# every angle after the first, the pair's first angle (None)
+ANCHORS = (0.0, math.pi / 2, 0.3, 0.7, 1.2, None)
+
+
+@st.composite
+def edge_pairs(draw):
+    """(A rows, B rows, drawn) with 1..4 angles, each an anchor moved by 10^e for e in
+    [-16, -2]: inward at 0 and pi/2, either way elsewhere."""
+    k = draw(st.integers(1, 4))
+    drawn = []
+    for _ in range(k):
+        anchor = draw(st.sampled_from(ANCHORS if drawn else ANCHORS[:-1]))
+        if anchor is None:
+            anchor = drawn[0][0]
+        step = 10.0 ** draw(st.floats(-16.0, -2.0))
+        if anchor == 0.0:
+            theta = step
+        elif anchor == math.pi / 2:
+            theta = anchor - step
+        else:
+            theta = anchor + draw(st.sampled_from((step, -step)))
+        assume(0.0 <= theta <= math.pi / 2)
+        drawn.append((theta, math.cos(theta), math.sin(theta)))
+    q = draw(st.integers(0, 2))
+    n = draw(st.integers(2 * k + q, 10))
+    a_rows, b_rows = spans_from_angles(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, q, drawn)
+    return a_rows, b_rows, drawn
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edge_pairs())
+def test_edge_search(pair):
+    # the bounds the engine claims: a residual of about 3e-16 / gap past CLUSTER_WIDTH and
+    # at rounding within it, and an angle whose plane turns at a rate under SPLIT_FLOOR
+    # read as shared or right, an error of up to SPLIT_FLOOR / 2
+    a_rows, b_rows, drawn = pair
+    rep = relative_angle(blade_from_spanning_vectors(a_rows), blade_from_spanning_vectors(b_rows))
+    truth = sorted((theta for theta, _, _ in drawn), reverse=True)
+    assert len(rep.angles) == len(truth)
+    error = max(abs(x - y) for x, y in zip(rep.angles, truth))
+    target(math.log10(max(rep.residual, 1e-300)), label="log10 residual")
+    target(math.log10(max(error, 1e-300)), label="log10 angle error")
+    assert rep.residual <= 1e-11
+    assert error <= SPLIT_FLOOR
