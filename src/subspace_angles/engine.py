@@ -16,12 +16,13 @@ frame F its blade carries (see Blade) and reads the report in three
 stages. _spectrum forms O, the eigensolve of S = (O + O^T)/2 and O in
 S's eigenbasis, where each cluster, a run of cos 2 theta within
 CLUSTER_WIDTH of its neighbours, is a diagonal block. _read_clusters
-splits each block by one Hermitian eigensolve of its antisymmetric part
-(_planes) into planes, with each plane's rate,
-sin 2 theta, and its oriented orthonormal pair (x, y); cos 2 theta is the
-mean of the block's diagonal entries on x and y. A 2-dim cluster needs no
-eigensolve: its one rate is |K[1, 0]| for the block's antisymmetric part
-K, and its pair the cluster's basis. Every angle is taken as
+splits each block into planes, with each plane's rate, sin 2 theta, and
+its oriented orthonormal pair (x, y); cos 2 theta is the mean of the
+block's diagonal entries on x and y. A 2-dim cluster needs no eigensolve:
+its one rate is |K[1, 0]| for the block's antisymmetric part K, and its
+pair the cluster's basis. A larger one is split by _cluster_planes: a
+Hermitian eigensolve of K (_planes), whose planes it tells apart by
+cos 2 theta as well and makes orthonormal. Every angle is taken as
 theta = atan2(sin 2 theta, cos 2 theta) / 2, which is as accurate near 0
 as near pi/2 (Knyazev & Argentati, 2002). No grade of M is thresholded:
 s and t count the angles by the oracle's per-angle rule, and M is never
@@ -71,10 +72,10 @@ EQUAL_ANGLE_TOL = 1e-8
 # Two planes whose cos 2 theta lie close have nearly degenerate eigenvectors of S: read
 # from a cluster each, their frames come from a nearly arbitrary basis of the joint
 # space, and the rebuilt chain's residual grows as about 3e-16 / gap (2e-8 at a gap of
-# 1e-8). A merged block is split by one eigensolve of its antisymmetric part, which
-# commutes with S (O is normal), and rounding cannot rotate the planes that eigensolve
-# reads. So the residual is at rounding for gaps within the width and about 3e-16 /
-# gap past it, at most about 3e-13.
+# 1e-8). A merged block is split by eigensolves of O's own parts on it (_cluster_planes),
+# which tell its planes apart by sin 2 theta and cos 2 theta, so rounding mixes two planes
+# only in proportion to how little their rotations differ. So the residual is at rounding
+# for gaps within the width and about 3e-16 / gap past it, at most about 3e-13.
 CLUSTER_WIDTH = 1e-3
 
 # A report whose rebuilt chain misses unit(A) by more than this is not returned.
@@ -132,7 +133,7 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.nda
     One Hermitian eigh of i k: an eigenvector x + i y of an eigenvalue
     rate > 0 has k x = rate y, k y = -rate x, x orthogonal to y and
     |x| = |y|, and eigenvectors of one repeated eigenvalue give mutually
-    orthogonal planes, so coinciding rates need no further care. Rates
+    orthogonal planes, any such choice for coinciding rates. Rates
     are bounded by |k|_F / sqrt(2), which decides most calls without the eigh.
     """
     if float(np.sum(k * k)) <= 2.0 * floor * floor:
@@ -145,6 +146,35 @@ def _planes(k: np.ndarray, floor: float) -> list[tuple[float, np.ndarray, np.nda
         y = y - np.dot(y, x) * x
         out.append((float(w[j]), x, y / math.sqrt(float(np.dot(y, y)))))
     return out
+
+
+def _cluster_planes(block: np.ndarray, tilt: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(rate, x, y) for each plane of a cluster's block of O that turns faster than
+    SPLIT_FLOOR, fastest first, the pairs (x, y) of all its planes orthonormal.
+
+    _planes splits the block's antisymmetric part K, and its eigh of i K misses two
+    things: which of two planes of one rate is which, as theta and pi/2 - theta share
+    sin 2 theta, and the orthogonality of planes that turn far slower than the
+    fastest, whose eigenvectors it reads to about 1e-16 times the ratio of the rates.
+    So its eigenvectors x + i y are turned within their span by the eigh of their
+    compression of i K + tilt S, S the block's symmetric part, which is
+    sin 2 theta + tilt cos 2 theta on a plane: of slope at least 1 in 2 theta over
+    the cluster, for tilt = -1 where cos 2 theta >= 0 and 1 where it is < 0, and
+    rising with the rate. A QR, fastest plane first, then makes the pairs
+    orthonormal, and each rate is y . K x.
+    """
+    k = 0.5 * (block - block.T)
+    planes = _planes(k, SPLIT_FLOOR)
+    if len(planes) < 2:
+        return planes
+    z = np.array([x + 1j * y for _, x, y in planes]).T
+    h = (np.diag([rate for rate, _, _ in planes])
+         + (0.25 * tilt) * np.dot(z.conj().T, np.dot(block + block.T, z)))
+    # descending eigenvalues of h: over one cluster, fastest plane first
+    z = np.dot(z, np.linalg.eigh(h)[1][:, ::-1])
+    q, r = np.linalg.qr(np.column_stack([u for c in z.T for u in (c.real, c.imag)]))
+    q *= np.sign(np.diag(r))
+    return [(float(np.dot(y, np.dot(k, x))), x, y) for x, y in zip(q.T[0::2], q.T[1::2])]
 
 
 @lru_cache(maxsize=None)
@@ -221,8 +251,8 @@ def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list
     """(interior, flipped) from _spectrum's (w, v, rot): (theta, frame) of each principal
     plane, theta descending, frame its orthonormal rows (x, -y), and the directions O sends
     to their negatives, L's. A cluster is a run of w whose neighbours lie within
-    CLUSTER_WIDTH, so planes of nearby angles are split by one eigensolve; its block of rot
-    is O on it. A 2-dim cluster's frame is one copy of its two rows of v^T, the second
+    CLUSTER_WIDTH, so planes of nearby angles are split together (_cluster_planes); its block
+    of rot is O on it. A 2-dim cluster's frame is one copy of its two rows of v^T, the second
     negated where k10 > 0."""
     cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > CLUSTER_WIDTH), len(w)]
     rl = rot.tolist()
@@ -242,7 +272,7 @@ def _read_clusters(w: list[float], v: np.ndarray, rot: np.ndarray) -> tuple[list
                 found = [(abs(k10), rl[lo][lo] + rl[lo + 1][lo + 1], frame)]
         elif hi - lo > 2:
             block, basis = rot[lo:hi, lo:hi], v[:, lo:hi]
-            local = _planes(0.5 * (block - block.T), SPLIT_FLOOR)
+            local = _cluster_planes(block, -1.0 if w[lo] + w[hi - 1] >= 0.0 else 1.0)
             found = [(rate, np.dot(x, np.dot(block, x)) + np.dot(y, np.dot(block, y)),
                       np.array((np.dot(basis, x), -np.dot(basis, y))))
                      for rate, x, y in local]

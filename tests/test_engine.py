@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -836,26 +837,26 @@ class TestFlippedComplement:
 
 
 class TestClusterEdge:
-    """Two interior angles whose cos 2 theta lie close, in a random frame of R^6: within
-    CLUSTER_WIDTH they share one cluster, split by one eigensolve, past it each plane
-    gets its own."""
+    """Interior angles whose cos 2 theta lie close, in a random frame of R^6: within
+    CLUSTER_WIDTH they share one cluster, split together, past it each plane gets
+    its own."""
 
     @staticmethod
     def report(thetas, seed=5):
+        """The report of known_pair(thetas) with A of grade len(thetas), and the sizes of
+        the clusters of more than two directions that the engine split."""
         frame = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))[0]
-        a, b = known_pair(thetas, 2, frame)
-        rep = relative_angle(a, b)
+        a, b = known_pair(thetas, len(thetas), frame)
+        with mock.patch.object(engine, "_cluster_planes", wraps=engine._cluster_planes) as split:
+            rep = relative_angle(a, b)
         assert np.allclose(rep.angles, sorted(thetas, reverse=True), rtol=0.0, atol=1e-13)
         assert rep.residual <= RESIDUAL_BOUND
-        # the cut rule as the reference: a new cluster wherever neighbours of the
-        # ascending eigenvalues of S differ by more than CLUSTER_WIDTH
-        w, _, _ = engine._spectrum(a, b)
-        cuts = [0, *(j for j in range(1, len(w)) if w[j] - w[j - 1] > CLUSTER_WIDTH), len(w)]
-        return rep, sorted(hi - lo for lo, hi in zip(cuts, cuts[1:]))
+        return rep, [len(call.args[0]) for call in split.call_args_list]
 
     @pytest.mark.parametrize("theta", [0.7, 1.2])
-    @pytest.mark.parametrize("times, sizes", [(0.9, [2, 4]), (1.1, [2, 2, 2])])
+    @pytest.mark.parametrize("times, sizes", [(0.9, [4]), (1.1, [])])
     def test_cos_2theta_gap_decides_the_clusters(self, theta, times, sizes):
+        # one 4-dim block for both planes within the width, a 2-dim cluster each past it
         other = 0.5 * math.acos(math.cos(2.0 * theta) - times * CLUSTER_WIDTH)
         rep, got = self.report((theta, other))
         assert got == sizes
@@ -876,6 +877,24 @@ class TestClusterEdge:
         for seed in range(5):
             rep, _ = self.report((theta, other), seed)
             assert rep.residual <= bound
+
+    @pytest.mark.parametrize("delta", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 2e-4])
+    def test_mirror_pair_about_pi_4(self, delta):
+        # pi/4 + delta and pi/4 - delta turn at one rate sin 2 theta, 4 delta apart in
+        # cos 2 theta: one cluster, whose split tells the planes apart by cos 2 theta
+        for seed in range(5):
+            rep, got = self.report((math.pi / 4 + delta, math.pi / 4 - delta), seed)
+            assert got == [4]
+            assert rep.residual <= 1e-14
+
+    def test_slow_planes_stay_orthogonal(self):
+        # one cluster at cos 2 theta ~ -1 holds a plane turning at 2e-4 and two at 2e-12,
+        # whose eigenvectors of i K are read to about 1e-8; near pi/2 each rotor is about
+        # its plane, so planes off orthogonal by that much leave a residual of about 6e-9
+        for seed in range(5):
+            rep, got = self.report((math.pi / 2 - 1e-4, math.pi / 2 - 1e-12, math.pi / 2 - 1e-12), seed)
+            assert got == [6]
+            assert rep.residual <= 1e-14
 
     @pytest.mark.parametrize("theta", [0.7, 1.2])
     @pytest.mark.parametrize("times", [0.9, 1.1])

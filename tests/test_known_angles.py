@@ -165,9 +165,10 @@ def test_right_cutoff_by_construction(d):
         assert engine[1] == oracle[1] == (d < 0.0)
 
 
-# Where an edge search moves angles from: both ends, three interior angles and, for
-# every angle after the first, the pair's first angle (None)
-ANCHORS = (0.0, math.pi / 2, 0.3, 0.7, 1.2, None)
+# Where an edge search moves angles from: both ends, pi/4, three interior angles and, for
+# every angle after the first, the pair's first angle and its mirror pi/2 - first, whose
+# rate sin 2 theta is the first angle's
+ANCHORS = (0.0, math.pi / 2, math.pi / 4, 0.3, 0.7, 1.2)
 
 
 @st.composite
@@ -177,9 +178,7 @@ def edge_pairs(draw):
     k = draw(st.integers(1, 4))
     drawn = []
     for _ in range(k):
-        anchor = draw(st.sampled_from(ANCHORS if drawn else ANCHORS[:-1]))
-        if anchor is None:
-            anchor = drawn[0][0]
+        anchor = draw(st.sampled_from(ANCHORS + ((drawn[0][0], math.pi / 2 - drawn[0][0]) if drawn else ())))
         step = 10.0 ** draw(st.floats(-16.0, -2.0))
         if anchor == 0.0:
             theta = step
